@@ -32,12 +32,12 @@ from .config import (
     validate_keys,
     write_config,
 )
-from .data import generate, load_dataset, save_dataset
+from .data import DataSplit, generate, load_dataset, save_dataset
 from .errors import ConfigError, DataError, HiersslError, TrainError
-from .evaluate import evaluate, sweep_means, write_report, write_sweep
+from .evaluate import evaluate, sweep_means, top1, write_report, write_sweep
 from .model import load_checkpoint, save_checkpoint
 from .ood import filter_split, write_filter_report
-from .taxonomy import load_taxonomy, save_taxonomy
+from .taxonomy import Taxonomy, load_taxonomy, save_taxonomy
 from .trainers import train, write_metrics
 
 
@@ -110,11 +110,25 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _train_one(dataset_path: str, taxonomy_path: str, values: dict[str, str],
+def _load_inputs(args) -> tuple[DataSplit, Taxonomy]:
+    """The split and taxonomy named by --data or --dataset/--taxonomy, read
+    once per command; under --jobs the workers receive them pickled."""
+    dataset_path, taxonomy_path = _data_paths(args)
+    taxonomy = load_taxonomy(taxonomy_path)
+    return load_dataset(dataset_path, taxonomy), taxonomy
+
+
+def _run_tasks(fn, tasks: list[tuple], jobs: int) -> list:
+    """``fn`` over the argument tuples, in worker processes when jobs > 1."""
+    if jobs > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, *zip(*tasks)))
+    return [fn(*t) for t in tasks]
+
+
+def _train_one(split: DataSplit, taxonomy: Taxonomy, values: dict[str, str],
                seed: int, out_dir: str) -> tuple[int, float]:
     """One seed end to end; runs in a worker process under --jobs."""
-    taxonomy = load_taxonomy(taxonomy_path)
-    split = load_dataset(dataset_path, taxonomy)
     cfg = replace(train_config_from(values), seed=seed)
     result = train(split, taxonomy, cfg)
     os.makedirs(out_dir, exist_ok=True)
@@ -132,33 +146,21 @@ def _train_one(dataset_path: str, taxonomy_path: str, values: dict[str, str],
 
 
 def cmd_train(args) -> int:
-    dataset_path, taxonomy_path = _data_paths(args)
     values = _merged_values(args)
     base = train_config_from(values)
     seeds = _parse_seeds(args.seeds, base.seed)
+    split, taxonomy = _load_inputs(args)
     out = _resolve_out(args.out, "runs")
-    tasks = [(dataset_path, taxonomy_path, values, seed,
-              os.path.join(out, f"seed{seed}")) for seed in seeds]
-    if args.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_train_one_star, tasks))
-    else:
-        results = [_train_one(*t) for t in tasks]
-    for seed, top in sorted(results):
+    tasks = [(split, taxonomy, values, seed, os.path.join(out, f"seed{seed}"))
+             for seed in seeds]
+    for seed, top in sorted(_run_tasks(_train_one, tasks, args.jobs)):
         print(f"seed {seed} top1 {top}")
     return 0
 
 
-def _train_one_star(task) -> tuple[int, float]:
-    return _train_one(*task)
-
-
 def cmd_filter(args) -> int:
-    dataset_path, taxonomy_path = _data_paths(args)
-    values = _merged_values(args)
-    cfg = filter_config_from(values)
-    taxonomy = load_taxonomy(taxonomy_path)
-    split = load_dataset(dataset_path, taxonomy)
+    cfg = filter_config_from(_merged_values(args))
+    split, taxonomy = _load_inputs(args)
     model, _ = load_checkpoint(args.checkpoint)
     filtered, stats = filter_split(model, taxonomy, split, cfg)
     out = _resolve_out(args.out, "filtered")
@@ -172,9 +174,7 @@ def cmd_filter(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    dataset_path, taxonomy_path = _data_paths(args)
-    taxonomy = load_taxonomy(taxonomy_path)
-    split = load_dataset(dataset_path, taxonomy)
+    split, taxonomy = _load_inputs(args)
     model, _ = load_checkpoint(args.checkpoint)
     report = evaluate(model, split.test, taxonomy)
     out = _resolve_out(args.out, "eval")
@@ -185,32 +185,22 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _sweep_one(dataset_path: str, taxonomy_path: str, values: dict[str, str],
+def _sweep_one(split: DataSplit, taxonomy: Taxonomy, values: dict[str, str],
                level: int | None, seed: int) -> tuple[int | None, int, float]:
-    taxonomy = load_taxonomy(taxonomy_path)
-    split = load_dataset(dataset_path, taxonomy)
     cfg = replace(train_config_from(values), supervision_level=level, seed=seed)
     result = train(split, taxonomy, cfg)
-    return level, seed, evaluate(result.model, split.test, taxonomy).top1
-
-
-def _sweep_one_star(task) -> tuple[int | None, int, float]:
-    return _sweep_one(*task)
+    return level, seed, top1(result.model, split.test, taxonomy)
 
 
 def cmd_sweep(args) -> int:
-    dataset_path, taxonomy_path = _data_paths(args)
     values = _merged_values(args)
     base = train_config_from(values)
     levels = _parse_levels(args.levels)
     seeds = _parse_seeds(args.seeds, base.seed)
-    tasks = [(dataset_path, taxonomy_path, values, level, seed)
+    split, taxonomy = _load_inputs(args)
+    tasks = [(split, taxonomy, values, level, seed)
              for level in levels for seed in seeds]
-    if args.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_sweep_one_star, tasks))
-    else:
-        rows = [_sweep_one(*t) for t in tasks]
+    rows = _run_tasks(_sweep_one, tasks, args.jobs)
     rows.sort(key=lambda r: (-1 if r[0] is None else r[0], r[1]))
     out = _resolve_out(args.out, "sweep")
     write_sweep(rows, os.path.join(out, "sweep.txt"))

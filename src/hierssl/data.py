@@ -91,21 +91,25 @@ def labels_at_level(
 
     Coarser levels are derived from the provided label through the parent
     chain; finer levels need the hidden ground-truth species and exist
-    only for generated data.
+    only for generated data. One lookup per distinct label level.
     """
-    out = np.empty(len(samples), dtype=np.int64)
-    for i, s in enumerate(samples):
-        if level == s.label_level:
-            out[i] = s.label
-        elif level < s.label_level:
-            out[i] = taxonomy.ancestor_map(s.label_level, level)[s.label]
-        elif s.true_species >= 0:
-            out[i] = taxonomy.ancestors(level)[s.true_species]
-        else:
-            raise UnknownClass(
-                f"sample labeled at level {s.label_level} cannot be relabeled "
-                f"at finer level {level} without its ground-truth species"
-            )
+    n = len(samples)
+    label_level = np.fromiter((s.label_level for s in samples), np.int64, n)
+    label = np.fromiter((s.label for s in samples), np.int64, n)
+    species = np.fromiter((s.true_species for s in samples), np.int64, n)
+    bad = (label_level < level) & (species < 0)
+    if bad.any():
+        raise UnknownClass(
+            f"sample labeled at level {label_level[bad.argmax()]} cannot be "
+            f"relabeled at finer level {level} without its ground-truth species"
+        )
+    out = label.copy()
+    for lvl in np.unique(label_level):
+        rows = label_level == lvl
+        if level < lvl:
+            out[rows] = taxonomy.ancestor_map(int(lvl), level)[label[rows]]
+        elif level > lvl:
+            out[rows] = taxonomy.ancestors(level)[species[rows]]
     return out
 
 
@@ -467,7 +471,7 @@ def load_dataset(path, taxonomy: Taxonomy) -> DataSplit:
             raise ParseError(f"unknown level {level_name!r}", line=ln)
         try:
             label = taxonomy.class_index(level, label_name)
-        except Exception:
+        except UnknownClass:
             raise UnknownClass(
                 f"line {ln}: no class named {label_name!r} at level "
                 f"{level_name} ({taxonomy.class_counts[level - 1]} classes)"
@@ -477,8 +481,11 @@ def load_dataset(path, taxonomy: Taxonomy) -> DataSplit:
         else:
             try:
                 species = taxonomy.class_index(taxonomy.leaf_level, species_name)
-            except Exception:
-                species = -1
+            except UnknownClass:
+                raise UnknownClass(
+                    f"line {ln}: no species named {species_name!r} at level "
+                    f"{taxonomy.level_names[-1]} ({taxonomy.num_leaves} classes)"
+                ) from None
         try:
             feats = np.array([float(v) for v in parts[4:]], dtype=np.float64)
         except ValueError:

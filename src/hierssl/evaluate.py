@@ -17,20 +17,25 @@ import numpy as np
 from .data import Sample, features_of, labels_at_level
 from .errors import ConfigError, EmptySplit, ParseError
 from .model import ensure_compatible, predict_probs
-from .taxonomy import MarginalizationMatrix, Taxonomy, marginalize
+from .taxonomy import Taxonomy, coarse_probs
 
 _EVAL_MAGIC = "hierssl-eval v1"
 _CONFUSION_MAGIC = "hierssl-confusion v1"
 _SWEEP_MAGIC = "hierssl-sweep v1"
 
 
-def _level_probs(probs: np.ndarray, taxonomy: Taxonomy, level: int) -> np.ndarray:
-    leaf = taxonomy.leaf_level
-    if level == leaf:
-        return probs
-    w = MarginalizationMatrix(leaf, level, taxonomy.ancestor_map(leaf, level),
-                              taxonomy.class_counts[level - 1])
-    return marginalize(probs, w)
+def _leaf_probs(model, samples: Sequence[Sample], taxonomy: Taxonomy) -> np.ndarray:
+    """Leaf distribution of every sample: the one forward pass of a score."""
+    if not samples:
+        raise EmptySplit("cannot evaluate on an empty sample list")
+    ensure_compatible(model, taxonomy)
+    return predict_probs(model, features_of(samples))
+
+
+def _marginal_accuracy(probs: np.ndarray, samples: Sequence[Sample],
+                       taxonomy: Taxonomy, level: int) -> float:
+    pred = coarse_probs(taxonomy, probs, level).argmax(axis=-1)
+    return float((pred == labels_at_level(samples, taxonomy, level)).mean())
 
 
 def top1(model, samples: Sequence[Sample], taxonomy: Taxonomy) -> float:
@@ -46,33 +51,22 @@ def level_accuracy(model, samples: Sequence[Sample], taxonomy: Taxonomy,
     tree. The two differ whenever the probability mass of one branch is
     spread across many leaves.
     """
-    if not samples:
-        raise EmptySplit("cannot evaluate on an empty sample list")
-    ensure_compatible(model, taxonomy)
-    probs = predict_probs(model, features_of(samples))
+    probs = _leaf_probs(model, samples, taxonomy)
     if mode == "marginal":
-        pred = _level_probs(probs, taxonomy, level).argmax(axis=-1)
-    elif mode == "leaf":
-        leaf_pred = probs.argmax(axis=-1)
-        leaf = taxonomy.leaf_level
-        if level == leaf:
-            pred = leaf_pred
-        else:
-            pred = taxonomy.ancestor_map(leaf, level)[leaf_pred]
-    else:
+        return _marginal_accuracy(probs, samples, taxonomy, level)
+    if mode != "leaf":
         raise ConfigError(f"mode: must be 'marginal' or 'leaf', got {mode!r}")
-    true = labels_at_level(samples, taxonomy, level)
-    return float((pred == true).mean())
+    leaf_pred = probs.argmax(axis=-1)
+    leaf = taxonomy.leaf_level
+    pred = leaf_pred if level == leaf else taxonomy.ancestor_map(leaf, level)[leaf_pred]
+    return float((pred == labels_at_level(samples, taxonomy, level)).mean())
 
 
 def confusion(model, samples: Sequence[Sample], taxonomy: Taxonomy,
               level: int) -> np.ndarray:
     """Count matrix indexed [true class, predicted class] at one level."""
-    if not samples:
-        raise EmptySplit("cannot evaluate on an empty sample list")
-    ensure_compatible(model, taxonomy)
-    probs = _level_probs(predict_probs(model, features_of(samples)), taxonomy, level)
-    pred = probs.argmax(axis=-1)
+    probs = _leaf_probs(model, samples, taxonomy)
+    pred = coarse_probs(taxonomy, probs, level).argmax(axis=-1)
     true = labels_at_level(samples, taxonomy, level)
     n = taxonomy.class_counts[level - 1]
     out = np.zeros((n, n), dtype=np.int64)
@@ -89,9 +83,11 @@ class EvalReport:
 
 
 def evaluate(model, samples: Sequence[Sample], taxonomy: Taxonomy) -> EvalReport:
+    """Accuracy at every level, all marginalized from one forward pass."""
+    probs = _leaf_probs(model, samples, taxonomy)
     rows = tuple(
         (level, taxonomy.level_names[level - 1],
-         level_accuracy(model, samples, taxonomy, level))
+         _marginal_accuracy(probs, samples, taxonomy, level))
         for level in range(1, taxonomy.num_levels + 1)
     )
     return EvalReport(n_samples=len(samples), top1=rows[-1][2], levels=rows)

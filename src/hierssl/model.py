@@ -67,9 +67,6 @@ class LinearModel:
 
     rep_param_names: tuple[str, ...] = ()
 
-    def zero_grads(self) -> dict:
-        return {k: np.zeros_like(v) for k, v in self.params.items()}
-
 
 class Mlp1Model:
     """One ReLU hidden layer; the hidden activation is the representation."""
@@ -124,9 +121,6 @@ class Mlp1Model:
         return {"W1": g_pre.T @ X, "b1": g_pre.sum(axis=0)}
 
     rep_param_names: tuple[str, ...] = ("W1", "b1")
-
-    def zero_grads(self) -> dict:
-        return {k: np.zeros_like(v) for k, v in self.params.items()}
 
     def reset_classifier(self, rng: np.random.Generator) -> None:
         """Fresh output layer over the kept representation."""
@@ -208,9 +202,6 @@ class ContrastiveModel:
         out = {f"enc.{k}": v for k, v in enc_grads.items()}
         out.update({f"head.{k}": v for k, v in head_grads.items()})
         return out
-
-    def zero_grads(self) -> dict:
-        return {k: np.zeros_like(v) for k, v in self.params.items()}
 
 
 def momentum_update(key_params: dict, query_params: dict, m: float) -> None:
@@ -373,7 +364,11 @@ def load_checkpoint(path):
         if parts[0] != "param" or len(parts) < 3:
             raise ParseError(f"expected a param line, got {line!r}", line=idx + 1)
         name = parts[1]
-        shape = tuple(int(s) for s in parts[2:])
+        try:
+            shape = tuple(int(s) for s in parts[2:])
+        except ValueError:
+            raise ParseError(f"bad shape for parameter {name}: {line!r}",
+                             line=idx + 1) from None
         if name not in model.params:
             raise ParseError(f"unknown parameter {name!r} for arch {arch}",
                              line=idx + 1)

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import ORIGIN_IN, DataSplit, Sample, features_of
+from .data import ORIGIN_IN, DataSplit, Sample, features_of, labels_at_level
 from .errors import ConfigError, ParseError
 from .model import ensure_compatible, predict_probs
 from .taxonomy import Taxonomy
@@ -76,17 +76,14 @@ def keep_mask(model, taxonomy: Taxonomy, samples: Sequence[Sample],
         )
     if not samples:
         return np.zeros(0, dtype=bool)
-    provided = np.empty(len(samples), dtype=np.int64)
-    for i, s in enumerate(samples):
-        if cfg.match_level > s.label_level:
-            raise ConfigError(
-                f"match_level: {cfg.match_level} is finer than the provided "
-                f"label level {s.label_level}"
-            )
-        if cfg.match_level == s.label_level:
-            provided[i] = s.label
-        else:
-            provided[i] = taxonomy.ancestor_map(s.label_level, cfg.match_level)[s.label]
+    label_level = np.fromiter((s.label_level for s in samples), np.int64, len(samples))
+    too_fine = cfg.match_level > label_level
+    if too_fine.any():
+        raise ConfigError(
+            f"match_level: {cfg.match_level} is finer than the provided "
+            f"label level {label_level[too_fine.argmax()]}"
+        )
+    provided = labels_at_level(samples, taxonomy, cfg.match_level)
     probs = predict_probs(model, features_of(samples))
     conf = probs.max(axis=-1)
     pred_leaf = probs.argmax(axis=-1)

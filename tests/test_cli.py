@@ -148,6 +148,56 @@ class TestExitCodes:
         assert main(["train", "--data", str(data_dir), "--set", "steps=none",
                      "--out", str(tmp_path / "x")]) == 2
 
+    def test_malformed_checkpoint_shape_is_3(self, data_dir, trained, tmp_path,
+                                             capsys):
+        bad = tmp_path / "bad.ckpt"
+        text = trained.read_text()
+        line = next(l for l in text.splitlines() if l.startswith("param W"))
+        bad.write_text(text.replace(line, line.rsplit(" ", 1)[0] + " x"))
+        assert main(["eval", "--data", str(data_dir), "--checkpoint", str(bad),
+                     "--out", str(tmp_path / "x")]) == 3
+        assert "data error: line" in capsys.readouterr().err
+
+    def test_unknown_species_in_dataset_is_3(self, data_dir, tmp_path, capsys):
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        (bad / "taxonomy.txt").write_bytes((data_dir / "taxonomy.txt").read_bytes())
+        lines = (data_dir / "dataset.txt").read_text().splitlines()
+        parts = lines[3].split()
+        parts[3] = "NoSuchSpecies"
+        lines[3] = " ".join(parts)
+        (bad / "dataset.txt").write_text("\n".join(lines) + "\n")
+        assert main(["train", "--data", str(bad), "--set", "steps=3",
+                     "--out", str(tmp_path / "x")]) == 3
+        assert "line 4: no species named" in capsys.readouterr().err
+
+
+class TestReadsDatasetOnce:
+    @pytest.fixture
+    def loads(self, monkeypatch):
+        import hierssl.cli as cli
+
+        calls = []
+        real = cli.load_dataset
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_dataset", counted)
+        return calls
+
+    def test_sweep_loads_the_dataset_once(self, data_dir, tmp_path, loads):
+        assert main(["sweep", "--data", str(data_dir), "--set", "steps=4",
+                     "--levels", "none,2", "--seeds", "0,1", "--jobs", "1",
+                     "--out", str(tmp_path / "sw")]) == 0
+        assert len(loads) == 1
+
+    def test_multi_seed_train_loads_the_dataset_once(self, data_dir, tmp_path,
+                                                     loads):
+        train_into(data_dir, tmp_path / "run", "--seeds", "0,1", "--jobs", "1")
+        assert len(loads) == 1
+
 
 class TestOutResolution:
     def test_relative_out_resolves_against_env(self, monkeypatch, tmp_path):

@@ -151,6 +151,55 @@ class TestRelabeling:
             )
 
 
+    def test_mixed_level_pool_matches_per_sample_reference(self, default_gen):
+        tax = default_gen.in_taxonomy
+        s = default_gen.split
+        pool = s.coarse_in[::7] + s.labeled[::5] + s.coarse_out[::9] + s.test[::11]
+
+        def reference(samples, level):
+            out = []
+            for x in samples:
+                if level <= x.label_level:
+                    out.append(tax.ancestor_map(x.label_level, level)[x.label])
+                else:
+                    out.append(tax.ancestors(level)[x.true_species])
+            return np.array(out, dtype=np.int64)
+
+        for level in (1, 2):
+            got = labels_at_level(pool, tax, level)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, reference(pool, level))
+        labeled_only = s.coarse_in[::7] + s.labeled[::5] + s.test[::11]
+        for level in range(3, 8):
+            assert np.array_equal(labels_at_level(labeled_only, tax, level),
+                                  reference(labeled_only, level))
+
+    def test_one_ancestor_lookup_per_label_level(self, default_gen, monkeypatch):
+        tax = default_gen.in_taxonomy
+        s = default_gen.split
+        pool = s.coarse_in + s.labeled + s.coarse_out
+        calls = []
+        real = tax.ancestor_map
+
+        def counted(fine, coarse):
+            calls.append((fine, coarse))
+            return real(fine, coarse)
+
+        monkeypatch.setattr(tax, "ancestor_map", counted)
+        labels_at_level(pool, tax, 1)
+        assert sorted(calls) == [(2, 1), (7, 1)]
+
+    def test_mixed_pool_with_out_samples_cannot_go_finer(self, default_gen):
+        s = default_gen.split
+        pool = s.labeled[:3] + s.coarse_in[:3] + s.coarse_out[:3]
+        with pytest.raises(UnknownClass, match="labeled at level 2"):
+            labels_at_level(pool, default_gen.in_taxonomy, 3)
+
+    def test_empty_sample_list_gives_empty_labels(self, default_gen):
+        got = labels_at_level((), default_gen.in_taxonomy, 3)
+        assert got.shape == (0,) and got.dtype == np.int64
+
+
 class TestLongTail:
     def test_counts_skew_but_total_is_preserved(self):
         cfg = GenConfig(level_counts=(1, 2, 8), dim=8, long_tail_exponent=1.0)
@@ -348,6 +397,20 @@ class TestPersistence:
         lines[3] = " ".join(parts)
         p.write_text("\n".join(lines) + "\n")
         with pytest.raises(UnknownClass):
+            load_dataset(p, g.in_taxonomy)
+
+
+    def test_unknown_species_name_reports_line(self, tmp_path):
+        g = generate(TOY)
+        p = tmp_path / "bad.txt"
+        save_dataset(g.split, g.in_taxonomy, p)
+        lines = p.read_text().splitlines()
+        parts = lines[3].split()
+        assert parts[3] != "-"
+        parts[3] = "NoSuchSpecies"
+        lines[3] = " ".join(parts)
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(UnknownClass, match="line 4: no species named"):
             load_dataset(p, g.in_taxonomy)
 
 

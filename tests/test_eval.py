@@ -122,6 +122,25 @@ class TestAccuracy:
         assert report.top1 == report.levels[-1][2]
 
 
+    def test_evaluate_is_one_forward_pass(self, setup, monkeypatch):
+        import hierssl.evaluate as ev
+
+        g, model = setup
+        calls = []
+        real = ev.predict_probs
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ev, "predict_probs", counted)
+        report = evaluate(model, g.split.test, g.in_taxonomy)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        for level, _, acc in report.levels:
+            assert acc == level_accuracy(model, g.split.test, g.in_taxonomy, level)
+
+
 class TestConfusion:
     def test_rows_sum_to_per_class_counts(self, setup):
         g, model = setup

@@ -254,6 +254,18 @@ class TestCheckpoint:
         with pytest.raises(ParseError):
             load_checkpoint(p)
 
+    def test_malformed_shape_line_reports_line(self, tmp_path):
+        model = fresh("linear")
+        p = tmp_path / "x.ckpt"
+        save_checkpoint(model, p, seed=0, step=0)
+        lines = p.read_text().splitlines()
+        at = next(i for i, l in enumerate(lines) if l.startswith("param W "))
+        lines[at] = "param W 4 x"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as e:
+            load_checkpoint(p)
+        assert e.value.line == at + 1
+
     def test_multiline_meta_rejected_at_save(self, tmp_path):
         model = fresh("linear")
         with pytest.raises(ConfigError):
