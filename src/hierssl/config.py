@@ -16,6 +16,7 @@ from dataclasses import replace
 from .data import AugmentParams, GenConfig
 from .errors import ConfigError, ParseError
 from .ood import FilterConfig
+from .records import read_record, write_record
 from .trainers import TrainConfig, default_train_config
 
 CONFIG_MAGIC = "hierssl-config v1"
@@ -135,31 +136,25 @@ def validate_keys(values: dict[str, str]) -> None:
 
 
 def load_config(path) -> dict[str, str]:
-    with open(path, encoding="utf-8") as fh:
-        raw = fh.read().splitlines()
-    if not raw or raw[0].strip() != CONFIG_MAGIC:
-        raise ParseError(f"expected header {CONFIG_MAGIC!r}", line=1)
     out: dict[str, str] = {}
-    for ln, line in enumerate(raw[1:], start=2):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        key, sep, value = stripped.partition("=")
-        if not sep or not key.strip():
-            raise ParseError(f"expected key=value, got {line!r}", line=ln)
-        key = key.strip()
-        if key in out:
-            raise ParseError(f"duplicate key {key!r}", line=ln)
-        out[key] = value.strip()
+    with read_record(path, CONFIG_MAGIC) as body:
+        for ln, line in body:
+            stripped = line.strip()
+            if stripped.startswith("#"):
+                continue
+            key, sep, value = stripped.partition("=")
+            if not sep or not key.strip():
+                raise ParseError(f"expected key=value, got {line!r}", line=ln)
+            key = key.strip()
+            if key in out:
+                raise ParseError(f"duplicate key {key!r}", line=ln)
+            out[key] = value.strip()
     return out
 
 
 def write_config(values: dict[str, str], path) -> None:
-    lines = [CONFIG_MAGIC]
-    for key in sorted(values):
-        lines.append(f"{key}={values[key]}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_record(path, CONFIG_MAGIC,
+                 [f"{key}={values[key]}" for key in sorted(values)])
 
 
 def config_hash(values: dict[str, str]) -> str:

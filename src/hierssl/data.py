@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, ParseError, UnknownClass
+from .records import read_record, write_record
 from .taxonomy import (
     Taxonomy,
     build_taxonomy,
@@ -426,74 +427,70 @@ def save_dataset(split: DataSplit, taxonomy: Taxonomy, path) -> None:
             lines.append(f"{tag} {level_name} {label_name} {species} {feats}")
     if dim is None:
         dim = 0
-    header = [
-        _DATASET_MAGIC,
+    write_record(path, _DATASET_MAGIC, [
         f"d {dim}",
         "levels " + ",".join(taxonomy.level_names),
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(header + lines) + "\n")
+        *lines,
+    ])
 
 
 def load_dataset(path, taxonomy: Taxonomy) -> DataSplit:
-    with open(path, encoding="utf-8") as fh:
-        raw = fh.read().splitlines()
-    if not raw or raw[0].strip() != _DATASET_MAGIC:
-        raise ParseError(f"expected header {_DATASET_MAGIC!r}", line=1)
-    if len(raw) < 3 or not raw[1].startswith("d ") or not raw[2].startswith("levels "):
-        raise ParseError("missing 'd' or 'levels' header line", line=2)
-    try:
-        dim = int(raw[1].split()[1])
-    except (IndexError, ValueError):
-        raise ParseError("bad feature dimension", line=2) from None
-    level_names = tuple(raw[2][len("levels "):].split(","))
-    if level_names != taxonomy.level_names:
-        raise ParseError(
-            f"level names {level_names} do not match taxonomy {taxonomy.level_names}",
-            line=3,
-        )
-    level_index = {n: i + 1 for i, n in enumerate(level_names)}
-
     buckets: dict[str, list[Sample]] = {tag: [] for tag in SPLIT_TAGS}
-    for ln, line in enumerate(raw[3:], start=4):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != 4 + dim:
+    with read_record(path, _DATASET_MAGIC) as body:
+        lines = iter(body)
+        ln, line = next(lines, (2, ""))
+        key, _, dim = line.partition(" ")
+        if key != "d" or not dim.isdigit():
             raise ParseError(
-                f"expected {4 + dim} fields, got {len(parts)}", line=ln
+                f"expected 'd <dim>' with dim >= 0, got {line!r}", line=ln
             )
-        tag, level_name, label_name, species_name = parts[:4]
-        if tag not in buckets:
-            raise ParseError(f"unknown split tag {tag!r}", line=ln)
-        level = level_index.get(level_name)
-        if level is None:
-            raise ParseError(f"unknown level {level_name!r}", line=ln)
-        try:
-            label = taxonomy.class_index(level, label_name)
-        except UnknownClass:
-            raise UnknownClass(
-                f"line {ln}: no class named {label_name!r} at level "
-                f"{level_name} ({taxonomy.class_counts[level - 1]} classes)"
-            ) from None
-        if species_name == "-":
-            species = -1
-        else:
+        dim = int(dim)
+        ln, line = next(lines, (ln + 1, ""))
+        key, _, names = line.partition(" ")
+        if key != "levels":
+            raise ParseError(f"expected a 'levels' line, got {line!r}", line=ln)
+        level_names = tuple(names.split(","))
+        if level_names != taxonomy.level_names:
+            raise ParseError(
+                f"level names {level_names} do not match taxonomy "
+                f"{taxonomy.level_names}", line=ln,
+            )
+        level_index = {n: i + 1 for i, n in enumerate(level_names)}
+
+        for ln, line in lines:
+            parts = line.split()
+            if len(parts) != 4 + dim:
+                raise ParseError(
+                    f"expected {4 + dim} fields, got {len(parts)}", line=ln
+                )
+            tag, level_name, label_name, species_name = parts[:4]
+            if tag not in buckets:
+                raise ParseError(f"unknown split tag {tag!r}", line=ln)
+            level = level_index.get(level_name)
+            if level is None:
+                raise ParseError(f"unknown level {level_name!r}", line=ln)
             try:
-                species = taxonomy.class_index(taxonomy.leaf_level, species_name)
+                label = taxonomy.class_index(level, label_name)
             except UnknownClass:
                 raise UnknownClass(
-                    f"line {ln}: no species named {species_name!r} at level "
-                    f"{taxonomy.level_names[-1]} ({taxonomy.num_leaves} classes)"
+                    f"line {ln}: no class named {label_name!r} at level "
+                    f"{level_name} ({taxonomy.class_counts[level - 1]} classes)"
                 ) from None
-        try:
+            if species_name == "-":
+                species = -1
+            else:
+                try:
+                    species = taxonomy.class_index(taxonomy.leaf_level, species_name)
+                except UnknownClass:
+                    raise UnknownClass(
+                        f"line {ln}: no species named {species_name!r} at level "
+                        f"{taxonomy.level_names[-1]} ({taxonomy.num_leaves} classes)"
+                    ) from None
             feats = np.array([float(v) for v in parts[4:]], dtype=np.float64)
-        except ValueError:
-            raise ParseError("bad float value", line=ln) from None
-        if not np.all(np.isfinite(feats)):
-            raise ParseError("non-finite feature value", line=ln)
-        origin = ORIGIN_OUT if tag == "coarse_out" else ORIGIN_IN
-        buckets[tag].append(
-            Sample(feats, level, label, true_species=species, origin=origin)
-        )
+            if not np.all(np.isfinite(feats)):
+                raise ParseError("non-finite feature value", line=ln)
+            origin = ORIGIN_OUT if tag == "coarse_out" else ORIGIN_IN
+            buckets[tag].append(
+                Sample(feats, level, label, true_species=species, origin=origin)
+            )
     return DataSplit(**{tag: tuple(buckets[tag]) for tag in SPLIT_TAGS})

@@ -41,15 +41,11 @@ class InconsistentPath(DataError):
 
 
 class EmptyInput(DataError):
-    """A build was attempted from no data at all."""
+    """A build or a read was attempted from no data at all, e.g. an empty file."""
 
 
 class UnknownClass(DataError):
     """A label references a class that does not exist at its level."""
-
-
-class MissingSplit(DataError):
-    """A required data split is empty or absent."""
 
 
 class EmptySplit(DataError):
@@ -69,10 +65,6 @@ class LevelOrder(HiersslError):
 
 class DimensionMismatch(HiersslError):
     """Array shapes do not line up."""
-
-
-class IndexMisalignment(HiersslError):
-    """Paired batches (e.g. weak/strong views) have different sizes."""
 
 
 class ArchitectureMismatch(HiersslError):

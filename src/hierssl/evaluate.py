@@ -10,6 +10,7 @@ written with shortest-exact formatting and parsed back bit-identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -17,6 +18,7 @@ import numpy as np
 from .data import Sample, features_of, labels_at_level
 from .errors import ConfigError, EmptySplit, ParseError
 from .model import ensure_compatible, predict_probs
+from .records import read_record, write_record
 from .taxonomy import Taxonomy, coarse_probs
 
 _EVAL_MAGIC = "hierssl-eval v1"
@@ -94,30 +96,21 @@ def evaluate(model, samples: Sequence[Sample], taxonomy: Taxonomy) -> EvalReport
 
 
 def write_report(report: EvalReport, path) -> None:
-    lines = [
-        _EVAL_MAGIC,
+    write_record(path, _EVAL_MAGIC, [
         f"n_samples {report.n_samples}",
         f"top1 {repr(float(report.top1))}",
-    ]
-    for level, name, acc in report.levels:
-        lines.append(f"level {level} {name} {repr(float(acc))}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        *(f"level {level} {name} {repr(float(acc))}"
+          for level, name, acc in report.levels),
+    ])
 
 
 def read_report(path) -> EvalReport:
-    with open(path, encoding="utf-8") as fh:
-        raw = fh.read().splitlines()
-    if not raw or raw[0].strip() != _EVAL_MAGIC:
-        raise ParseError(f"expected header {_EVAL_MAGIC!r}", line=1)
     n_samples = None
     top = None
     levels = []
-    for ln, line in enumerate(raw[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split()
-        try:
+    with read_record(path, _EVAL_MAGIC) as body:
+        for _, line in body:
+            parts = line.split()
             if parts[0] == "n_samples" and len(parts) == 2:
                 n_samples = int(parts[1])
             elif parts[0] == "top1" and len(parts) == 2:
@@ -125,82 +118,58 @@ def read_report(path) -> EvalReport:
             elif parts[0] == "level" and len(parts) == 4:
                 levels.append((int(parts[1]), parts[2], float(parts[3])))
             else:
-                raise ValueError(line)
-        except ValueError:
-            raise ParseError(f"malformed line {line!r}", line=ln) from None
-    if n_samples is None or top is None or not levels:
-        raise ParseError("missing n_samples, top1, or level lines", line=len(raw))
+                raise ValueError(f"malformed line {line!r}")
+        if n_samples is None or top is None or not levels:
+            raise ValueError("missing n_samples, top1, or level lines")
     return EvalReport(n_samples=n_samples, top1=top, levels=tuple(levels))
 
 
 def write_confusion(matrix: np.ndarray, taxonomy: Taxonomy, level: int, path) -> None:
     n = matrix.shape[0]
-    lines = [
-        _CONFUSION_MAGIC,
+    write_record(path, _CONFUSION_MAGIC, [
         f"level {level} {taxonomy.level_names[level - 1]}",
         f"classes {n}",
-    ]
-    for i in range(n):
-        row = " ".join(str(int(v)) for v in matrix[i])
-        lines.append(f"{taxonomy.class_name(level, i)} {row}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        *(f"{taxonomy.class_name(level, i)} "
+          + " ".join(str(int(v)) for v in matrix[i]) for i in range(n)),
+    ])
 
 
 def read_confusion(path) -> tuple[np.ndarray, int]:
-    with open(path, encoding="utf-8") as fh:
-        raw = fh.read().splitlines()
-    if not raw or raw[0].strip() != _CONFUSION_MAGIC:
-        raise ParseError(f"expected header {_CONFUSION_MAGIC!r}", line=1)
-    try:
-        level = int(raw[1].split()[1])
-        n = int(raw[2].split()[1])
-    except (IndexError, ValueError):
-        raise ParseError("bad level/classes header", line=2) from None
     rows = []
-    for ln, line in enumerate(raw[3:], start=4):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != n + 1:
-            raise ParseError(f"expected {n + 1} fields, got {len(parts)}", line=ln)
-        try:
+    with read_record(path, _CONFUSION_MAGIC) as body:
+        lines = iter(body)
+        (_, level_line), (_, classes_line) = islice(lines, 2)
+        level = int(level_line.split()[1])
+        n = int(classes_line.split()[1])
+        for ln, line in lines:
+            parts = line.split()
+            if len(parts) != n + 1:
+                raise ParseError(f"expected {n + 1} fields, got {len(parts)}",
+                                 line=ln)
             rows.append([int(v) for v in parts[1:]])
-        except ValueError:
-            raise ParseError("bad count value", line=ln) from None
-    if len(rows) != n:
-        raise ParseError(f"expected {n} rows, got {len(rows)}", line=len(raw))
+        if len(rows) != n:
+            raise ValueError(f"expected {n} rows, got {len(rows)}")
     return np.array(rows, dtype=np.int64), level
 
 
 def write_sweep(rows: Sequence[tuple[int | None, int, float]], path) -> None:
     """Rows of (supervision level or None, seed, top1)."""
-    lines = [_SWEEP_MAGIC]
-    for level, seed, acc in rows:
-        tag = "none" if level is None else str(level)
-        lines.append(f"level {tag} seed {seed} top1 {repr(float(acc))}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_record(path, _SWEEP_MAGIC, [
+        f"level {'none' if level is None else level} seed {seed} "
+        f"top1 {repr(float(acc))}"
+        for level, seed, acc in rows
+    ])
 
 
 def read_sweep(path) -> list[tuple[int | None, int, float]]:
-    with open(path, encoding="utf-8") as fh:
-        raw = fh.read().splitlines()
-    if not raw or raw[0].strip() != _SWEEP_MAGIC:
-        raise ParseError(f"expected header {_SWEEP_MAGIC!r}", line=1)
     rows = []
-    for ln, line in enumerate(raw[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != 6 or parts[0] != "level" or parts[2] != "seed" \
-                or parts[4] != "top1":
-            raise ParseError(f"malformed line {line!r}", line=ln)
-        try:
+    with read_record(path, _SWEEP_MAGIC) as body:
+        for _, line in body:
+            parts = line.split()
+            if len(parts) != 6 or parts[0::2] != ["level", "seed", "top1"]:
+                raise ValueError(f"malformed line {line!r}")
             level = None if parts[1] == "none" else int(parts[1])
             rows.append((level, int(parts[3]), float(parts[5])))
-        except ValueError:
-            raise ParseError(f"malformed line {line!r}", line=ln) from None
     return rows
 
 

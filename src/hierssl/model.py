@@ -23,6 +23,7 @@ from .errors import (
     NonFiniteGradient,
     ParseError,
 )
+from .records import read_record, write_record
 
 _CKPT_MAGIC = "hierssl-checkpoint v1"
 
@@ -139,8 +140,7 @@ def make_model(arch: str, dim: int, n_classes: int,
 
 def clone_model(model):
     copy = make_model(model.arch, model.dim, model.n_classes,
-                      np.random.default_rng(0), hidden=model.hidden or 64)
-    copy.hidden = model.hidden
+                      np.random.default_rng(0), hidden=model.hidden)
     copy.params = {k: v.copy() for k, v in model.params.items()}
     return copy
 
@@ -302,7 +302,6 @@ def save_checkpoint(model, path, seed: int, step: int,
     """Textual format, byte-identical across reruns: header fields, then
     each parameter as a shape line plus base64 little-endian float64 data."""
     lines = [
-        _CKPT_MAGIC,
         f"arch {model.arch}",
         f"dim {model.dim}",
         f"hidden {model.hidden}",
@@ -319,78 +318,66 @@ def save_checkpoint(model, path, seed: int, step: int,
         shape = " ".join(str(s) for s in arr.shape)
         lines.append(f"param {name} {shape}")
         lines.append(_encode(arr))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_record(path, _CKPT_MAGIC, lines)
 
 
 def load_checkpoint(path):
     """Returns (model, info) where info carries seed, step, and meta."""
-    with open(path, encoding="utf-8") as fh:
-        raw = fh.read().splitlines()
-    if not raw or raw[0].strip() != _CKPT_MAGIC:
-        raise ParseError(f"expected header {_CKPT_MAGIC!r}", line=1)
-    fields: dict[str, str] = {}
+    header: dict[str, str | int] = {}
+    at: dict[str, int] = {}
     meta: dict[str, str] = {}
-    idx = 1
-    while idx < len(raw) and not raw[idx].startswith("param "):
-        parts = raw[idx].split(maxsplit=1)
-        if len(parts) != 2:
-            raise ParseError(f"malformed header line {raw[idx]!r}", line=idx + 1)
-        if parts[0] == "meta":
-            k, _, v = parts[1].partition(" ")
-            meta[k] = v
+    with read_record(path, _CKPT_MAGIC) as body:
+        lines = iter(body)
+        for ln, line in lines:
+            if line.startswith("param "):
+                break
+            key, value = line.split(maxsplit=1)
+            if key == "meta":
+                k, _, v = value.partition(" ")
+                meta[k] = v
+            else:
+                header[key] = value if key == "arch" else int(value)
+                at[key] = ln
         else:
-            fields[parts[0]] = parts[1]
-        idx += 1
-    try:
-        arch = fields["arch"]
-        dim = int(fields["dim"])
-        hidden = int(fields["hidden"])
-        classes = int(fields["classes"])
-        seed = int(fields["seed"])
-        step = int(fields["step"])
-    except (KeyError, ValueError) as exc:
-        raise ParseError(f"bad or missing header field: {exc}", line=idx) from None
-    model = make_model(arch, dim, classes, np.random.default_rng(0),
-                       hidden=hidden or 64)
-    model.hidden = hidden
-    seen = set()
-    while idx < len(raw):
-        line = raw[idx]
-        if not line.strip():
-            idx += 1
-            continue
-        parts = line.split()
-        if parts[0] != "param" or len(parts) < 3:
-            raise ParseError(f"expected a param line, got {line!r}", line=idx + 1)
-        name = parts[1]
+            line = None
+        arch, dim, hidden, classes = (
+            header[k] for k in ("arch", "dim", "hidden", "classes"))
+        seed, step = header["seed"], header["step"]
+        for key in ("dim", "hidden", "classes"):
+            if header[key] < 0:
+                raise ParseError(f"{key}: must be >= 0", line=at[key])
         try:
+            model = make_model(arch, dim, classes, np.random.default_rng(0),
+                               hidden=hidden)
+        except ConfigError as exc:  # an unknown arch, or mlp1 with hidden 0
+            raise ParseError(str(exc), line=at[
+                "hidden" if arch == "mlp1" else "arch"]) from None
+        seen = set()
+        while line is not None:
+            parts = line.split()
+            if parts[0] != "param" or len(parts) < 3:
+                raise ParseError(f"expected a param line, got {line!r}", line=ln)
+            name = parts[1]
             shape = tuple(int(s) for s in parts[2:])
-        except ValueError:
-            raise ParseError(f"bad shape for parameter {name}: {line!r}",
-                             line=idx + 1) from None
-        if name not in model.params:
-            raise ParseError(f"unknown parameter {name!r} for arch {arch}",
-                             line=idx + 1)
-        if model.params[name].shape != shape:
-            raise ParseError(
-                f"parameter {name} has shape {shape}, expected "
-                f"{model.params[name].shape}", line=idx + 1)
-        if idx + 1 >= len(raw):
-            raise ParseError(f"missing data for parameter {name}", line=idx + 1)
-        try:
-            data = np.frombuffer(base64.b64decode(raw[idx + 1]), dtype="<f8")
-        except Exception:
-            raise ParseError(f"bad base64 data for parameter {name}",
-                             line=idx + 2) from None
-        if data.size != int(np.prod(shape)):
-            raise ParseError(
-                f"parameter {name}: {data.size} values for shape {shape}",
-                line=idx + 2)
-        model.params[name] = data.reshape(shape).copy()
-        seen.add(name)
-        idx += 2
-    missing = set(model.params) - seen
-    if missing:
-        raise ParseError(f"missing parameters: {sorted(missing)}", line=len(raw))
+            if name not in model.params:
+                raise ParseError(f"unknown parameter {name!r} for arch {arch}",
+                                 line=ln)
+            if model.params[name].shape != shape:
+                raise ParseError(
+                    f"parameter {name} has shape {shape}, expected "
+                    f"{model.params[name].shape}", line=ln)
+            ln, line = next(lines, (ln, None))
+            if line is None:
+                raise ParseError(f"missing data for parameter {name}", line=ln)
+            data = np.frombuffer(base64.b64decode(line), dtype="<f8")
+            if data.size != int(np.prod(shape)):
+                raise ParseError(
+                    f"parameter {name}: {data.size} values for shape {shape}",
+                    line=ln)
+            model.params[name] = data.reshape(shape).copy()
+            seen.add(name)
+            ln, line = next(lines, (ln, None))
+        missing = set(model.params) - seen
+        if missing:
+            raise ValueError(f"missing parameters: {sorted(missing)}")
     return model, {"seed": seed, "step": step, "meta": meta}

@@ -10,14 +10,15 @@ fields feed the diagnostic counts alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
 from .data import ORIGIN_IN, DataSplit, Sample, features_of, labels_at_level
-from .errors import ConfigError, ParseError
+from .errors import ConfigError
 from .model import ensure_compatible, predict_probs
+from .records import read_record, write_record
 from .taxonomy import Taxonomy
 
 _FILTER_MAGIC = "hierssl-filter v1"
@@ -117,42 +118,22 @@ def filter_split(model, taxonomy: Taxonomy, split: DataSplit,
 
 
 def write_filter_report(stats: FilterStats, cfg: FilterConfig, path) -> None:
-    lines = [
-        _FILTER_MAGIC,
+    write_record(path, _FILTER_MAGIC, [
         f"tau {repr(float(cfg.tau))}",
         f"match_level {cfg.match_level}",
-        f"n_total {stats.n_total}",
-        f"n_kept {stats.n_kept}",
-        f"n_in {stats.n_in}",
-        f"n_out {stats.n_out}",
-        f"kept_in {stats.kept_in}",
-        f"kept_out {stats.kept_out}",
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        *(f"{key} {value}" for key, value in asdict(stats).items()),
+    ])
 
 
 def read_filter_report(path) -> tuple[FilterStats, FilterConfig]:
-    with open(path, encoding="utf-8") as fh:
-        raw = fh.read().splitlines()
-    if not raw or raw[0].strip() != _FILTER_MAGIC:
-        raise ParseError(f"expected header {_FILTER_MAGIC!r}", line=1)
-    fields = {}
-    for ln, line in enumerate(raw[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"malformed line {line!r}", line=ln)
-        fields[parts[0]] = parts[1]
-    try:
-        cfg = FilterConfig(tau=float(fields["tau"]),
-                           match_level=int(fields["match_level"]))
-        stats = FilterStats(
-            n_total=int(fields["n_total"]), n_kept=int(fields["n_kept"]),
-            n_in=int(fields["n_in"]), n_out=int(fields["n_out"]),
-            kept_in=int(fields["kept_in"]), kept_out=int(fields["kept_out"]),
-        )
-    except (KeyError, ValueError) as exc:
-        raise ParseError(f"bad or missing field: {exc}", line=len(raw)) from None
+    values = {}
+    with read_record(path, _FILTER_MAGIC) as body:
+        for _, line in body:
+            key, value = line.split()
+            values[key] = value
+        cfg = FilterConfig(tau=float(values["tau"]),
+                           match_level=int(values["match_level"]))
+        stats = FilterStats(**{
+            f.name: int(values[f.name]) for f in fields(FilterStats)
+        })
     return stats, cfg

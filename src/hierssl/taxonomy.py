@@ -28,6 +28,7 @@ from .errors import (
     ParseError,
     UnknownClass,
 )
+from .records import read_record, write_record
 
 DEFAULT_LEVEL_NAMES = (
     "Kingdom", "Phylum", "Class", "Order", "Family", "Genus", "Species",
@@ -329,39 +330,30 @@ def default_level_names(depth: int) -> tuple[str, ...]:
 
 def save_taxonomy(taxonomy: Taxonomy, path) -> None:
     """Write one leaf path per line, names comma-joined, sorted; header names the levels."""
-    lines = [_TAXONOMY_MAGIC, ",".join(taxonomy.level_names)]
-    lines.extend(
-        ",".join(taxonomy.leaf_path(leaf))
-        for leaf in sorted(
-            range(taxonomy.num_leaves), key=taxonomy.leaf_path
-        )
-    )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    leaves = sorted(range(taxonomy.num_leaves), key=taxonomy.leaf_path)
+    write_record(path, _TAXONOMY_MAGIC, [
+        ",".join(taxonomy.level_names),
+        *(",".join(taxonomy.leaf_path(leaf)) for leaf in leaves),
+    ])
 
 
 def load_taxonomy(path) -> Taxonomy:
-    with open(path, encoding="utf-8") as fh:
-        raw = fh.read().splitlines()
-    if not raw:
-        raise EmptyInput(f"{path} is empty")
-    if raw[0].strip() != _TAXONOMY_MAGIC:
-        raise ParseError(f"expected header {_TAXONOMY_MAGIC!r}", line=1)
-    if len(raw) < 2:
-        raise EmptyInput(f"{path} has no level-name line")
-    level_names = [n.strip() for n in raw[1].split(",")]
-    if any(not n for n in level_names):
-        raise ParseError("empty level name", line=2)
-    paths = []
-    for i, line in enumerate(raw[2:], start=3):
-        if not line.strip():
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) != len(level_names):
-            raise ParseError(
-                f"expected {len(level_names)} names, got {len(parts)}", line=i
-            )
-        paths.append(tuple(parts))
+    with read_record(path, _TAXONOMY_MAGIC) as body:
+        lines = iter(body)
+        ln, line = next(lines, (None, None))
+        if line is None:
+            raise EmptyInput(f"{path} has no level-name line")
+        level_names = [n.strip() for n in line.split(",")]
+        if any(not n for n in level_names):
+            raise ParseError("empty level name", line=ln)
+        paths = []
+        for ln, line in lines:
+            parts = [p.strip() for p in line.split(",")]
+            if len(parts) != len(level_names):
+                raise ParseError(
+                    f"expected {len(level_names)} names, got {len(parts)}", line=ln
+                )
+            paths.append(tuple(parts))
     if not paths:
         raise EmptyInput(f"{path} lists no leaves")
     return build_taxonomy(paths, level_names)

@@ -27,7 +27,7 @@ from .data import (
     labels_at_level,
     labels_of,
 )
-from .errors import ConfigError, EmptyQueue, EmptySplit, ParseError
+from .errors import ConfigError, EmptyQueue, EmptySplit
 from .losses import (
     cross_entropy,
     distill_loss,
@@ -45,6 +45,7 @@ from .model import (
     make_model,
     momentum_update,
 )
+from .records import read_record, write_record
 from .taxonomy import MarginalizationMatrix, Taxonomy
 
 METHODS = (
@@ -186,32 +187,26 @@ class TrainResult:
 def write_metrics(trace: list[StepStats], path,
                   pretrain_trace: list[PretrainStats] | None = None) -> None:
     """Per-step losses as text, floats in shortest-exact form."""
-    lines = [_METRICS_MAGIC]
-    for p in pretrain_trace or ():
-        lines.append(f"pretrain {p.step} loss {repr(float(p.loss))} queue {p.queue_len}")
+    lines = [
+        f"pretrain {p.step} loss {repr(float(p.loss))} queue {p.queue_len}"
+        for p in pretrain_trace or ()
+    ]
     for s in trace:
         lines.append(
             f"step {s.step} total {repr(float(s.total))} fine {repr(float(s.fine))} "
             f"coarse {repr(float(s.coarse))} extra {repr(float(s.extra))} "
             f"mask_rate {repr(float(s.mask_rate))}"
         )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_record(path, _METRICS_MAGIC, lines)
 
 
 def read_metrics(path):
     """Returns (trace, pretrain_trace); both round-trip exactly."""
-    with open(path, encoding="utf-8") as fh:
-        raw = fh.read().splitlines()
-    if not raw or raw[0].strip() != _METRICS_MAGIC:
-        raise ParseError(f"expected header {_METRICS_MAGIC!r}", line=1)
     trace: list[StepStats] = []
     pretrain: list[PretrainStats] = []
-    for ln, line in enumerate(raw[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split()
-        try:
+    with read_record(path, _METRICS_MAGIC) as body:
+        for _, line in body:
+            parts = line.split()
             if parts[0] == "pretrain" and len(parts) == 6:
                 pretrain.append(PretrainStats(int(parts[1]), float(parts[3]),
                                               int(parts[5])))
@@ -220,9 +215,7 @@ def read_metrics(path):
                                        float(parts[5]), float(parts[7]),
                                        float(parts[9]), float(parts[11])))
             else:
-                raise ValueError(line)
-        except ValueError:
-            raise ParseError(f"malformed line {line!r}", line=ln) from None
+                raise ValueError(f"malformed line {line!r}")
     return trace, pretrain or None
 
 

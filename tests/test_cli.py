@@ -158,6 +158,28 @@ class TestExitCodes:
                      "--out", str(tmp_path / "x")]) == 3
         assert "data error: line" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edits,line", [
+        ({"arch": "foo"}, 2),
+        ({"dim": "-1"}, 3),
+        ({"dim": "x"}, 3),
+        ({"arch": "mlp1", "hidden": "0"}, 4),
+        ({"hidden": "-1"}, 4),
+        ({"classes": "-1"}, 5),
+    ], ids=["arch-foo", "dim-neg", "dim-x", "mlp1-hidden-0", "hidden-neg",
+            "classes-neg"])
+    def test_bad_checkpoint_header_is_3(self, data_dir, trained, tmp_path,
+                                        capsys, edits, line):
+        lines = trained.read_text().splitlines()
+        for i, text in enumerate(lines):
+            key = text.split(" ", 1)[0]
+            if key in edits:
+                lines[i] = f"{key} {edits[key]}"
+        bad = tmp_path / "bad.ckpt"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["eval", "--data", str(data_dir), "--checkpoint", str(bad),
+                     "--out", str(tmp_path / "x")]) == 3
+        assert f"data error: line {line}:" in capsys.readouterr().err
+
     def test_unknown_species_in_dataset_is_3(self, data_dir, tmp_path, capsys):
         bad = tmp_path / "bad"
         bad.mkdir()

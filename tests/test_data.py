@@ -400,6 +400,22 @@ class TestPersistence:
             load_dataset(p, g.in_taxonomy)
 
 
+    def test_negative_dimension_reports_line_2(self, tmp_path):
+        tax = generate(TOY).in_taxonomy
+        levels = ",".join(tax.level_names)
+        p = tmp_path / "bad.txt"
+        p.write_text(f"hierssl-dataset v1\nd -2\nlevels {levels}\ntest x\n")
+        with pytest.raises(ParseError) as e:
+            load_dataset(p, tax)
+        assert e.value.line == 2
+
+    def test_empty_split_round_trips_with_dimension_0(self, tmp_path):
+        tax = generate(TOY).in_taxonomy
+        p = tmp_path / "empty.txt"
+        save_dataset(DataSplit(), tax, p)
+        assert p.read_text().splitlines()[1] == "d 0"
+        assert load_dataset(p, tax) == DataSplit()
+
     def test_unknown_species_name_reports_line(self, tmp_path):
         g = generate(TOY)
         p = tmp_path / "bad.txt"
