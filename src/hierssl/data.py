@@ -14,6 +14,9 @@ given the config seed.
 
 from __future__ import annotations
 
+import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,73 +34,71 @@ from .taxonomy import (
 
 _DATASET_MAGIC = "hierssl-dataset v1"
 
-ORIGIN_IN = "in_class"
-ORIGIN_OUT = "out_of_class"
-
 SPLIT_TAGS = ("labeled", "coarse_in", "coarse_out", "test")
 
 
-@dataclass
-class Sample:
-    """One feature vector with a label at some taxonomy level.
+@dataclass(frozen=True, eq=False)
+class Samples:
+    """A set of samples as parallel arrays, one row per sample.
 
+    ``X`` holds the ``(n, d)`` float64 features; ``label_level`` and
+    ``label`` the provided label (a class index at that taxonomy level).
     ``true_species`` is the hidden ground-truth leaf index (-1 when the
     sample's species is not part of the modeled label space) and
-    ``origin`` records whether it came from an in-class or novel species.
+    ``in_class`` records whether it came from an in-class or novel species.
     Both are for generation and evaluation only; training never reads them.
     """
 
-    features: np.ndarray
-    label_level: int
-    label: int
-    true_species: int = -1
-    origin: str = ORIGIN_IN
+    X: np.ndarray
+    label_level: np.ndarray
+    label: np.ndarray
+    true_species: np.ndarray
+    in_class: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.label)
+
+    def __add__(self, other: "Samples") -> "Samples":
+        """The rows of ``self`` followed by the rows of ``other``."""
+        return Samples(**{name: np.concatenate([col, getattr(other, name)])
+                          for name, col in vars(self).items()})
+
+    def take(self, rows) -> "Samples":
+        """The rows selected by a boolean mask or any other numpy row index."""
+        return Samples(**{name: col[rows] for name, col in vars(self).items()})
 
 
-@dataclass
+@dataclass(eq=False)
 class DataSplit:
-    labeled: tuple[Sample, ...] = ()
-    coarse_in: tuple[Sample, ...] = ()
-    coarse_out: tuple[Sample, ...] = ()
-    test: tuple[Sample, ...] = ()
+    labeled: Samples
+    coarse_in: Samples
+    coarse_out: Samples
+    test: Samples
 
-    def replace_coarse(self, kept: Sequence[Sample]) -> "DataSplit":
-        """A copy whose coarse pool is exactly ``kept`` (labeled/test untouched)."""
+    def replace_coarse(self, kept: Samples) -> "DataSplit":
+        """A copy whose coarse pool is exactly ``kept`` (labeled/test untouched)
+        and whose out-of-class pool is empty, of the same feature width."""
         return DataSplit(
             labeled=self.labeled,
-            coarse_in=tuple(kept),
-            coarse_out=(),
+            coarse_in=kept,
+            coarse_out=self.coarse_out.take([]),
             test=self.test,
         )
 
 
-def features_of(samples: Sequence[Sample]) -> np.ndarray:
-    if not samples:
-        return np.zeros((0, 0))
-    return np.stack([s.features for s in samples])
+def features_of(samples: Samples) -> np.ndarray:
+    return samples.X
 
 
-def labels_of(samples: Sequence[Sample]) -> np.ndarray:
-    return np.array([s.label for s in samples], dtype=np.int64)
-
-
-def true_species_of(samples: Sequence[Sample]) -> np.ndarray:
-    return np.array([s.true_species for s in samples], dtype=np.int64)
-
-
-def labels_at_level(
-    samples: Sequence[Sample], taxonomy: Taxonomy, level: int
-) -> np.ndarray:
+def labels_at_level(samples: Samples, taxonomy: Taxonomy, level: int) -> np.ndarray:
     """Label of every sample re-expressed at ``level``.
 
     Coarser levels are derived from the provided label through the parent
     chain; finer levels need the hidden ground-truth species and exist
     only for generated data. One lookup per distinct label level.
     """
-    n = len(samples)
-    label_level = np.fromiter((s.label_level for s in samples), np.int64, n)
-    label = np.fromiter((s.label for s in samples), np.int64, n)
-    species = np.fromiter((s.true_species for s in samples), np.int64, n)
+    label_level, label = samples.label_level, samples.label
+    species = samples.true_species
     bad = (label_level < level) & (species < 0)
     if bad.any():
         raise UnknownClass(
@@ -236,6 +237,7 @@ def generate(config: GenConfig) -> GenResult:
     n_out = int(round(n_in * config.out_fraction / (1.0 - config.out_fraction)))
     paths = [in_tax.leaf_path(leaf) for leaf in range(n_in)]
     out_names: list[str] = []
+    novel: set[str] = set()  # every class on a grafted chain
     if n_out:
         in_per_attach = np.bincount(
             in_tax.ancestors(attach), minlength=counts[attach - 1]
@@ -253,18 +255,17 @@ def generate(config: GenConfig) -> GenResult:
                     f"X{k:0{width}d}-{prefixes[l]}" for l in range(attach, depth)
                 )
                 paths.append(base + chain)
-                out_names.append(paths[-1][-1])
+                out_names.append(chain[-1])
+                novel.update(chain)
                 k += 1
     full_tax = build_taxonomy(paths, level_names)
 
     rng = np.random.default_rng(config.seed)
-    centers = _draw_centers(full_tax, config, rng, set(out_names))
+    centers = _draw_centers(full_tax, config, rng, novel)
 
     leaf_centers = centers[depth - 1]
     in_leaf_of = {full_tax.class_name(depth, i): i for i in range(full_tax.num_leaves)}
-    in_full_ids = np.array(
-        [in_leaf_of[in_tax.class_name(depth, i)] for i in range(n_in)]
-    )
+    in_full_ids = np.array([in_leaf_of[nm] for nm in in_tax.class_names(depth)])
     out_full_ids = np.array(
         [in_leaf_of[name] for name in sorted(out_names)], dtype=np.int64
     )
@@ -278,36 +279,34 @@ def generate(config: GenConfig) -> GenResult:
             for f in out_full_ids
         ],
         dtype=np.int64,
-    ) if n_out else np.zeros(0, dtype=np.int64)
+    )
 
-    def draw(center: np.ndarray) -> np.ndarray:
-        return center + config.sigma_x * rng.standard_normal(config.dim)
+    def draw(full_ids, per_species, level, labels, species, in_class):
+        """``per_species[j]`` samples of species ``j``, in species order,
+        drawn in one call: the same stream as one draw per sample."""
+        rows = np.repeat(np.arange(len(per_species)), per_species)
+        noise = rng.standard_normal((len(rows), config.dim))
+        return Samples(
+            X=leaf_centers[full_ids[rows]] + config.sigma_x * noise,
+            label_level=np.full(len(rows), level, dtype=np.int64),
+            label=labels[rows],
+            true_species=species[rows],
+            in_class=np.full(len(rows), in_class),
+        )
 
-    labeled = []
-    for s in range(n_in):
-        for _ in range(config.labeled_per_species):
-            labeled.append(Sample(draw(leaf_centers[in_full_ids[s]]),
-                                  depth, s, true_species=s))
-    coarse_in = []
-    for s, n_here in enumerate(_per_species_counts(
-            config.coarse_in_per_species, n_in, config.long_tail_exponent)):
-        for _ in range(n_here):
-            coarse_in.append(Sample(draw(leaf_centers[in_full_ids[s]]),
-                                    k, int(in_coarse[s]), true_species=s))
-    coarse_out = []
-    for j, n_here in enumerate(_per_species_counts(
-            config.coarse_out_per_species, n_out, config.long_tail_exponent)):
-        for _ in range(n_here):
-            coarse_out.append(Sample(draw(leaf_centers[out_full_ids[j]]),
-                                     k, int(out_coarse[j]),
-                                     true_species=-1, origin=ORIGIN_OUT))
-    test = []
-    for s in range(n_in):
-        for _ in range(config.test_per_species):
-            test.append(Sample(draw(leaf_centers[in_full_ids[s]]),
-                               depth, s, true_species=s))
-
-    split = DataSplit(tuple(labeled), tuple(coarse_in), tuple(coarse_out), tuple(test))
+    in_ids = np.arange(n_in, dtype=np.int64)
+    split = DataSplit(
+        labeled=draw(in_full_ids, [config.labeled_per_species] * n_in,
+                     depth, in_ids, in_ids, True),
+        coarse_in=draw(in_full_ids, _per_species_counts(
+            config.coarse_in_per_species, n_in, config.long_tail_exponent),
+            k, in_coarse, in_ids, True),
+        coarse_out=draw(out_full_ids, _per_species_counts(
+            config.coarse_out_per_species, n_out, config.long_tail_exponent),
+            k, out_coarse, np.full(n_out, -1, dtype=np.int64), False),
+        test=draw(in_full_ids, [config.test_per_species] * n_in,
+                  depth, in_ids, in_ids, True),
+    )
     return GenResult(taxonomy=full_tax, in_taxonomy=in_tax, split=split)
 
 
@@ -329,29 +328,20 @@ def _class_path(taxonomy: Taxonomy, level: int, class_id: int) -> tuple[str, ...
     return tuple(reversed(names))
 
 
-def _draw_centers(taxonomy, config, rng, out_names):
+def _draw_centers(taxonomy, config, rng, novel):
     """Per-level class centers, drawn in index order level by level.
 
-    Classes on a novel-species chain get their offsets scaled by
-    ``out_offset_scale``, which controls how far the out-of-class
-    clusters sit from their in-class siblings.
+    Classes named in ``novel``, the grafted novel-species chains, get
+    their offsets scaled by ``out_offset_scale``, which controls how far
+    the out-of-class clusters sit from their in-class siblings.
     """
     depth = taxonomy.num_levels
     centers = []
     for l in range(1, depth + 1):
         n = taxonomy.class_counts[l - 1]
         offsets = rng.standard_normal((n, config.dim))
-        if l == 1:
-            parent_centers = np.zeros((n, config.dim))
-            out_mask = np.zeros(n, dtype=bool)
-        else:
-            parent = taxonomy.parent_of(l)
-            parent_centers = centers[-1][parent]
-            # novel-species chain classes are named "X<k>-<prefix>"
-            out_mask = np.array(
-                [nm in out_names or (nm.startswith("X") and "-" in nm)
-                 for nm in taxonomy.class_names(l)]
-            )
+        parent_centers = centers[-1][taxonomy.parent_of(l)] if l > 1 else 0.0
+        out_mask = np.array([nm in novel for nm in taxonomy.class_names(l)])
         scale = config.sigma_levels[l - 1] * np.where(
             out_mask, config.out_offset_scale, 1.0
         )
@@ -411,31 +401,25 @@ def augment_strong(
 def save_dataset(split: DataSplit, taxonomy: Taxonomy, path) -> None:
     """One sample per line: split tag, level name, class name, species name
     or '-', then the feature floats (shortest round-trip formatting)."""
-    dim = None
-    lines = []
-    for tag in SPLIT_TAGS:
-        for s in getattr(split, tag):
-            if dim is None:
-                dim = len(s.features)
-            level_name = taxonomy.level_names[s.label_level - 1]
-            label_name = taxonomy.class_name(s.label_level, s.label)
-            species = (
-                taxonomy.class_name(taxonomy.leaf_level, s.true_species)
-                if s.true_species >= 0 else "-"
+    parts = [(tag, getattr(split, tag)) for tag in SPLIT_TAGS]
+    dim = next((s.X.shape[1] for _, s in parts if len(s)), 0)
+    lines = [f"d {dim}", "levels " + ",".join(taxonomy.level_names)]
+    for tag, s in parts:
+        for level, label, species, x in zip(
+                s.label_level.tolist(), s.label.tolist(),
+                s.true_species.tolist(), s.X):
+            level_name = taxonomy.level_names[level - 1]
+            label_name = taxonomy.class_name(level, label)
+            species_name = (
+                taxonomy.class_name(taxonomy.leaf_level, species)
+                if species >= 0 else "-"
             )
-            feats = " ".join(repr(float(v)) for v in s.features)
-            lines.append(f"{tag} {level_name} {label_name} {species} {feats}")
-    if dim is None:
-        dim = 0
-    write_record(path, _DATASET_MAGIC, [
-        f"d {dim}",
-        "levels " + ",".join(taxonomy.level_names),
-        *lines,
-    ])
+            feats = " ".join(map(repr, x.tolist()))
+            lines.append(f"{tag} {level_name} {label_name} {species_name} {feats}")
+    write_record(path, _DATASET_MAGIC, lines)
 
 
 def load_dataset(path, taxonomy: Taxonomy) -> DataSplit:
-    buckets: dict[str, list[Sample]] = {tag: [] for tag in SPLIT_TAGS}
     with read_record(path, _DATASET_MAGIC) as body:
         lines = iter(body)
         ln, line = next(lines, (2, ""))
@@ -456,6 +440,21 @@ def load_dataset(path, taxonomy: Taxonomy) -> DataSplit:
                 f"{taxonomy.level_names}", line=ln,
             )
         level_index = {n: i + 1 for i, n in enumerate(level_names)}
+        # Rows per split, so each is filled in place. A line too short for
+        # 4 + dim fields fails below, uncounted: dim never allocates past it.
+        n_rows = Counter(line.split(None, 1)[0] for _, line in body
+                         if len(line) >= 2 * (4 + dim) - 1)
+        split = {
+            tag: Samples(
+                X=np.empty((n_rows[tag], dim)),
+                label_level=np.empty(n_rows[tag], dtype=np.int64),
+                label=np.empty(n_rows[tag], dtype=np.int64),
+                true_species=np.empty(n_rows[tag], dtype=np.int64),
+                in_class=np.full(n_rows[tag], tag != "coarse_out"),
+            )
+            for tag in SPLIT_TAGS
+        }
+        next_row = {tag: itertools.count() for tag in SPLIT_TAGS}
 
         for ln, line in lines:
             parts = line.split()
@@ -464,7 +463,7 @@ def load_dataset(path, taxonomy: Taxonomy) -> DataSplit:
                     f"expected {4 + dim} fields, got {len(parts)}", line=ln
                 )
             tag, level_name, label_name, species_name = parts[:4]
-            if tag not in buckets:
+            if tag not in split:
                 raise ParseError(f"unknown split tag {tag!r}", line=ln)
             level = level_index.get(level_name)
             if level is None:
@@ -486,11 +485,10 @@ def load_dataset(path, taxonomy: Taxonomy) -> DataSplit:
                         f"line {ln}: no species named {species_name!r} at level "
                         f"{taxonomy.level_names[-1]} ({taxonomy.num_leaves} classes)"
                     ) from None
-            feats = np.array([float(v) for v in parts[4:]], dtype=np.float64)
-            if not np.all(np.isfinite(feats)):
+            feats = [float(v) for v in parts[4:]]
+            if not all(map(math.isfinite, feats)):
                 raise ParseError("non-finite feature value", line=ln)
-            origin = ORIGIN_OUT if tag == "coarse_out" else ORIGIN_IN
-            buckets[tag].append(
-                Sample(feats, level, label, true_species=species, origin=origin)
-            )
-    return DataSplit(**{tag: tuple(buckets[tag]) for tag in SPLIT_TAGS})
+            s, i = split[tag], next(next_row[tag])
+            s.X[i] = feats
+            s.label_level[i], s.label[i], s.true_species[i] = level, label, species
+    return DataSplit(**split)

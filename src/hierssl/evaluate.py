@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Sample, features_of, labels_at_level
+from .data import Samples, features_of, labels_at_level
 from .errors import ConfigError, EmptySplit, ParseError
 from .model import ensure_compatible, predict_probs
 from .records import read_record, write_record
@@ -26,7 +26,7 @@ _CONFUSION_MAGIC = "hierssl-confusion v1"
 _SWEEP_MAGIC = "hierssl-sweep v1"
 
 
-def _leaf_probs(model, samples: Sequence[Sample], taxonomy: Taxonomy) -> np.ndarray:
+def _leaf_probs(model, samples: Samples, taxonomy: Taxonomy) -> np.ndarray:
     """Leaf distribution of every sample: the one forward pass of a score."""
     if not samples:
         raise EmptySplit("cannot evaluate on an empty sample list")
@@ -34,17 +34,17 @@ def _leaf_probs(model, samples: Sequence[Sample], taxonomy: Taxonomy) -> np.ndar
     return predict_probs(model, features_of(samples))
 
 
-def _marginal_accuracy(probs: np.ndarray, samples: Sequence[Sample],
+def _marginal_accuracy(probs: np.ndarray, samples: Samples,
                        taxonomy: Taxonomy, level: int) -> float:
     pred = coarse_probs(taxonomy, probs, level).argmax(axis=-1)
     return float((pred == labels_at_level(samples, taxonomy, level)).mean())
 
 
-def top1(model, samples: Sequence[Sample], taxonomy: Taxonomy) -> float:
+def top1(model, samples: Samples, taxonomy: Taxonomy) -> float:
     return level_accuracy(model, samples, taxonomy, taxonomy.leaf_level)
 
 
-def level_accuracy(model, samples: Sequence[Sample], taxonomy: Taxonomy,
+def level_accuracy(model, samples: Samples, taxonomy: Taxonomy,
                    level: int, mode: str = "marginal") -> float:
     """Accuracy at one level.
 
@@ -64,7 +64,7 @@ def level_accuracy(model, samples: Sequence[Sample], taxonomy: Taxonomy,
     return float((pred == labels_at_level(samples, taxonomy, level)).mean())
 
 
-def confusion(model, samples: Sequence[Sample], taxonomy: Taxonomy,
+def confusion(model, samples: Samples, taxonomy: Taxonomy,
               level: int) -> np.ndarray:
     """Count matrix indexed [true class, predicted class] at one level."""
     probs = _leaf_probs(model, samples, taxonomy)
@@ -84,7 +84,7 @@ class EvalReport:
     levels: tuple[tuple[int, str, float], ...]
 
 
-def evaluate(model, samples: Sequence[Sample], taxonomy: Taxonomy) -> EvalReport:
+def evaluate(model, samples: Samples, taxonomy: Taxonomy) -> EvalReport:
     """Accuracy at every level, all marginalized from one forward pass."""
     probs = _leaf_probs(model, samples, taxonomy)
     rows = tuple(

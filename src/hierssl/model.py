@@ -14,6 +14,7 @@ component starts with "b" are biases and are exempt from weight decay.
 from __future__ import annotations
 
 import base64
+import math
 
 import numpy as np
 
@@ -321,11 +322,23 @@ def save_checkpoint(model, path, seed: int, step: int,
     write_record(path, _CKPT_MAGIC, lines)
 
 
+# each architecture's parameter shapes, in the size fields of the header
+_PARAM_SHAPES = {
+    "linear": {"W": ("classes", "dim"), "b": ("classes",)},
+    "mlp1": {"W1": ("hidden", "dim"), "b1": ("hidden",),
+             "W2": ("classes", "hidden"), "b2": ("classes",)},
+}
+
+
 def load_checkpoint(path):
-    """Returns (model, info) where info carries seed, step, and meta."""
+    """Returns (model, info) where info carries seed, step, and meta.
+
+    Header sizes are checked against every parameter's shape and data
+    before the model is built, so a header cannot drive allocation."""
     header: dict[str, str | int] = {}
     at: dict[str, int] = {}
     meta: dict[str, str] = {}
+    params: dict[str, np.ndarray] = {}
     with read_record(path, _CKPT_MAGIC) as body:
         lines = iter(body)
         for ln, line in lines:
@@ -346,38 +359,43 @@ def load_checkpoint(path):
         for key in ("dim", "hidden", "classes"):
             if header[key] < 0:
                 raise ParseError(f"{key}: must be >= 0", line=at[key])
-        try:
-            model = make_model(arch, dim, classes, np.random.default_rng(0),
-                               hidden=hidden)
-        except ConfigError as exc:  # an unknown arch, or mlp1 with hidden 0
-            raise ParseError(str(exc), line=at[
-                "hidden" if arch == "mlp1" else "arch"]) from None
-        seen = set()
+        fields = _PARAM_SHAPES.get(arch)
+        if fields is None:
+            raise ParseError(f"arch: unknown architecture {arch!r}",
+                             line=at["arch"])
+        if arch == "mlp1" and hidden < 1:
+            raise ParseError("hidden: must be >= 1", line=at["hidden"])
         while line is not None:
             parts = line.split()
             if parts[0] != "param" or len(parts) < 3:
                 raise ParseError(f"expected a param line, got {line!r}", line=ln)
             name = parts[1]
             shape = tuple(int(s) for s in parts[2:])
-            if name not in model.params:
+            if name not in fields:
                 raise ParseError(f"unknown parameter {name!r} for arch {arch}",
                                  line=ln)
-            if model.params[name].shape != shape:
+            if len(shape) != len(fields[name]):
                 raise ParseError(
                     f"parameter {name} has shape {shape}, expected "
-                    f"{model.params[name].shape}", line=ln)
+                    f"{len(fields[name])} dimensions", line=ln)
             ln, line = next(lines, (ln, None))
             if line is None:
                 raise ParseError(f"missing data for parameter {name}", line=ln)
             data = np.frombuffer(base64.b64decode(line), dtype="<f8")
-            if data.size != int(np.prod(shape)):
+            if data.size != math.prod(shape):
                 raise ParseError(
                     f"parameter {name}: {data.size} values for shape {shape}",
                     line=ln)
-            model.params[name] = data.reshape(shape).copy()
-            seen.add(name)
+            for size, key in zip(shape, fields[name]):
+                if size != header[key]:
+                    raise ParseError(
+                        f"{key} {header[key]} does not match parameter {name} "
+                        f"of shape {shape}", line=at[key])
+            params[name] = data.reshape(shape).copy()
             ln, line = next(lines, (ln, None))
-        missing = set(model.params) - seen
+        missing = set(fields) - set(params)
         if missing:
             raise ValueError(f"missing parameters: {sorted(missing)}")
+    model = make_model(arch, dim, classes, np.random.default_rng(0), hidden=hidden)
+    model.params.update(params)
     return model, {"seed": seed, "step": step, "meta": meta}

@@ -11,11 +11,10 @@ fields feed the diagnostic counts alone.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
-from typing import Sequence
 
 import numpy as np
 
-from .data import ORIGIN_IN, DataSplit, Sample, features_of, labels_at_level
+from .data import DataSplit, Samples, features_of, labels_at_level
 from .errors import ConfigError
 from .model import ensure_compatible, predict_probs
 from .records import read_record, write_record
@@ -40,7 +39,7 @@ class FilterConfig:
 class FilterStats:
     """Keep counts plus hidden-origin diagnostics.
 
-    Precision and recall use the origin field, which training never
+    Precision and recall use the hidden origin, which training never
     sees; they exist to report how well the filter separated in-class
     from out-of-class, not to influence what is kept.
     """
@@ -65,7 +64,7 @@ class FilterStats:
         return self.kept_in / self.n_in if self.n_in else 1.0
 
 
-def keep_mask(model, taxonomy: Taxonomy, samples: Sequence[Sample],
+def keep_mask(model, taxonomy: Taxonomy, samples: Samples,
               cfg: FilterConfig) -> np.ndarray:
     """Boolean keep decision per sample, from features and provided labels only."""
     cfg.validate()
@@ -75,14 +74,11 @@ def keep_mask(model, taxonomy: Taxonomy, samples: Sequence[Sample],
             f"match_level: {cfg.match_level} exceeds the "
             f"{taxonomy.num_levels}-level taxonomy"
         )
-    if not samples:
-        return np.zeros(0, dtype=bool)
-    label_level = np.fromiter((s.label_level for s in samples), np.int64, len(samples))
-    too_fine = cfg.match_level > label_level
+    too_fine = cfg.match_level > samples.label_level
     if too_fine.any():
         raise ConfigError(
             f"match_level: {cfg.match_level} is finer than the provided "
-            f"label level {label_level[too_fine.argmax()]}"
+            f"label level {samples.label_level[too_fine.argmax()]}"
         )
     provided = labels_at_level(samples, taxonomy, cfg.match_level)
     probs = predict_probs(model, features_of(samples))
@@ -92,8 +88,8 @@ def keep_mask(model, taxonomy: Taxonomy, samples: Sequence[Sample],
     return (conf >= cfg.tau) & (pred_match == provided)
 
 
-def filter_stats(samples: Sequence[Sample], mask: np.ndarray) -> FilterStats:
-    origins = np.array([s.origin == ORIGIN_IN for s in samples], dtype=bool)
+def filter_stats(samples: Samples, mask: np.ndarray) -> FilterStats:
+    origins = samples.in_class
     return FilterStats(
         n_total=len(samples),
         n_kept=int(mask.sum()),
@@ -108,13 +104,12 @@ def filter_split(model, taxonomy: Taxonomy, split: DataSplit,
                  cfg: FilterConfig) -> tuple[DataSplit, FilterStats]:
     """Screen the union of both coarse pools; labeled and test pass through.
 
-    The returned split holds the kept samples (origin fields intact) as
-    its in-class coarse pool and an empty out-of-class pool.
+    The returned split holds the kept samples (origins intact) as its
+    in-class coarse pool and an empty out-of-class pool.
     """
-    pool = tuple(split.coarse_in) + tuple(split.coarse_out)
+    pool = split.coarse_in + split.coarse_out
     mask = keep_mask(model, taxonomy, pool, cfg)
-    kept = tuple(s for s, m in zip(pool, mask) if m)
-    return split.replace_coarse(kept), filter_stats(pool, mask)
+    return split.replace_coarse(pool.take(mask)), filter_stats(pool, mask)
 
 
 def write_filter_report(stats: FilterStats, cfg: FilterConfig, path) -> None:

@@ -25,7 +25,6 @@ from .data import (
     augment_weak,
     features_of,
     labels_at_level,
-    labels_of,
 )
 from .errors import ConfigError, EmptyQueue, EmptySplit
 from .losses import (
@@ -262,23 +261,14 @@ def resolve_coarse_pool(split: DataSplit, source: str):
     raise ConfigError(f"coarse_source: unknown source {source!r}")
 
 
-@dataclass
-class _Arrays:
-    """Split contents packed into arrays once, before the step loop."""
-
-    Xl: np.ndarray
-    yl: np.ndarray
-    Xu: np.ndarray
-    yu: np.ndarray | None
-    w: MarginalizationMatrix | None
-
-
 def _pack(split: DataSplit, taxonomy: Taxonomy, cfg: TrainConfig,
-          need_unlabeled: bool) -> _Arrays:
+          need_unlabeled: bool):
+    """(Xl, yl, Xu, yu, w): labeled features and species, pool features, and
+    the pool's labels and marginalization at the supervision level, or None."""
     if not split.labeled:
         raise EmptySplit("labeled split is empty")
     Xl = features_of(split.labeled)
-    yl = labels_of(split.labeled)
+    yl = split.labeled.label
     level = cfg.supervision_level
     if level is not None and level > taxonomy.num_levels:
         raise ConfigError(
@@ -289,7 +279,7 @@ def _pack(split: DataSplit, taxonomy: Taxonomy, cfg: TrainConfig,
         raise EmptySplit(
             f"coarse pool {cfg.coarse_source!r} is empty but the method needs it"
         )
-    Xu = features_of(pool) if pool else np.zeros((0, Xl.shape[1]))
+    Xu = features_of(pool)
     yu = None
     w = None
     if level is not None:
@@ -299,7 +289,7 @@ def _pack(split: DataSplit, taxonomy: Taxonomy, cfg: TrainConfig,
             leaf, level, taxonomy.ancestor_map(leaf, level),
             taxonomy.class_counts[level - 1],
         )
-    return _Arrays(Xl, yl, Xu, yu, w)
+    return Xl, yl, Xu, yu, w
 
 
 def train(split: DataSplit, taxonomy: Taxonomy, cfg: TrainConfig) -> TrainResult:
@@ -343,29 +333,27 @@ def _train_classifier(split: DataSplit, taxonomy: Taxonomy, cfg: TrainConfig,
     """
     method = cfg.method
     needs_unlabeled = method in ("pseudo_label", "fixmatch", "self_training")
-    arrays = _pack(split, taxonomy, cfg, needs_unlabeled)
+    Xl, yl, Xu, yu, w = _pack(split, taxonomy, cfg, needs_unlabeled)
     rng_init, rng_batch, rng_aug = _phase_rngs(cfg.seed, phase)
 
-    model = make_model(cfg.arch, arrays.Xl.shape[1], taxonomy.num_leaves,
+    model = make_model(cfg.arch, Xl.shape[1], taxonomy.num_leaves,
                        rng_init, hidden=cfg.hidden)
     if pretrained is not None:
         for name in pretrained.rep_param_names:
             model.params[name] = pretrained.params[name].copy()
     opt = SgdMomentum(cfg.lr, cfg.momentum, cfg.weight_decay)
 
-    n_l = arrays.Xl.shape[0]
-    n_u = arrays.Xu.shape[0]
-    use_coarse = arrays.yu is not None
+    use_coarse = yu is not None
     use_unlabeled = use_coarse or needs_unlabeled
     trace: list[StepStats] = []
 
     for step in range(cfg.steps):
-        il = rng_batch.integers(0, n_l, size=cfg.batch_labeled)
-        Xl_b, yl_b = arrays.Xl[il], arrays.yl[il]
+        il = rng_batch.integers(0, len(Xl), size=cfg.batch_labeled)
+        Xl_b, yl_b = Xl[il], yl[il]
         if use_unlabeled:
-            iu = rng_batch.integers(0, n_u, size=cfg.batch_coarse)
-            Xu_b = arrays.Xu[iu]
-            yu_b = arrays.yu[iu] if use_coarse else None
+            iu = rng_batch.integers(0, len(Xu), size=cfg.batch_coarse)
+            Xu_b = Xu[iu]
+            yu_b = yu[iu] if use_coarse else None
 
         if method == "fixmatch":
             Xl_b = augment_weak(Xl_b, cfg.augment.sigma_weak, rng_aug)
@@ -389,7 +377,7 @@ def _train_classifier(split: DataSplit, taxonomy: Taxonomy, cfg: TrainConfig,
             z_strong, cache_u = model.forward_cached(Xu_strong)
             g_u = np.zeros_like(z_strong)
             if use_coarse:
-                coarse, g_c = marginalized_cross_entropy(z_strong, yu_b, arrays.w)
+                coarse, g_c = marginalized_cross_entropy(z_strong, yu_b, w)
                 g_u = g_u + cfg.unsup_weight * g_c
             extra, g_fm, mask = fixmatch_loss(z_weak, z_strong, cfg.tau)
             g_u = g_u + cfg.consistency_weight * g_fm
@@ -399,7 +387,7 @@ def _train_classifier(split: DataSplit, taxonomy: Taxonomy, cfg: TrainConfig,
             z_u, cache_u = model.forward_cached(Xu_b)
             g_u = None
             if use_coarse:
-                coarse, g_c = marginalized_cross_entropy(z_u, yu_b, arrays.w)
+                coarse, g_c = marginalized_cross_entropy(z_u, yu_b, w)
                 g_u = cfg.unsup_weight * g_c
             if method == "pseudo_label":
                 extra, g_pl, mask = pseudo_label_loss(z_u, cfg.tau)
@@ -430,7 +418,7 @@ def _pretrain_contrastive(split: DataSplit, taxonomy: Taxonomy, cfg: TrainConfig
     copy, detached, and pushed into the negative queue for later steps.
     Returns the trained query encoder.
     """
-    pool = tuple(split.labeled) + tuple(resolve_coarse_pool(split, cfg.coarse_source))
+    pool = split.labeled + resolve_coarse_pool(split, cfg.coarse_source)
     if not pool:
         raise EmptySplit("contrastive pretraining needs labeled or coarse samples")
     X = features_of(pool)
@@ -450,9 +438,8 @@ def _pretrain_contrastive(split: DataSplit, taxonomy: Taxonomy, cfg: TrainConfig
     opt = SgdMomentum(cfg.lr, cfg.momentum, cfg.weight_decay)
     trace: list[PretrainStats] = []
 
-    n = X.shape[0]
     for step in range(cfg.pretrain_steps):
-        idx = rng_batch.integers(0, n, size=cfg.batch_pretrain)
+        idx = rng_batch.integers(0, len(X), size=cfg.batch_pretrain)
         Xb = X[idx]
         v_q = augment_strong(Xb, cfg.augment, rng_aug)
         v_k = augment_strong(Xb, cfg.augment, rng_aug)

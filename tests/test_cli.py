@@ -180,6 +180,27 @@ class TestExitCodes:
                      "--out", str(tmp_path / "x")]) == 3
         assert f"data error: line {line}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("arch,key,line", [
+        ("linear", "dim", 3),
+        ("linear", "classes", 5),
+        ("mlp1", "hidden", 4),
+    ])
+    def test_oversized_checkpoint_header_is_3(self, data_dir, trained, tmp_path,
+                                              capsys, arch, key, line):
+        """A header size must match the parameters before anything of that
+        size is allocated: 10**12 is a parse error, not a MemoryError."""
+        if arch == "mlp1":
+            train_into(data_dir, tmp_path / "mlp1", "--set", "arch=mlp1")
+            trained = tmp_path / "mlp1" / "seed0" / "checkpoint.txt"
+        lines = trained.read_text().splitlines()
+        assert lines[line - 1].startswith(f"{key} ")
+        lines[line - 1] = f"{key} {10**12}"
+        bad = tmp_path / "bad.ckpt"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["eval", "--data", str(data_dir), "--checkpoint", str(bad),
+                     "--out", str(tmp_path / "x")]) == 3
+        assert f"data error: line {line}:" in capsys.readouterr().err
+
     def test_unknown_species_in_dataset_is_3(self, data_dir, tmp_path, capsys):
         bad = tmp_path / "bad"
         bad.mkdir()
@@ -261,7 +282,7 @@ class TestFilterCommand:
         tax = load_taxonomy(out / "taxonomy.txt")
         screened = load_dataset(out / "dataset.txt", tax)
         assert len(screened.coarse_in) == stats.n_kept
-        assert screened.coarse_out == ()
+        assert len(screened.coarse_out) == 0
         assert len(screened.labeled) == 24  # passes through untouched
 
     def test_filter_rerun_is_byte_identical(self, data_dir, trained, tmp_path):

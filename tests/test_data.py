@@ -1,26 +1,24 @@
 """Synthetic dataset generation: split shapes, determinism, label
 relabeling, augmentations, and the dataset text round trip."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from hierssl.data import (
-    ORIGIN_IN,
-    ORIGIN_OUT,
+    SPLIT_TAGS,
     AugmentParams,
     DataSplit,
     GenConfig,
-    Sample,
     augment_strong,
     augment_weak,
     features_of,
     generate,
     labels_at_level,
-    labels_of,
     load_dataset,
     save_dataset,
-    true_species_of,
 )
 from hierssl.errors import ConfigError, ParseError, UnknownClass
 
@@ -58,27 +56,28 @@ class TestDefaultShapes:
 
     def test_label_levels_and_origins(self, default_gen):
         s = default_gen.split
-        assert {x.label_level for x in s.labeled} == {7}
-        assert {x.label_level for x in s.test} == {7}
-        assert {x.label_level for x in s.coarse_in} == {2}
-        assert {x.label_level for x in s.coarse_out} == {2}
-        assert {x.origin for x in s.labeled + s.coarse_in + s.test} == {ORIGIN_IN}
-        assert {x.origin for x in s.coarse_out} == {ORIGIN_OUT}
-        assert all(x.true_species >= 0 for x in s.labeled + s.coarse_in + s.test)
-        assert all(x.true_species == -1 for x in s.coarse_out)
+        assert set(s.labeled.label_level.tolist()) == {7}
+        assert set(s.test.label_level.tolist()) == {7}
+        assert set(s.coarse_in.label_level.tolist()) == {2}
+        assert set(s.coarse_out.label_level.tolist()) == {2}
+        in_class = s.labeled + s.coarse_in + s.test
+        assert in_class.in_class.all()
+        assert not s.coarse_out.in_class.any()
+        assert (in_class.true_species >= 0).all()
+        assert (s.coarse_out.true_species == -1).all()
 
     def test_every_species_appears_in_labeled(self, default_gen):
-        assert set(labels_of(default_gen.split.labeled)) == set(range(60))
+        assert set(default_gen.split.labeled.label.tolist()) == set(range(60))
         assert np.array_equal(
-            labels_of(default_gen.split.labeled),
-            true_species_of(default_gen.split.labeled),
+            default_gen.split.labeled.label,
+            default_gen.split.labeled.true_species,
         )
 
     def test_coarse_labels_are_phylum_indices(self, default_gen):
         tax = default_gen.in_taxonomy
-        for x in default_gen.split.coarse_in:
-            assert x.label == tax.ancestors(2)[x.true_species]
-        assert {x.label for x in default_gen.split.coarse_out} <= set(range(8))
+        ci = default_gen.split.coarse_in
+        assert np.array_equal(ci.label, tax.ancestors(2)[ci.true_species])
+        assert set(default_gen.split.coarse_out.label.tolist()) <= set(range(8))
 
 
 class TestDeterminism:
@@ -86,7 +85,7 @@ class TestDeterminism:
         a, b = generate(TOY), generate(TOY)
         assert a.taxonomy == b.taxonomy
         assert np.array_equal(split_features(a.split), split_features(b.split))
-        assert np.array_equal(labels_of(a.split.labeled), labels_of(b.split.labeled))
+        assert np.array_equal(a.split.labeled.label, b.split.labeled.label)
 
     def test_default_regeneration_is_bit_identical(self):
         a, b = generate(GenConfig()), generate(GenConfig())
@@ -97,31 +96,27 @@ class TestDeterminism:
         b = generate(GenConfig(seed=1))
         assert a.taxonomy == b.taxonomy
         assert not np.array_equal(split_features(a.split), split_features(b.split))
-        assert np.array_equal(labels_of(a.split.labeled), labels_of(b.split.labeled))
+        assert np.array_equal(a.split.labeled.label, b.split.labeled.label)
 
 
 class TestZeroNoise:
     def test_species_collapse_to_their_centers(self):
         g = generate(GenConfig(level_counts=(1, 2, 8), dim=8, sigma_x=0.0,
                                test_per_species=4))
-        by_species: dict[int, list[np.ndarray]] = {}
-        for x in g.split.labeled + g.split.test:
-            by_species.setdefault(x.true_species, []).append(x.features)
-        for feats in by_species.values():
-            for f in feats[1:]:
-                assert np.array_equal(f, feats[0])
+        both = g.split.labeled + g.split.test
+        for species in np.unique(both.true_species):
+            feats = both.X[both.true_species == species]
+            assert (feats == feats[0]).all()
 
     def test_nearest_center_is_perfect_at_zero_noise(self):
         g = generate(GenConfig(level_counts=(1, 2, 8), dim=8, sigma_x=0.0))
-        centers = np.stack(
-            [next(x.features for x in g.split.labeled if x.true_species == s)
-             for s in range(8)]
-        )
+        lab = g.split.labeled
+        centers = lab.X[[np.flatnonzero(lab.true_species == s)[0] for s in range(8)]]
         X = features_of(g.split.test)
         pred = np.argmin(
             ((X[:, None, :] - centers[None, :, :]) ** 2).sum(-1), axis=1
         )
-        assert np.array_equal(pred, labels_of(g.split.test))
+        assert np.array_equal(pred, g.split.test.label)
 
 
 class TestRelabeling:
@@ -130,46 +125,51 @@ class TestRelabeling:
         lab = default_gen.split.labeled
         for level in range(1, 8):
             got = labels_at_level(lab, tax, level)
-            want = [tax.ancestors(level)[x.true_species] for x in lab]
+            want = tax.ancestors(level)[lab.true_species]
             assert np.array_equal(got, want)
 
     def test_coarse_in_can_be_relabeled_finer_via_ground_truth(self, default_gen):
         tax = default_gen.in_taxonomy
-        ci = default_gen.split.coarse_in[:50]
+        ci = default_gen.split.coarse_in.take(slice(50))
         got = labels_at_level(ci, tax, 7)
-        assert np.array_equal(got, true_species_of(ci))
+        assert np.array_equal(got, ci.true_species)
 
     def test_same_level_is_identity(self, default_gen):
-        ci = default_gen.split.coarse_in[:50]
+        ci = default_gen.split.coarse_in.take(slice(50))
         got = labels_at_level(ci, default_gen.in_taxonomy, 2)
-        assert np.array_equal(got, labels_of(ci))
+        assert np.array_equal(got, ci.label)
 
     def test_out_samples_cannot_be_relabeled_finer(self, default_gen):
         with pytest.raises(UnknownClass):
             labels_at_level(
-                default_gen.split.coarse_out[:1], default_gen.in_taxonomy, 7
+                default_gen.split.coarse_out.take(slice(1)),
+                default_gen.in_taxonomy, 7
             )
 
 
     def test_mixed_level_pool_matches_per_sample_reference(self, default_gen):
         tax = default_gen.in_taxonomy
         s = default_gen.split
-        pool = s.coarse_in[::7] + s.labeled[::5] + s.coarse_out[::9] + s.test[::11]
+        pool = (s.coarse_in.take(np.s_[::7]) + s.labeled.take(np.s_[::5])
+                + s.coarse_out.take(np.s_[::9]) + s.test.take(np.s_[::11]))
 
         def reference(samples, level):
             out = []
-            for x in samples:
-                if level <= x.label_level:
-                    out.append(tax.ancestor_map(x.label_level, level)[x.label])
+            for label_level, label, species in zip(
+                    samples.label_level.tolist(), samples.label.tolist(),
+                    samples.true_species.tolist()):
+                if level <= label_level:
+                    out.append(tax.ancestor_map(label_level, level)[label])
                 else:
-                    out.append(tax.ancestors(level)[x.true_species])
+                    out.append(tax.ancestors(level)[species])
             return np.array(out, dtype=np.int64)
 
         for level in (1, 2):
             got = labels_at_level(pool, tax, level)
             assert got.dtype == np.int64
             assert np.array_equal(got, reference(pool, level))
-        labeled_only = s.coarse_in[::7] + s.labeled[::5] + s.test[::11]
+        labeled_only = (s.coarse_in.take(np.s_[::7]) + s.labeled.take(np.s_[::5])
+                        + s.test.take(np.s_[::11]))
         for level in range(3, 8):
             assert np.array_equal(labels_at_level(labeled_only, tax, level),
                                   reference(labeled_only, level))
@@ -191,12 +191,14 @@ class TestRelabeling:
 
     def test_mixed_pool_with_out_samples_cannot_go_finer(self, default_gen):
         s = default_gen.split
-        pool = s.labeled[:3] + s.coarse_in[:3] + s.coarse_out[:3]
+        pool = (s.labeled.take(slice(3)) + s.coarse_in.take(slice(3))
+                + s.coarse_out.take(slice(3)))
         with pytest.raises(UnknownClass, match="labeled at level 2"):
             labels_at_level(pool, default_gen.in_taxonomy, 3)
 
     def test_empty_sample_list_gives_empty_labels(self, default_gen):
-        got = labels_at_level((), default_gen.in_taxonomy, 3)
+        got = labels_at_level(default_gen.split.test.take([]),
+                              default_gen.in_taxonomy, 3)
         assert got.shape == (0,) and got.dtype == np.int64
 
 
@@ -204,7 +206,7 @@ class TestLongTail:
     def test_counts_skew_but_total_is_preserved(self):
         cfg = GenConfig(level_counts=(1, 2, 8), dim=8, long_tail_exponent=1.0)
         g = generate(cfg)
-        per = np.bincount(true_species_of(g.split.coarse_in), minlength=8)
+        per = np.bincount(g.split.coarse_in.true_species, minlength=8)
         assert per.sum() == 8 * 25
         assert per[0] > per[-1]
         assert np.array_equal(per, np.sort(per)[::-1])
@@ -213,14 +215,14 @@ class TestLongTail:
 
     def test_zero_exponent_is_uniform(self):
         g = generate(GenConfig(level_counts=(1, 2, 8), dim=8))
-        per = np.bincount(true_species_of(g.split.coarse_in), minlength=8)
+        per = np.bincount(g.split.coarse_in.true_species, minlength=8)
         assert np.array_equal(per, np.full(8, 25))
 
 
 class TestOutClusters:
     def test_out_fraction_zero_disables_out_split(self):
         g = generate(GenConfig(level_counts=(1, 2, 8), dim=8, out_fraction=0.0))
-        assert g.split.coarse_out == ()
+        assert len(g.split.coarse_out) == 0
         assert g.taxonomy == g.in_taxonomy
 
     def test_out_offset_scale_pushes_clusters_away(self):
@@ -330,15 +332,15 @@ class TestPersistence:
         p = tmp_path / "data.txt"
         save_dataset(default_gen.split, default_gen.in_taxonomy, p)
         back = load_dataset(p, default_gen.in_taxonomy)
-        for tag in ("labeled", "coarse_in", "coarse_out", "test"):
+        for tag in SPLIT_TAGS:
             orig = getattr(default_gen.split, tag)
             got = getattr(back, tag)
             assert len(got) == len(orig)
-            for a, b in zip(got, orig):
-                assert np.array_equal(a.features, b.features)  # repr round trip
-                assert (a.label_level, a.label) == (b.label_level, b.label)
-                assert a.true_species == b.true_species
-                assert a.origin == b.origin
+            assert np.array_equal(got.X, orig.X)  # repr round trip
+            assert np.array_equal(got.label_level, orig.label_level)
+            assert np.array_equal(got.label, orig.label)
+            assert np.array_equal(got.true_species, orig.true_species)
+            assert np.array_equal(got.in_class, orig.in_class)
 
     def test_save_is_byte_identical(self, default_gen, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -409,12 +411,28 @@ class TestPersistence:
             load_dataset(p, tax)
         assert e.value.line == 2
 
+    def test_huge_dimension_fails_at_the_first_row_without_allocating(
+            self, tmp_path):
+        g = generate(TOY)
+        p = tmp_path / "bad.txt"
+        save_dataset(g.split, g.in_taxonomy, p)
+        lines = p.read_text().splitlines()
+        lines[1] = f"d {10**12}"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="expected") as e:
+            load_dataset(p, g.in_taxonomy)
+        assert e.value.line == 4
+
     def test_empty_split_round_trips_with_dimension_0(self, tmp_path):
         tax = generate(TOY).in_taxonomy
         p = tmp_path / "empty.txt"
-        save_dataset(DataSplit(), tax, p)
+        none = generate(TOY).split.test.take([])
+        save_dataset(DataSplit(none, none, none, none), tax, p)
         assert p.read_text().splitlines()[1] == "d 0"
-        assert load_dataset(p, tax) == DataSplit()
+        back = load_dataset(p, tax)
+        for tag in SPLIT_TAGS:
+            assert len(getattr(back, tag)) == 0
+            assert getattr(back, tag).X.shape == (0, 0)
 
     def test_unknown_species_name_reports_line(self, tmp_path):
         g = generate(TOY)
@@ -433,14 +451,44 @@ class TestPersistence:
 class TestReplaceCoarse:
     def test_filter_result_shape(self, default_gen):
         s = default_gen.split
-        kept = s.coarse_in[:10] + s.coarse_out[:5]
+        kept = s.coarse_in.take(slice(10)) + s.coarse_out.take(slice(5))
         out = s.replace_coarse(kept)
-        assert out.labeled == s.labeled
-        assert out.test == s.test
-        assert out.coarse_in == tuple(kept)
-        assert out.coarse_out == ()
+        assert out.labeled is s.labeled
+        assert out.test is s.test
+        assert out.coarse_in is kept
+        assert len(out.coarse_out) == 0
+        assert out.coarse_out.X.shape == (0, 32)
 
 
 def test_features_of_empty_is_empty_matrix():
-    assert features_of(()).shape == (0, 0)
-    assert labels_of(()).shape == (0,)
+    empty = generate(TOY).split.test.take([])
+    assert features_of(empty).shape == (0, 8)
+    assert empty.label.shape == (0,)
+
+
+# sha256 of save_dataset(generate(config).split, ...), pinned so that any
+# change in the draw order of the generator or in the float formatting of
+# the writer shows
+GOLDEN = {
+    "toy": (GenConfig(level_counts=(1, 2, 8), dim=8),
+            "27d5ec8cb1de2dc21746c889c8f9e2e6741ace54cbdf359521a1ac585d040bdd"),
+    "long-tail": (
+        GenConfig(level_counts=(1, 2, 8), dim=8, long_tail_exponent=1.0),
+        "34473e288482c621b13cb4ceec0be27f96160457a8099167a647d3f9035a7cf2"),
+    "no-out": (
+        GenConfig(level_counts=(1, 2, 8), dim=8, out_fraction=0.0),
+        "9cd3193c0e4933f929697fc4adc8beb1f943093fc65bc5f544a1d6466a64c929"),
+    "attach-2": (
+        GenConfig(level_counts=(2, 4, 8, 16), dim=8, out_attach_level=2,
+                  out_offset_scale=1.5),
+        "e7fa9ffacfa15cce6f84a51bf34a156211b1f2a9a12f6466c1e3601f7596caad"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_generated_dataset_bytes_are_pinned(name, tmp_path):
+    cfg, digest = GOLDEN[name]
+    g = generate(cfg)
+    p = tmp_path / "dataset.txt"
+    save_dataset(g.split, g.in_taxonomy, p)
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == digest

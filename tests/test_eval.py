@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hierssl.data import GenConfig, Sample, generate
+from hierssl.data import GenConfig, Samples, generate
 from hierssl.errors import ConfigError, EmptySplit, ParseError
 from hierssl.evaluate import (
     EvalReport,
@@ -55,9 +55,11 @@ def two_branch_taxonomy():
 
 
 def leaf_samples(labels, dim=3):
-    return tuple(
-        Sample(np.zeros(dim), 2, int(l), true_species=int(l)) for l in labels
-    )
+    labels = np.asarray(labels, dtype=np.int64)
+    n = len(labels)
+    return Samples(X=np.zeros((n, dim)), label_level=np.full(n, 2),
+                   label=labels, true_species=labels,
+                   in_class=np.ones(n, dtype=bool))
 
 
 class TestArgmaxModes:
@@ -147,8 +149,7 @@ class TestConfusion:
         m = confusion(model, g.split.test, g.in_taxonomy, 3)
         assert m.shape == (8, 8)
         assert m.sum() == len(g.split.test)
-        per_class = np.bincount(
-            [s.true_species for s in g.split.test], minlength=8)
+        per_class = np.bincount(g.split.test.true_species, minlength=8)
         assert np.array_equal(m.sum(axis=1), per_class)
 
     def test_diagonal_matches_accuracy(self, setup):

@@ -251,15 +251,20 @@ class TestEmptySplits:
     def test_empty_labeled_rejected(self, toy_gen):
         from hierssl.data import DataSplit
 
-        empty = DataSplit(test=toy_gen.split.test)
+        s = toy_gen.split
+        none = s.labeled.take([])
+        empty = DataSplit(labeled=none, coarse_in=none, coarse_out=none,
+                          test=s.test)
         with pytest.raises(EmptySplit):
             train(empty, toy_gen.in_taxonomy, quick("baseline"))
 
     def test_missing_coarse_pool_rejected_when_needed(self, toy_gen):
         from hierssl.data import DataSplit
 
-        no_coarse = DataSplit(labeled=toy_gen.split.labeled,
-                              test=toy_gen.split.test)
+        s = toy_gen.split
+        none = s.labeled.take([])
+        no_coarse = DataSplit(labeled=s.labeled, coarse_in=none,
+                              coarse_out=none, test=s.test)
         with pytest.raises(EmptySplit):
             train(no_coarse, toy_gen.in_taxonomy, quick("baseline"))
         with pytest.raises(EmptySplit):
