@@ -79,6 +79,12 @@ def _parse_seeds(text: str | None, fallback: int) -> list[int]:
     return seeds
 
 
+def _check_jobs(jobs: int) -> int:
+    if jobs < 1:
+        raise ConfigError(f"--jobs: must be >= 1, got {jobs}")
+    return jobs
+
+
 def _parse_levels(text: str) -> list[int | None]:
     levels: list[int | None] = []
     for tok in text.split(","):
@@ -149,11 +155,12 @@ def cmd_train(args) -> int:
     values = _merged_values(args)
     base = train_config_from(values)
     seeds = _parse_seeds(args.seeds, base.seed)
+    jobs = _check_jobs(args.jobs)
     split, taxonomy = _load_inputs(args)
     out = _resolve_out(args.out, "runs")
     tasks = [(split, taxonomy, values, seed, os.path.join(out, f"seed{seed}"))
              for seed in seeds]
-    for seed, top in sorted(_run_tasks(_train_one, tasks, args.jobs)):
+    for seed, top in sorted(_run_tasks(_train_one, tasks, jobs)):
         print(f"seed {seed} top1 {top}")
     return 0
 
@@ -197,10 +204,11 @@ def cmd_sweep(args) -> int:
     base = train_config_from(values)
     levels = _parse_levels(args.levels)
     seeds = _parse_seeds(args.seeds, base.seed)
+    jobs = _check_jobs(args.jobs)
     split, taxonomy = _load_inputs(args)
     tasks = [(split, taxonomy, values, level, seed)
              for level in levels for seed in seeds]
-    rows = _run_tasks(_sweep_one, tasks, args.jobs)
+    rows = _run_tasks(_sweep_one, tasks, jobs)
     rows.sort(key=lambda r: (-1 if r[0] is None else r[0], r[1]))
     out = _resolve_out(args.out, "sweep")
     write_sweep(rows, os.path.join(out, "sweep.txt"))

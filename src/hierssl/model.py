@@ -21,6 +21,7 @@ import numpy as np
 from .errors import (
     ArchitectureMismatch,
     ConfigError,
+    DimensionMismatch,
     NonFiniteGradient,
     ParseError,
 )
@@ -123,11 +124,6 @@ class Mlp1Model:
         return {"W1": g_pre.T @ X, "b1": g_pre.sum(axis=0)}
 
     rep_param_names: tuple[str, ...] = ("W1", "b1")
-
-    def reset_classifier(self, rng: np.random.Generator) -> None:
-        """Fresh output layer over the kept representation."""
-        self.params["W2"] = _init_weight(rng, self.n_classes, self.hidden)
-        self.params["b2"] = np.zeros(self.n_classes)
 
 
 def make_model(arch: str, dim: int, n_classes: int,
@@ -251,8 +247,14 @@ class SgdMomentum:
 
 
 def predict_probs(model, X: np.ndarray) -> np.ndarray:
+    """Leaf distribution per row of ``X``; the feature width must be the
+    model's, so data of another width is a typed error, not a matmul one."""
     from .losses import softmax
 
+    if X.shape[-1] != model.dim:
+        raise DimensionMismatch(
+            f"features have width {X.shape[-1]} but the model expects {model.dim}"
+        )
     return softmax(model.forward(X))
 
 
@@ -365,6 +367,9 @@ def load_checkpoint(path):
                              line=at["arch"])
         if arch == "mlp1" and hidden < 1:
             raise ParseError("hidden: must be >= 1", line=at["hidden"])
+        if arch == "linear" and hidden != 0:
+            raise ParseError("hidden: must be 0 for arch linear",
+                             line=at["hidden"])
         while line is not None:
             parts = line.split()
             if parts[0] != "param" or len(parts) < 3:

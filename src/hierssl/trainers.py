@@ -2,9 +2,11 @@
 
 All methods share the same supervised core: fine cross entropy on the
 labeled batch plus, when a supervision level is set, marginalized cross
-entropy on the coarse batch. The semi-supervised methods add one term on
-top (confidence-gated self-labeling, weak-to-strong consistency, teacher
-distillation) or prepend a contrastive pretraining stage.
+entropy on the coarse batch. ``PLANS`` is the one place that says what
+else a method does: whether a contrastive pretraining stage initializes
+the encoder, whether a baseline teacher is trained first, and which
+extra term (confidence-gated self-labeling, weak-to-strong consistency,
+teacher distillation) is added on the coarse batch.
 
 Randomness is split into independent streams per phase: model init,
 batch sampling, and augmentation never share a generator, so methods
@@ -15,6 +17,7 @@ with the same config are bitwise identical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,14 +50,23 @@ from .model import (
 from .records import read_record, write_record
 from .taxonomy import MarginalizationMatrix, Taxonomy
 
-METHODS = (
-    "baseline",
-    "pseudo_label",
-    "fixmatch",
-    "self_training",
-    "moco",
-    "moco_self_training",
-)
+
+class Plan(NamedTuple):
+    pretrain: bool  # contrastive pretraining initializes the encoder
+    teacher: bool  # a baseline teacher is trained first, on the same encoder
+    extra: str | None  # the term added on the coarse batch
+
+
+PLANS = {
+    "baseline": Plan(False, False, None),
+    "pseudo_label": Plan(False, False, "pseudo_label"),
+    "fixmatch": Plan(False, False, "fixmatch"),
+    "self_training": Plan(False, True, "distill"),
+    "moco": Plan(True, False, None),
+    "moco_self_training": Plan(True, True, "distill"),
+}
+
+METHODS = tuple(PLANS)
 
 COARSE_SOURCES = ("coarse_in", "union")
 
@@ -96,7 +108,7 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.method not in METHODS:
+        if self.method not in PLANS:
             raise ConfigError(f"method: unknown method {self.method!r}")
         if self.coarse_source not in COARSE_SOURCES:
             raise ConfigError(
@@ -105,37 +117,27 @@ class TrainConfig:
             )
         if self.supervision_level is not None and self.supervision_level < 1:
             raise ConfigError("supervision_level: must be >= 1 or None")
-        if self.steps < 1:
-            raise ConfigError("steps: must be >= 1")
         if self.lr <= 0:
             raise ConfigError("lr: must be > 0")
         if not 0 <= self.momentum < 1:
             raise ConfigError("momentum: must be in [0, 1)")
-        if self.weight_decay < 0:
-            raise ConfigError("weight_decay: must be >= 0")
-        for name in ("batch_labeled", "batch_coarse", "batch_pretrain"):
+        for name in ("steps", "batch_labeled", "batch_coarse", "batch_pretrain",
+                     "pretrain_steps", "emb_dim"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name}: must be >= 1")
-        if self.tau <= 0:
-            raise ConfigError("tau: must be > 0")
-        for name in ("unsup_weight", "consistency_weight", "distill_weight"):
+        for name in ("weight_decay", "unsup_weight", "consistency_weight",
+                     "distill_weight", "queue_size", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name}: must be >= 0")
+        if self.tau <= 0:
+            raise ConfigError("tau: must be > 0")
         if self.distill_temperature <= 0 or self.nce_temperature <= 0:
             raise ConfigError("temperatures must be > 0")
         if not 0 <= self.key_momentum < 1:
             raise ConfigError("key_momentum: must be in [0, 1)")
-        if self.queue_size < 0:
-            raise ConfigError("queue_size: must be >= 0")
-        if self.pretrain_steps < 1:
-            raise ConfigError("pretrain_steps: must be >= 1")
-        if self.emb_dim < 1:
-            raise ConfigError("emb_dim: must be >= 1")
         if self.arch not in ("linear", "mlp1"):
             raise ConfigError(f"arch: unknown architecture {self.arch!r}")
-        if self.seed < 0:
-            raise ConfigError("seed: must be >= 0")
-        if self.method in ("moco", "moco_self_training"):
+        if PLANS[self.method].pretrain:
             if self.arch != "mlp1":
                 raise ConfigError(
                     "moco methods pretrain the encoder; arch=linear has no "
@@ -149,9 +151,11 @@ class TrainConfig:
 def default_train_config(method: str = "baseline", **overrides) -> TrainConfig:
     """Per-method batch-size and architecture defaults."""
     cfg = TrainConfig(method=method)
-    if method == "fixmatch":
+    # an unknown method gets the baseline defaults; validate() rejects it
+    plan = PLANS.get(method, PLANS["baseline"])
+    if plan.extra == "fixmatch":
         cfg = replace(cfg, batch_labeled=32, batch_coarse=160)
-    if method in ("moco", "moco_self_training"):
+    if plan.pretrain:
         cfg = replace(cfg, arch="mlp1")
     if overrides:
         cfg = replace(cfg, **overrides)
@@ -245,12 +249,7 @@ class NegativeQueue:
 def _phase_rngs(seed: int, phase: str):
     """Independent (init, batch, augment) generators for one phase."""
     root = np.random.SeedSequence([seed, _PHASES[phase]])
-    init_ss, batch_ss, aug_ss = root.spawn(3)
-    return (
-        np.random.default_rng(init_ss),
-        np.random.default_rng(batch_ss),
-        np.random.default_rng(aug_ss),
-    )
+    return tuple(np.random.default_rng(ss) for ss in root.spawn(3))
 
 
 def resolve_coarse_pool(split: DataSplit, source: str):
@@ -262,7 +261,7 @@ def resolve_coarse_pool(split: DataSplit, source: str):
 
 
 def _pack(split: DataSplit, taxonomy: Taxonomy, cfg: TrainConfig,
-          need_unlabeled: bool):
+          need_pool: bool):
     """(Xl, yl, Xu, yu, w): labeled features and species, pool features, and
     the pool's labels and marginalization at the supervision level, or None."""
     if not split.labeled:
@@ -275,13 +274,12 @@ def _pack(split: DataSplit, taxonomy: Taxonomy, cfg: TrainConfig,
             f"supervision_level: {level} exceeds the {taxonomy.num_levels}-level taxonomy"
         )
     pool = resolve_coarse_pool(split, cfg.coarse_source)
-    if (level is not None or need_unlabeled) and not pool:
+    if (level is not None or need_pool) and not pool:
         raise EmptySplit(
             f"coarse pool {cfg.coarse_source!r} is empty but the method needs it"
         )
     Xu = features_of(pool)
-    yu = None
-    w = None
+    yu = w = None
     if level is not None:
         yu = labels_at_level(pool, taxonomy, level)
         leaf = taxonomy.leaf_level
@@ -293,47 +291,34 @@ def _pack(split: DataSplit, taxonomy: Taxonomy, cfg: TrainConfig,
 
 
 def train(split: DataSplit, taxonomy: Taxonomy, cfg: TrainConfig) -> TrainResult:
+    """Runs the method's stages in order: pretraining, teacher, classifier.
+
+    The inputs are packed, and so checked, once before any stage runs."""
     cfg.validate()
-    if cfg.method in ("baseline", "pseudo_label", "fixmatch"):
-        return _train_classifier(split, taxonomy, cfg, phase="main")
-    if cfg.method == "self_training":
-        teacher_cfg = replace(cfg, method="baseline")
-        teacher = _train_classifier(split, taxonomy, teacher_cfg, phase="teacher").model
-        result = _train_classifier(split, taxonomy, cfg, phase="main", teacher=teacher)
-        result.teacher = teacher
-        return result
-    if cfg.method == "moco":
+    plan = PLANS[cfg.method]
+    packed = _pack(split, taxonomy, cfg, need_pool=plan.extra is not None)
+    encoder = pretrace = teacher = None
+    if plan.pretrain:
         encoder, pretrace = _pretrain_contrastive(split, taxonomy, cfg)
-        finetune_cfg = replace(cfg, method="baseline")
-        result = _train_classifier(split, taxonomy, finetune_cfg, phase="main",
-                                   pretrained=encoder)
-        result.pretrain_trace = pretrace
-        return result
-    if cfg.method == "moco_self_training":
-        encoder, pretrace = _pretrain_contrastive(split, taxonomy, cfg)
-        teacher_cfg = replace(cfg, method="baseline")
-        teacher = _train_classifier(split, taxonomy, teacher_cfg, phase="teacher",
-                                    pretrained=encoder).model
-        student_cfg = replace(cfg, method="self_training")
-        result = _train_classifier(split, taxonomy, student_cfg, phase="main",
-                                   teacher=teacher, pretrained=encoder)
-        result.teacher = teacher
-        result.pretrain_trace = pretrace
-        return result
-    raise ConfigError(f"method: unknown method {cfg.method!r}")
+    if plan.teacher:
+        teacher, _ = _train_classifier(packed, taxonomy, cfg, "teacher", None,
+                                       encoder, None)
+    model, trace = _train_classifier(packed, taxonomy, cfg, "main", plan.extra,
+                                     encoder, teacher)
+    return TrainResult(model, trace, teacher, pretrace)
 
 
-def _train_classifier(split: DataSplit, taxonomy: Taxonomy, cfg: TrainConfig,
-                      phase: str, teacher=None, pretrained=None) -> TrainResult:
-    """The shared supervised loop, with one optional extra term per method.
+def _train_classifier(packed, taxonomy: Taxonomy, cfg: TrainConfig, phase: str,
+                      extra: str | None, pretrained, teacher):
+    """The shared supervised loop, with one optional extra term; returns
+    the trained model and its per-step trace.
 
     The hierarchical part is computed identically for every method so
     that, with its extra term switched off (tau above 1, zero weight),
-    a method follows the baseline trajectory exactly.
+    a method follows the baseline trajectory exactly. Each loss enters
+    the logged total with the weight its gradient gets.
     """
-    method = cfg.method
-    needs_unlabeled = method in ("pseudo_label", "fixmatch", "self_training")
-    Xl, yl, Xu, yu, w = _pack(split, taxonomy, cfg, needs_unlabeled)
+    Xl, yl, Xu, yu, w = packed
     rng_init, rng_batch, rng_aug = _phase_rngs(cfg.seed, phase)
 
     model = make_model(cfg.arch, Xl.shape[1], taxonomy.num_leaves,
@@ -343,72 +328,61 @@ def _train_classifier(split: DataSplit, taxonomy: Taxonomy, cfg: TrainConfig,
             model.params[name] = pretrained.params[name].copy()
     opt = SgdMomentum(cfg.lr, cfg.momentum, cfg.weight_decay)
 
-    use_coarse = yu is not None
-    use_unlabeled = use_coarse or needs_unlabeled
+    use_pool = yu is not None or extra is not None
     trace: list[StepStats] = []
 
     for step in range(cfg.steps):
         il = rng_batch.integers(0, len(Xl), size=cfg.batch_labeled)
         Xl_b, yl_b = Xl[il], yl[il]
-        if use_unlabeled:
+        if use_pool:
             iu = rng_batch.integers(0, len(Xu), size=cfg.batch_coarse)
             Xu_b = Xu[iu]
-            yu_b = yu[iu] if use_coarse else None
 
-        if method == "fixmatch":
+        if extra == "fixmatch":
+            # the strong view takes the place of the plain coarse view
             Xl_b = augment_weak(Xl_b, cfg.augment.sigma_weak, rng_aug)
             Xu_weak = augment_weak(Xu_b, cfg.augment.sigma_weak, rng_aug)
-            Xu_strong = augment_strong(Xu_b, cfg.augment, rng_aug)
+            Xu_b = augment_strong(Xu_b, cfg.augment, rng_aug)
         elif cfg.augment_inputs:
             Xl_b = augment_weak(Xl_b, cfg.augment.sigma_weak, rng_aug)
-            if use_unlabeled:
+            if use_pool:
                 Xu_b = augment_weak(Xu_b, cfg.augment.sigma_weak, rng_aug)
 
         zl, cache_l = model.forward_cached(Xl_b)
         fine, g_fine = cross_entropy(zl, yl_b)
         grads = model.backward(cache_l, g_fine)
+        total = fine
+        coarse = extra_loss = mask_rate = 0.0
 
-        coarse = 0.0
-        extra = 0.0
-        mask_rate = 0.0
-
-        if method == "fixmatch":
-            z_weak = model.forward(Xu_weak)
-            z_strong, cache_u = model.forward_cached(Xu_strong)
-            g_u = np.zeros_like(z_strong)
-            if use_coarse:
-                coarse, g_c = marginalized_cross_entropy(z_strong, yu_b, w)
-                g_u = g_u + cfg.unsup_weight * g_c
-            extra, g_fm, mask = fixmatch_loss(z_weak, z_strong, cfg.tau)
-            g_u = g_u + cfg.consistency_weight * g_fm
-            mask_rate = float(mask.mean()) if mask.size else 0.0
-            grads = add_grads(grads, model.backward(cache_u, g_u))
-        elif use_unlabeled:
+        if use_pool:
             z_u, cache_u = model.forward_cached(Xu_b)
             g_u = None
-            if use_coarse:
-                coarse, g_c = marginalized_cross_entropy(z_u, yu_b, w)
+            if yu is not None:
+                coarse, g_c = marginalized_cross_entropy(z_u, yu[iu], w)
                 g_u = cfg.unsup_weight * g_c
-            if method == "pseudo_label":
-                extra, g_pl, mask = pseudo_label_loss(z_u, cfg.tau)
-                g_pl = cfg.consistency_weight * g_pl
-                g_u = g_pl if g_u is None else g_u + g_pl
+                total += cfg.unsup_weight * coarse
+            if extra == "distill":
+                extra_loss, g_x, _ = distill_loss(
+                    z_u, teacher.forward(Xu_b), cfg.distill_temperature)
+                weight = cfg.distill_weight
+            elif extra is not None:
+                if extra == "pseudo_label":
+                    extra_loss, g_x, mask = pseudo_label_loss(z_u, cfg.tau)
+                else:
+                    extra_loss, g_x, mask = fixmatch_loss(
+                        model.forward(Xu_weak), z_u, cfg.tau)
                 mask_rate = float(mask.mean()) if mask.size else 0.0
-            elif method == "self_training":
-                z_t = teacher.forward(Xu_b)
-                extra, g_d, _ = distill_loss(z_u, z_t, cfg.distill_temperature)
-                g_d = cfg.distill_weight * g_d
-                g_u = g_d if g_u is None else g_u + g_d
+                weight = cfg.consistency_weight
+            if extra is not None:
+                g_x = weight * g_x
+                g_u = g_x if g_u is None else g_u + g_x
+                total += weight * extra_loss
             grads = add_grads(grads, model.backward(cache_u, g_u))
 
-        weight = {"pseudo_label": cfg.consistency_weight,
-                  "fixmatch": cfg.consistency_weight,
-                  "self_training": cfg.distill_weight}.get(method, 0.0)
-        total = fine + cfg.unsup_weight * coarse + weight * extra
         opt.step(model.params, grads)
-        trace.append(StepStats(step, total, fine, coarse, extra, mask_rate))
+        trace.append(StepStats(step, total, fine, coarse, extra_loss, mask_rate))
 
-    return TrainResult(model=model, trace=trace)
+    return model, trace
 
 
 def _pretrain_contrastive(split: DataSplit, taxonomy: Taxonomy, cfg: TrainConfig):
@@ -416,12 +390,9 @@ def _pretrain_contrastive(split: DataSplit, taxonomy: Taxonomy, cfg: TrainConfig
 
     Two strong views per sample; the key view is encoded by a momentum
     copy, detached, and pushed into the negative queue for later steps.
-    Returns the trained query encoder.
+    Returns the trained query encoder and the per-step trace.
     """
-    pool = split.labeled + resolve_coarse_pool(split, cfg.coarse_source)
-    if not pool:
-        raise EmptySplit("contrastive pretraining needs labeled or coarse samples")
-    X = features_of(pool)
+    X = features_of(split.labeled + resolve_coarse_pool(split, cfg.coarse_source))
     rng_init, rng_batch, rng_aug = _phase_rngs(cfg.seed, "pretrain")
 
     encoder = make_model(cfg.arch, X.shape[1], taxonomy.num_leaves, rng_init,

@@ -144,6 +144,42 @@ class TestExitCodes:
         assert code == 4
         assert "train error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--set", "steps=3", "--jobs", "0"],
+        ["sweep", "--set", "steps=3", "--levels", "none", "--jobs", "-2"],
+    ], ids=["train-jobs-0", "sweep-jobs-neg"])
+    def test_jobs_below_one_is_2(self, data_dir, tmp_path, capsys, argv):
+        out = tmp_path / "x"
+        assert main([*argv, "--data", str(data_dir), "--out", str(out)]) == 2
+        assert "config error: --jobs: must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "filter"])
+    def test_feature_width_mismatch_is_3(self, trained, tmp_path, capsys,
+                                         command):
+        wide = tmp_path / "wide"
+        assert main(["gen-data", "--set", "level_counts=1,2,8", "--set",
+                     "dim=16", "--out", str(wide)]) == 0
+        assert main([command, "--data", str(wide), "--checkpoint", str(trained),
+                     "--out", str(tmp_path / "x")]) == 3
+        assert "features have width 16 but the model expects 8" in \
+            capsys.readouterr().err
+
+    def test_filter_of_dataset_without_samples_is_3(self, data_dir, trained,
+                                                    tmp_path, capsys):
+        from hierssl.data import DataSplit, save_dataset
+
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        (empty / "taxonomy.txt").write_bytes((data_dir / "taxonomy.txt").read_bytes())
+        tax = load_taxonomy(empty / "taxonomy.txt")
+        none = load_dataset(data_dir / "dataset.txt", tax).test.take([])
+        save_dataset(DataSplit(none, none, none, none), tax, empty / "dataset.txt")
+        assert main(["filter", "--data", str(empty), "--checkpoint", str(trained),
+                     "--out", str(tmp_path / "x")]) == 3
+        assert "features have width 0 but the model expects 8" in \
+            capsys.readouterr().err
+
     def test_invalid_config_value_is_2(self, data_dir, tmp_path):
         assert main(["train", "--data", str(data_dir), "--set", "steps=none",
                      "--out", str(tmp_path / "x")]) == 2
@@ -164,9 +200,10 @@ class TestExitCodes:
         ({"dim": "x"}, 3),
         ({"arch": "mlp1", "hidden": "0"}, 4),
         ({"hidden": "-1"}, 4),
+        ({"hidden": "7"}, 4),
         ({"classes": "-1"}, 5),
     ], ids=["arch-foo", "dim-neg", "dim-x", "mlp1-hidden-0", "hidden-neg",
-            "classes-neg"])
+            "linear-hidden-7", "classes-neg"])
     def test_bad_checkpoint_header_is_3(self, data_dir, trained, tmp_path,
                                         capsys, edits, line):
         lines = trained.read_text().splitlines()

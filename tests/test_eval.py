@@ -36,11 +36,13 @@ def setup():
 
 
 class FixedModel:
-    """Evaluation stub that returns preset logits for any input."""
+    """Evaluation stub that returns preset logits for any input of the
+    width of ``leaf_samples``."""
 
-    def __init__(self, logits: np.ndarray):
+    def __init__(self, logits: np.ndarray, dim: int = 3):
         self._logits = np.asarray(logits, dtype=np.float64)
         self.n_classes = self._logits.shape[1]
+        self.dim = dim
 
     def forward(self, X: np.ndarray) -> np.ndarray:
         return self._logits[: X.shape[0]]

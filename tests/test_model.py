@@ -163,15 +163,6 @@ class TestCloneAndReset:
         copy.params["W1"][0, 0] += 1.0
         assert model.params["W1"][0, 0] != copy.params["W1"][0, 0]
 
-    def test_reset_classifier_keeps_representation(self):
-        model = fresh("mlp1")
-        before = {k: v.copy() for k, v in model.params.items()}
-        model.reset_classifier(np.random.default_rng(9))
-        assert np.array_equal(model.params["W1"], before["W1"])
-        assert np.array_equal(model.params["b1"], before["b1"])
-        assert not np.array_equal(model.params["W2"], before["W2"])
-        assert np.array_equal(model.params["b2"], np.zeros(4))
-
     def test_unknown_arch_rejected(self):
         with pytest.raises(ConfigError):
             make_model("transformer", 4, 3, np.random.default_rng(0))

@@ -1,6 +1,8 @@
 """Training loops: exact degeneration identities, reproducibility, RNG
 phase separation, the contrastive queue, and the metrics round trip."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -9,6 +11,7 @@ from hierssl.data import GenConfig, generate
 from hierssl.errors import ConfigError, EmptyQueue, EmptySplit, ParseError
 from hierssl.model import save_checkpoint
 from hierssl.trainers import (
+    METHODS,
     NegativeQueue,
     PretrainStats,
     StepStats,
@@ -216,6 +219,17 @@ class TestStages:
         assert r.teacher is not None
         assert len(r.trace) == 15
 
+    def test_inputs_are_checked_before_pretraining(self, toy_gen, monkeypatch):
+        import hierssl.trainers as trainers
+
+        def pretrain(*args):
+            raise AssertionError("pretraining ran before the inputs were checked")
+
+        monkeypatch.setattr(trainers, "_pretrain_contrastive", pretrain)
+        with pytest.raises(ConfigError, match="supervision_level: 4 exceeds"):
+            train(toy_gen.split, toy_gen.in_taxonomy,
+                  quick("moco_self_training", supervision_level=4))
+
     def test_moco_requires_an_encoder_architecture(self, toy_gen):
         with pytest.raises(ConfigError):
             train(toy_gen.split, toy_gen.in_taxonomy,
@@ -365,3 +379,74 @@ class TestMetricsFile:
         with pytest.raises(ParseError) as e:
             read_metrics(p)
         assert e.value.line == 2
+
+
+# Every method under coarse supervision on and off, from the union pool,
+# and with augmented inputs; the low tau lets the gated terms fire.
+RUN_CASES = {
+    "L2": dict(),
+    "none": dict(supervision_level=None),
+    "union-L1": dict(coarse_source="union", supervision_level=1, tau=0.3),
+    "augment": dict(augment_inputs=True, tau=0.3),
+}
+
+# sha256 of the checkpoint and metrics.txt bytes of one run, followed by
+# the teacher checkpoint where the method has one; in RUN_CASES order.
+# Pinned so that any change in the training arithmetic or the draw order
+# of the batch and augmentation streams shows.
+GOLDEN_RUNS = {
+    "baseline": (
+        "6d40aa7be9745f9f99341e628866d44c09cbad56f4caeb0bc8ca7a2f9a8fed83",
+        "61be215c8aa077d4ba4a5b825530ef7cc663a2e571459075fbcff2ca4d3af07f",
+        "a58223f2d3fa7f1c28caa38ed7643310fc42f77608e71641f77418ad7b558bf5",
+        "89705a1f4da16ed9c29a84c56f6c4d3975ebcaf0045de44e732e1628cf081674",
+    ),
+    "pseudo_label": (
+        "c51dee28898790f0dd8a6c901dc5eea9396413ff9050ca2ec18ac886ae1b5c22",
+        "e7b314669d77caf85e11e05b1d89286b5d2e305d3f1111c585c73be7684d2867",
+        "0a1f976fc887fc530730f511fbdb51ba3669d1e376f474fae4582b04a97654c8",
+        "cb5b91ad77ec108baef39c86a2f890de5dc02507c07d56fd695a879f5290d0fe",
+    ),
+    "fixmatch": (
+        "005d5a8d2d5cfb762bf734aa1f924512510c381e4937376538a60f8d6d25ce2b",
+        "08a4663539eeedf929ac749ca60bbd9aa4b2eb6432021764762fdf5ccc288cc1",
+        "d07e0ff5a342234f3dcdefd6391b6f4064340f038d763e8a9c5a02d668bd8652",
+        "5cc27607f005df053014969831d2e57714d6ed7f25bd84486bca51da8c1c419c",
+    ),
+    "self_training": (
+        "a168561dceb76fb50f1858fa53f5e4d5077029a10b16a0c616970f224af28d0e",
+        "dafc919cfa494ca853d2621c4d19cd2583a6ee69734cbcb707e5b6e1363ce7b8",
+        "3e98f233fa3209e48b518f16810f29e1de95ff5d321885443d17b52d37e77b39",
+        "8e05cb824561cc3aaf78a60aef379ab563e0a55c333269c8fc1f23a5cd068b1c",
+    ),
+    "moco": (
+        "da2b54bcbc2ebb5744f2c61920cd6b468516e8452c19f36cfbbc3d86a509c11e",
+        "9cfa894e0b7944ae5eaedcf161f3b6f515587915debf247a651da040e377d2f9",
+        "3eee853dafd00c0bcba90dfbf5ca5d1aea7d5fc92d059d47725f7c80648c1df9",
+        "e528185b3d3efcfbc02da11285200509fe2d8d81f9d20b091543f2f9c5622b47",
+    ),
+    "moco_self_training": (
+        "7ac954564b38f1257e925f959ef8e7be59580d832942b51b2b7a2b75cd1f74ce",
+        "75a4693c1913cd0be2368aac90e46c05a5fa70da60f7b658fbd2d2f185d9df53",
+        "fe99efc108c97c867bcc2f76f3453e027ead10ce99cb1f33108495f4d23a2d10",
+        "a0424e3c554521702f0d8acb7a36c125579f531de2c1cabacf477efc68528e26",
+    ),
+}
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("case", sorted(RUN_CASES))
+def test_training_bytes_are_pinned(toy_gen, tmp_path, method, case):
+    cfg = quick(method, **RUN_CASES[case])
+    r = train(toy_gen.split, toy_gen.in_taxonomy, cfg)
+    digest = hashlib.sha256()
+    save_checkpoint(r.model, tmp_path / "ckpt", seed=cfg.seed, step=cfg.steps)
+    write_metrics(r.trace, tmp_path / "metrics", r.pretrain_trace)
+    paths = [tmp_path / "ckpt", tmp_path / "metrics"]
+    if r.teacher is not None:
+        save_checkpoint(r.teacher, tmp_path / "teacher", seed=cfg.seed,
+                        step=cfg.steps)
+        paths.append(tmp_path / "teacher")
+    for path in paths:
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == GOLDEN_RUNS[method][list(RUN_CASES).index(case)]
