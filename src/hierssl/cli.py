@@ -59,10 +59,12 @@ def _merged_values(args) -> dict[str, str]:
 
 
 def _data_paths(args) -> tuple[str, str]:
-    if getattr(args, "data", None):
+    if args.data and (args.dataset or args.taxonomy):
+        raise ConfigError("--data cannot be combined with --dataset or --taxonomy")
+    if args.data:
         return (os.path.join(args.data, "dataset.txt"),
                 os.path.join(args.data, "taxonomy.txt"))
-    if getattr(args, "dataset", None) and getattr(args, "taxonomy", None):
+    if args.dataset and args.taxonomy:
         return args.dataset, args.taxonomy
     raise ConfigError("need --data DIR or both --dataset and --taxonomy")
 

@@ -2,16 +2,21 @@
 
 One config file can drive a whole pipeline: generator, trainer, and
 filter keys live in a single flat namespace, each consumer picks the
-keys it knows, and any key no consumer knows is rejected up front.
-Values are strings in the file; "none" encodes None, and tuples are
-comma-joined. Resolution order is built-in defaults, then the config
-file, then --set overrides.
+keys it knows, and any key no consumer knows is rejected up front. The
+keys are the fields of GenConfig, TrainConfig (its nested AugmentParams
+flattened into it) and FilterConfig, whose ``tau`` is the key
+``filter_tau``; each value is parsed by its field's type. Values are
+strings in the file: "none" encodes None, tuples are comma-joined,
+booleans are "true" or "false", and floats must be finite. Resolution
+order is built-in defaults, then the config file, then --set overrides.
 """
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import replace
+import math
+import types
+import typing
+from dataclasses import fields, is_dataclass
 
 from .data import AugmentParams, GenConfig
 from .errors import ConfigError, ParseError
@@ -22,100 +27,53 @@ from .trainers import TrainConfig, default_train_config
 CONFIG_MAGIC = "hierssl-config v1"
 
 
-def _opt_int(s: str):
-    return None if s == "none" else int(s)
+def _finite(s: str) -> float:
+    value = float(s)
+    if not math.isfinite(value):
+        raise ValueError(s)
+    return value
 
 
-def _int_tuple(s: str):
-    return tuple(int(v) for v in s.split(","))
+def _bool(s: str) -> bool:
+    if s not in ("true", "false"):
+        raise ValueError(s)
+    return s == "true"
 
 
-def _float_tuple(s: str):
-    return tuple(float(v) for v in s.split(","))
+def _parser(hint):
+    """The string parser of one field type; the inverse of ``_to_str``."""
+    args = typing.get_args(hint)
+    if isinstance(hint, types.UnionType):  # X | None
+        inner = _parser(args[0])
+        return lambda s: None if s == "none" else inner(s)
+    if typing.get_origin(hint) is tuple:  # tuple[T, ...] or a fixed count of T
+        item = _parser(args[0])
+        size = None if args[-1] is Ellipsis else len(args)
+
+        def parse_tuple(s: str) -> tuple:
+            out = tuple(item(v) for v in s.split(","))
+            if size is not None and len(out) != size:
+                raise ValueError(s)
+            return out
+        return parse_tuple
+    return {int: int, float: _finite, str: str, bool: _bool}[hint]
 
 
-def _str_tuple(s: str):
-    return tuple(s.split(","))
+def _keys(cls, **renames: str) -> dict:
+    """Config key -> (field name, parser) for each field of a config
+    dataclass, leaving out a nested dataclass, whose fields are keys of
+    their own."""
+    hints = typing.get_type_hints(cls)
+    return {renames.get(f.name, f.name): (f.name, _parser(hints[f.name]))
+            for f in fields(cls) if not is_dataclass(hints[f.name])}
 
 
-def _opt_int_tuple(s: str):
-    return None if s == "none" else _int_tuple(s)
+_GEN_KEYS = _keys(GenConfig)
+_TRAIN_KEYS = _keys(TrainConfig)
+_AUGMENT_KEYS = _keys(AugmentParams)
+_FILTER_KEYS = _keys(FilterConfig, tau="filter_tau")
 
-
-def _opt_str_tuple(s: str):
-    return None if s == "none" else _str_tuple(s)
-
-
-def _bool(s: str):
-    if s == "true":
-        return True
-    if s == "false":
-        return False
-    raise ValueError(s)
-
-
-_GEN_PARSERS = {
-    "level_counts": _opt_int_tuple,
-    "branching": _opt_int_tuple,
-    "dim": int,
-    "sigma_levels": _float_tuple,
-    "sigma_x": float,
-    "labeled_per_species": int,
-    "coarse_in_per_species": int,
-    "coarse_out_per_species": int,
-    "test_per_species": int,
-    "out_fraction": float,
-    "out_attach_level": _opt_int,
-    "out_offset_scale": float,
-    "long_tail_exponent": float,
-    "coarse_level": int,
-    "level_names": _opt_str_tuple,
-    "seed": int,
-}
-
-_TRAIN_PARSERS = {
-    "method": str,
-    "supervision_level": _opt_int,
-    "coarse_source": str,
-    "steps": int,
-    "lr": float,
-    "momentum": float,
-    "weight_decay": float,
-    "batch_labeled": int,
-    "batch_coarse": int,
-    "unsup_weight": float,
-    "tau": float,
-    "consistency_weight": float,
-    "distill_weight": float,
-    "distill_temperature": float,
-    "nce_temperature": float,
-    "queue_size": int,
-    "key_momentum": float,
-    "pretrain_steps": int,
-    "batch_pretrain": int,
-    "emb_dim": int,
-    "arch": str,
-    "hidden": int,
-    "augment_inputs": _bool,
-    "seed": int,
-}
-
-_AUGMENT_PARSERS = {
-    "sigma_weak": float,
-    "sigma_strong": float,
-    "p_drop": float,
-    "jitter": _float_tuple,
-}
-
-_FILTER_PARSERS = {
-    "filter_tau": float,
-    "match_level": int,
-}
-
-KNOWN_KEYS = (
-    set(_GEN_PARSERS) | set(_TRAIN_PARSERS) | set(_AUGMENT_PARSERS)
-    | set(_FILTER_PARSERS)
-)
+KNOWN_KEYS = {*_GEN_KEYS, *_TRAIN_KEYS, *_AUGMENT_KEYS, *_FILTER_KEYS}
 
 
 def parse_overrides(pairs) -> dict[str, str]:
@@ -157,18 +115,14 @@ def write_config(values: dict[str, str], path) -> None:
                  [f"{key}={values[key]}" for key in sorted(values)])
 
 
-def config_hash(values: dict[str, str]) -> str:
-    canon = "".join(f"{k}={values[k]}\n" for k in sorted(values))
-    return hashlib.sha256(canon.encode()).hexdigest()
-
-
-def _apply(parsers: dict, values: dict[str, str]) -> dict:
+def _parse(keys: dict, values: dict[str, str]) -> dict:
+    """Typed field values for those of ``keys`` that ``values`` sets."""
     out = {}
-    for key, parser in parsers.items():
+    for key, (name, parse) in keys.items():
         if key in values:
             try:
-                out[key] = parser(values[key])
-            except (TypeError, ValueError):
+                out[name] = parse(values[key])
+            except ValueError:
                 raise ConfigError(
                     f"{key}: cannot parse value {values[key]!r}"
                 ) from None
@@ -177,29 +131,24 @@ def _apply(parsers: dict, values: dict[str, str]) -> dict:
 
 def gen_config_from(values: dict[str, str]) -> GenConfig:
     validate_keys(values)
-    fields = _apply(_GEN_PARSERS, values)
-    if fields.get("branching") is not None and "level_counts" not in fields:
-        fields["level_counts"] = None
-    cfg = replace(GenConfig(), **fields)
+    cfg = GenConfig(**_parse(_GEN_KEYS, values))
     cfg.validate()
     return cfg
 
 
 def train_config_from(values: dict[str, str]) -> TrainConfig:
     validate_keys(values)
-    fields = _apply(_TRAIN_PARSERS, values)
-    aug_fields = _apply(_AUGMENT_PARSERS, values)
-    method = fields.get("method", "baseline")
-    defaults = default_train_config(method)
-    if aug_fields:
-        jitter = aug_fields.pop("jitter", None)
-        aug = replace(defaults.augment, **aug_fields)
-        if jitter is not None:
-            if len(jitter) != 2:
-                raise ConfigError("jitter: expected two comma-joined floats")
-            aug = replace(aug, jitter=(jitter[0], jitter[1]))
-        fields["augment"] = aug
-    cfg = replace(defaults, **fields)
+    cfg = default_train_config(
+        **_parse(_TRAIN_KEYS, values),
+        augment=AugmentParams(**_parse(_AUGMENT_KEYS, values)),
+    )
+    cfg.validate()
+    return cfg
+
+
+def filter_config_from(values: dict[str, str]) -> FilterConfig:
+    validate_keys(values)
+    cfg = FilterConfig(**_parse(_FILTER_KEYS, values))
     cfg.validate()
     return cfg
 
@@ -216,31 +165,18 @@ def _to_str(value) -> str:
     return str(value)
 
 
+def _values(keys: dict, cfg) -> dict[str, str]:
+    return {key: _to_str(getattr(cfg, name)) for key, (name, _) in keys.items()}
+
+
 def gen_config_values(cfg: GenConfig) -> dict[str, str]:
     """The generator config as canonical strings, inverse of the parsers."""
-    out = {key: _to_str(getattr(cfg, key)) for key in _GEN_PARSERS}
-    if cfg.branching is not None:
-        out["level_counts"] = "none"
-    return out
+    return _values(_GEN_KEYS, cfg)
 
 
 def train_config_values(cfg: TrainConfig) -> dict[str, str]:
-    out = {key: _to_str(getattr(cfg, key)) for key in _TRAIN_PARSERS}
-    for key in _AUGMENT_PARSERS:
-        out[key] = _to_str(getattr(cfg.augment, key))
-    return out
+    return {**_values(_TRAIN_KEYS, cfg), **_values(_AUGMENT_KEYS, cfg.augment)}
 
 
 def filter_config_values(cfg: FilterConfig) -> dict[str, str]:
-    return {"filter_tau": _to_str(cfg.tau), "match_level": _to_str(cfg.match_level)}
-
-
-def filter_config_from(values: dict[str, str]) -> FilterConfig:
-    validate_keys(values)
-    fields = _apply(_FILTER_PARSERS, values)
-    cfg = FilterConfig(
-        tau=fields.get("filter_tau", FilterConfig.tau),
-        match_level=fields.get("match_level", FilterConfig.match_level),
-    )
-    cfg.validate()
-    return cfg
+    return _values(_FILTER_KEYS, cfg)

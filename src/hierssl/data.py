@@ -124,10 +124,11 @@ class GenConfig:
 
     ``level_counts`` gives explicit per-level class counts for the
     in-class tree; ``branching`` (children per node per level, coarsest
-    first) is the multiplicative alternative. ``out_fraction`` is the
-    fraction of all species held out as novel classes; they attach under
-    existing ``out_attach_level`` nodes, with center offsets scaled by
-    ``out_offset_scale`` to control the severity of the domain shift.
+    first) is the multiplicative alternative and, when set, clears
+    ``level_counts``. ``out_fraction`` is the fraction of all species held
+    out as novel classes; they attach under existing ``out_attach_level``
+    nodes, with center offsets scaled by ``out_offset_scale`` to control
+    the severity of the domain shift.
     """
 
     level_counts: tuple[int, ...] | None = (3, 8, 12, 18, 27, 40, 60)
@@ -146,6 +147,10 @@ class GenConfig:
     coarse_level: int = 2
     level_names: tuple[str, ...] | None = None
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.branching is not None:
+            self.level_counts = None
 
     def resolved_counts(self) -> tuple[int, ...]:
         if self.branching is not None:

@@ -10,19 +10,17 @@ written with shortest-exact formatting and parsed back bit-identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import Sequence
 
 import numpy as np
 
 from .data import Samples, features_of, labels_at_level
-from .errors import ConfigError, EmptySplit, ParseError
+from .errors import EmptySplit
 from .model import ensure_compatible, predict_probs
 from .records import read_record, write_record
 from .taxonomy import Taxonomy, coarse_probs
 
 _EVAL_MAGIC = "hierssl-eval v1"
-_CONFUSION_MAGIC = "hierssl-confusion v1"
 _SWEEP_MAGIC = "hierssl-sweep v1"
 
 
@@ -45,35 +43,11 @@ def top1(model, samples: Samples, taxonomy: Taxonomy) -> float:
 
 
 def level_accuracy(model, samples: Samples, taxonomy: Taxonomy,
-                   level: int, mode: str = "marginal") -> float:
-    """Accuracy at one level.
-
-    mode="marginal" sums leaf probabilities up to the level before the
-    argmax; mode="leaf" takes the leaf argmax first and walks it up the
-    tree. The two differ whenever the probability mass of one branch is
-    spread across many leaves.
-    """
+                   level: int) -> float:
+    """Accuracy at one level: leaf probabilities are summed up to the level
+    before the argmax."""
     probs = _leaf_probs(model, samples, taxonomy)
-    if mode == "marginal":
-        return _marginal_accuracy(probs, samples, taxonomy, level)
-    if mode != "leaf":
-        raise ConfigError(f"mode: must be 'marginal' or 'leaf', got {mode!r}")
-    leaf_pred = probs.argmax(axis=-1)
-    leaf = taxonomy.leaf_level
-    pred = leaf_pred if level == leaf else taxonomy.ancestor_map(leaf, level)[leaf_pred]
-    return float((pred == labels_at_level(samples, taxonomy, level)).mean())
-
-
-def confusion(model, samples: Samples, taxonomy: Taxonomy,
-              level: int) -> np.ndarray:
-    """Count matrix indexed [true class, predicted class] at one level."""
-    probs = _leaf_probs(model, samples, taxonomy)
-    pred = coarse_probs(taxonomy, probs, level).argmax(axis=-1)
-    true = labels_at_level(samples, taxonomy, level)
-    n = taxonomy.class_counts[level - 1]
-    out = np.zeros((n, n), dtype=np.int64)
-    np.add.at(out, (true, pred), 1)
-    return out
+    return _marginal_accuracy(probs, samples, taxonomy, level)
 
 
 @dataclass(frozen=True)
@@ -122,34 +96,6 @@ def read_report(path) -> EvalReport:
         if n_samples is None or top is None or not levels:
             raise ValueError("missing n_samples, top1, or level lines")
     return EvalReport(n_samples=n_samples, top1=top, levels=tuple(levels))
-
-
-def write_confusion(matrix: np.ndarray, taxonomy: Taxonomy, level: int, path) -> None:
-    n = matrix.shape[0]
-    write_record(path, _CONFUSION_MAGIC, [
-        f"level {level} {taxonomy.level_names[level - 1]}",
-        f"classes {n}",
-        *(f"{taxonomy.class_name(level, i)} "
-          + " ".join(str(int(v)) for v in matrix[i]) for i in range(n)),
-    ])
-
-
-def read_confusion(path) -> tuple[np.ndarray, int]:
-    rows = []
-    with read_record(path, _CONFUSION_MAGIC) as body:
-        lines = iter(body)
-        (_, level_line), (_, classes_line) = islice(lines, 2)
-        level = int(level_line.split()[1])
-        n = int(classes_line.split()[1])
-        for ln, line in lines:
-            parts = line.split()
-            if len(parts) != n + 1:
-                raise ParseError(f"expected {n + 1} fields, got {len(parts)}",
-                                 line=ln)
-            rows.append([int(v) for v in parts[1:]])
-        if len(rows) != n:
-            raise ValueError(f"expected {n} rows, got {len(rows)}")
-    return np.array(rows, dtype=np.int64), level
 
 
 def write_sweep(rows: Sequence[tuple[int | None, int, float]], path) -> None:

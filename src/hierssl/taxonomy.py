@@ -110,13 +110,6 @@ class Taxonomy:
         self._check_level(level)
         return self._leaf_anc[level - 1]
 
-    def ancestor(self, leaf_id: int, level: int) -> int:
-        """Unique ancestor of ``leaf_id`` at ``level``; identity at the leaves."""
-        self._check_level(level)
-        if not 0 <= leaf_id < self.num_leaves:
-            raise OutOfRange(f"leaf index {leaf_id} out of range")
-        return int(self._leaf_anc[level - 1][leaf_id])
-
     def ancestor_map(self, fine_level: int, coarse_level: int) -> np.ndarray:
         """Class index at ``coarse_level`` for every class at ``fine_level``.
 

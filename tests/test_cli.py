@@ -1,6 +1,7 @@
 """End-to-end command line flows: artifact layout, byte-identical reruns,
 parallel equivalence, exit codes, and output-path resolution."""
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -179,6 +180,35 @@ class TestExitCodes:
                      "--out", str(tmp_path / "x")]) == 3
         assert "features have width 0 but the model expects 8" in \
             capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("gen-data", "sigma_x", "nan"),
+        ("train", "tau", "nan"),
+        ("filter", "filter_tau", "nan"),
+        ("train", "lr", "inf"),
+    ], ids=["gen-sigma_x-nan", "train-tau-nan", "filter-tau-nan", "train-lr-inf"])
+    def test_non_finite_config_float_is_2(self, data_dir, trained, tmp_path,
+                                          capsys, command, key, value):
+        argv = [command, "--set", f"{key}={value}"]
+        if command == "train":
+            argv += ["--set", "method=pseudo_label", "--set", "steps=3"]
+        if command != "gen-data":
+            argv += ["--data", str(data_dir)]
+        if command == "filter":
+            argv += ["--checkpoint", str(trained)]
+        out = tmp_path / "x"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert f"config error: {key}: cannot parse value '{value}'" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--dataset", "--taxonomy"])
+    def test_data_with_dataset_or_taxonomy_is_2(self, data_dir, trained,
+                                                tmp_path, capsys, flag):
+        assert main(["eval", "--data", str(data_dir), flag,
+                     str(tmp_path / "absent.txt"), "--checkpoint", str(trained),
+                     "--out", str(tmp_path / "x")]) == 2
+        assert "--data cannot be combined" in capsys.readouterr().err
 
     def test_invalid_config_value_is_2(self, data_dir, tmp_path):
         assert main(["train", "--data", str(data_dir), "--set", "steps=none",
@@ -373,3 +403,43 @@ class TestSweepCommand:
     def test_bad_level_token_is_2(self, data_dir, tmp_path):
         assert main(["sweep", "--data", str(data_dir), "--levels", "one",
                      "--out", str(tmp_path / "x")]) == 2
+
+
+# sha256 of the config.txt each command writes; computed before the config
+# keys were derived from the dataclass fields, so they pin that every key and
+# every written value survived the derivation
+CONFIG_CASES = {
+    "gen-default": ["gen-data"],
+    "gen-branching": ["gen-data", "--set", "branching=2,2,3", "--set",
+                      "level_names=kingdom,genus,species", "--set",
+                      "out_attach_level=1", "--set", "coarse_level=1",
+                      "--set", "dim=8"],
+    "train-fixmatch": ["train", "--set", "method=fixmatch", "--set",
+                       "supervision_level=none", "--set", "jitter=0.8,1.25",
+                       "--set", "sigma_weak=0.2", "--set", "steps=3"],
+    "filter": ["filter", "--set", "filter_tau=0.3", "--set", "match_level=1"],
+}
+
+GOLDEN_CONFIGS = {
+    "gen-default":
+        "3f34b8c91cbbe1423e87429f94836f8c5dc6277a720a6ea4786d8d95f6ad99c2",
+    "gen-branching":
+        "4a6b494654fe62968767097dd8caf00cb3b6c9f7e80a298ffce2d8d788ffc780",
+    "train-fixmatch":
+        "1815faca0e4323d2b92b2757ee5872a92bc73d809fbc77634e085cfef0767968",
+    "filter":
+        "e3cc551457cab66f0656584287b06849ae148b36f7c4d8b425c0b093253b8af5",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_CASES))
+def test_config_bytes_are_pinned(data_dir, trained, tmp_path, case):
+    argv = CONFIG_CASES[case]
+    if argv[0] != "gen-data":
+        argv = [*argv, "--data", str(data_dir)]
+    if argv[0] == "filter":
+        argv = [*argv, "--checkpoint", str(trained)]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    config = tmp_path / ("seed0" if argv[0] == "train" else "") / "config.txt"
+    digest = hashlib.sha256(config.read_bytes()).hexdigest()
+    assert digest == GOLDEN_CONFIGS[case]

@@ -1,11 +1,11 @@
 """Flat key=value config files: parsing, typed coercion, canonical
-serialization, overrides, and the content hash."""
+serialization, and overrides."""
 
 import pytest
 
 from hierssl.config import (
     CONFIG_MAGIC,
-    config_hash,
+    KNOWN_KEYS,
     filter_config_from,
     filter_config_values,
     gen_config_from,
@@ -85,6 +85,22 @@ class TestOverrides:
         with pytest.raises(ConfigError) as e:
             validate_keys({"steps": "5", "warp_speed": "9"})
         assert "warp_speed" in str(e.value)
+
+    def test_known_keys_are_pinned(self):
+        assert sorted(KNOWN_KEYS) == [
+            "arch", "augment_inputs", "batch_coarse", "batch_labeled",
+            "batch_pretrain", "branching", "coarse_in_per_species",
+            "coarse_level", "coarse_out_per_species", "coarse_source",
+            "consistency_weight", "dim", "distill_temperature",
+            "distill_weight", "emb_dim", "filter_tau", "hidden", "jitter",
+            "key_momentum", "labeled_per_species", "level_counts",
+            "level_names", "long_tail_exponent", "lr", "match_level", "method",
+            "momentum", "nce_temperature", "out_attach_level", "out_fraction",
+            "out_offset_scale", "p_drop", "pretrain_steps", "queue_size",
+            "seed", "sigma_levels", "sigma_strong", "sigma_weak", "sigma_x",
+            "steps", "supervision_level", "tau", "test_per_species",
+            "unsup_weight", "weight_decay",
+        ]
 
 
 class TestTrainCoercion:
@@ -174,6 +190,14 @@ class TestGenCoercion:
         with pytest.raises(ConfigError):
             gen_config_from({"level_counts": "8,4"})
 
+    @pytest.mark.parametrize("key, value", [
+        ("sigma_x", "-inf"), ("out_fraction", "1e999"),
+        ("sigma_levels", "2.0,nan,1.0"),
+    ])
+    def test_non_finite_floats_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key}: cannot parse value"):
+            gen_config_from({key: value})
+
 
 class TestFilterCoercion:
     def test_namespaced_tau(self):
@@ -195,24 +219,6 @@ class TestFilterCoercion:
     def test_validation_still_runs(self):
         with pytest.raises(ConfigError):
             filter_config_from({"filter_tau": "0"})
-
-
-class TestHash:
-    def test_stable_and_order_independent(self):
-        a = config_hash({"x": "1", "y": "2"})
-        b = config_hash({"y": "2", "x": "1"})
-        assert a == b
-        assert len(a) == 64
-
-    def test_sensitive_to_values(self):
-        assert config_hash({"x": "1"}) != config_hash({"x": "2"})
-        assert config_hash({"x": "1"}) != config_hash({"y": "1"})
-
-    def test_frozen_value(self):
-        # canonical form is "k=v\n" joined in key order; guards the format
-        assert config_hash({"steps": "5"}) == (
-            "1c996c43b2e24fdba92bf49e4669758796361d9351c2e94f16cd3855e6175a9f"
-        )
 
 
 class TestFullConfigSharing:

@@ -1,23 +1,19 @@
-"""Per-level accuracy, the two argmax modes, confusion counts, and the
-three report formats' round trips."""
+"""Per-level accuracy by marginal decoding, and the report formats'
+round trips."""
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 from hierssl.data import GenConfig, Samples, generate
-from hierssl.errors import ConfigError, EmptySplit, ParseError
+from hierssl.errors import EmptySplit, ParseError
 from hierssl.evaluate import (
     EvalReport,
-    confusion,
     evaluate,
     level_accuracy,
-    read_confusion,
     read_report,
     read_sweep,
     sweep_means,
     top1,
-    write_confusion,
     write_report,
     write_sweep,
 )
@@ -65,27 +61,12 @@ def leaf_samples(labels, dim=3):
 
 
 class TestArgmaxModes:
-    def test_marginal_and_leaf_modes_can_disagree(self):
+    def test_marginal_decoding_sums_branch_mass(self):
         tax = two_branch_taxonomy()
         # leaf argmax lands in branch B (0.4), but branch A holds 0.6 mass
         logits = np.log(np.array([[0.25, 0.25, 0.1, 0.4, 0.0] ]) + 1e-12)
         model = FixedModel(logits)
-        sample = leaf_samples([0])
-        acc_marginal = level_accuracy(model, sample, tax, 1, mode="marginal")
-        acc_leaf = level_accuracy(model, sample, tax, 1, mode="leaf")
-        assert acc_marginal == 1.0  # branch A wins on summed mass
-        assert acc_leaf == 0.0      # leaf winner s4 sits in branch B
-
-    def test_modes_agree_at_leaf_level(self, setup):
-        g, model = setup
-        a = level_accuracy(model, g.split.test, g.in_taxonomy, 3, mode="marginal")
-        b = level_accuracy(model, g.split.test, g.in_taxonomy, 3, mode="leaf")
-        assert a == b
-
-    def test_unknown_mode_rejected(self, setup):
-        g, model = setup
-        with pytest.raises(ConfigError):
-            level_accuracy(model, g.split.test, g.in_taxonomy, 1, mode="vote")
+        assert level_accuracy(model, leaf_samples([0]), tax, 1) == 1.0
 
     def test_ties_resolve_to_lowest_index(self):
         tax = two_branch_taxonomy()
@@ -114,8 +95,6 @@ class TestAccuracy:
         g, model = setup
         with pytest.raises(EmptySplit):
             level_accuracy(model, (), g.in_taxonomy, 1)
-        with pytest.raises(EmptySplit):
-            confusion(model, (), g.in_taxonomy, 1)
 
     def test_evaluate_covers_every_level(self, setup):
         g, model = setup
@@ -143,22 +122,6 @@ class TestAccuracy:
         monkeypatch.undo()
         for level, _, acc in report.levels:
             assert acc == level_accuracy(model, g.split.test, g.in_taxonomy, level)
-
-
-class TestConfusion:
-    def test_rows_sum_to_per_class_counts(self, setup):
-        g, model = setup
-        m = confusion(model, g.split.test, g.in_taxonomy, 3)
-        assert m.shape == (8, 8)
-        assert m.sum() == len(g.split.test)
-        per_class = np.bincount(g.split.test.true_species, minlength=8)
-        assert np.array_equal(m.sum(axis=1), per_class)
-
-    def test_diagonal_matches_accuracy(self, setup):
-        g, model = setup
-        m = confusion(model, g.split.test, g.in_taxonomy, 2)
-        acc = level_accuracy(model, g.split.test, g.in_taxonomy, 2)
-        assert_allclose(np.trace(m) / m.sum(), acc, rtol=1e-12)
 
 
 class TestReportFiles:
@@ -192,26 +155,6 @@ class TestReportFiles:
         back = read_report(p)
         assert back.top1 == report.top1
         assert back.levels == report.levels
-
-    def test_confusion_round_trip(self, setup, tmp_path):
-        g, model = setup
-        m = confusion(model, g.split.test, g.in_taxonomy, 2)
-        p = tmp_path / "conf.txt"
-        write_confusion(m, g.in_taxonomy, 2, p)
-        back, level = read_confusion(p)
-        assert level == 2
-        assert np.array_equal(back, m)
-
-    def test_confusion_rejects_short_rows(self, setup, tmp_path):
-        g, model = setup
-        m = confusion(model, g.split.test, g.in_taxonomy, 2)
-        p = tmp_path / "conf.txt"
-        write_confusion(m, g.in_taxonomy, 2, p)
-        lines = p.read_text().splitlines()
-        lines[3] = " ".join(lines[3].split()[:-1])
-        p.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParseError):
-            read_confusion(p)
 
     def test_sweep_round_trip_and_means(self, tmp_path):
         rows = [(None, 0, 0.25), (None, 1, 0.35), (2, 0, 0.5), (2, 1, 0.6),

@@ -18,7 +18,6 @@ from hierssl.model import (
     SgdMomentum,
     clone_model,
     ensure_compatible,
-    grad_check,
     load_checkpoint,
     make_model,
     momentum_update,
@@ -26,6 +25,8 @@ from hierssl.model import (
     save_checkpoint,
 )
 from hierssl.taxonomy import shaped_taxonomy
+
+from _gradcheck import grad_check
 
 
 def fresh(arch: str, seed: int = 0, dim: int = 6, classes: int = 4):

@@ -18,10 +18,8 @@ from hierssl.data import GenConfig, generate, load_dataset, save_dataset
 from hierssl.errors import HiersslError
 from hierssl.evaluate import (
     EvalReport,
-    read_confusion,
     read_report,
     read_sweep,
-    write_confusion,
     write_report,
     write_sweep,
 )
@@ -55,7 +53,7 @@ def _model(tiny):
 
 
 def _formats(tiny):
-    """(name, writer, reader) for each of the nine artifact formats."""
+    """(name, writer, reader) for each of the eight artifact formats."""
     tax = tiny.in_taxonomy
     trace = [StepStats(0, 1.5, 1.0, 0.25, 0.25, 0.5), StepStats(1, 1.25, 0.75,
                                                                 0.5, 0.0, 1.0)]
@@ -71,8 +69,6 @@ def _formats(tiny):
         ("metrics", lambda p: write_metrics(trace, p, [PretrainStats(0, 2.5, 4)]),
          read_metrics),
         ("eval", lambda p: write_report(report, p), read_report),
-        ("confusion", lambda p: write_confusion(
-            np.arange(4).reshape(2, 2), tax, 2, p), read_confusion),
         ("sweep", lambda p: write_sweep([(None, 0, 0.5), (2, 0, 0.75)], p),
          read_sweep),
         ("filter", lambda p: write_filter_report(

@@ -83,11 +83,6 @@ class TestToyStructure:
 
     def test_per_leaf_ancestors(self, toy):
         assert np.array_equal(toy.ancestors(1), [0, 0, 0, 1, 1])
-        assert toy.ancestor(2, 2) == 1
-        assert toy.ancestor(4, 1) == 1
-        assert toy.ancestor(3, 3) == 3
-        with pytest.raises(OutOfRange):
-            toy.ancestor(5, 1)
         with pytest.raises(OutOfRange):
             toy.ancestors(4)
 
