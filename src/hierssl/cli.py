@@ -69,37 +69,29 @@ def _data_paths(args) -> tuple[str, str]:
     raise ConfigError("need --data DIR or both --dataset and --taxonomy")
 
 
-def _parse_seeds(text: str | None, fallback: int) -> list[int]:
-    if not text:
-        return [fallback]
-    try:
-        seeds = [int(v) for v in text.split(",")]
-    except ValueError:
-        raise ConfigError(f"--seeds: cannot parse {text!r}") from None
-    if not seeds:
-        raise ConfigError("--seeds: empty list")
-    return seeds
+def _parse_list(flag: str, text: str, parse) -> list:
+    """The comma-joined values of ``flag``; a token that does not parse or
+    repeats an earlier value is a ConfigError."""
+    values = []
+    for tok in text.split(","):
+        try:
+            value = parse(tok)
+        except ValueError:
+            raise ConfigError(f"{flag}: cannot parse {tok!r}") from None
+        if value in values:
+            raise ConfigError(f"{flag}: repeated value {tok!r}")
+        values.append(value)
+    return values
+
+
+def _level(tok: str) -> int | None:
+    return None if tok == "none" else int(tok)
 
 
 def _check_jobs(jobs: int) -> int:
     if jobs < 1:
         raise ConfigError(f"--jobs: must be >= 1, got {jobs}")
     return jobs
-
-
-def _parse_levels(text: str) -> list[int | None]:
-    levels: list[int | None] = []
-    for tok in text.split(","):
-        if tok == "none":
-            levels.append(None)
-        else:
-            try:
-                levels.append(int(tok))
-            except ValueError:
-                raise ConfigError(f"--levels: cannot parse {tok!r}") from None
-    if not levels:
-        raise ConfigError("--levels: empty list")
-    return levels
 
 
 def cmd_gen_data(args) -> int:
@@ -156,7 +148,7 @@ def _train_one(split: DataSplit, taxonomy: Taxonomy, values: dict[str, str],
 def cmd_train(args) -> int:
     values = _merged_values(args)
     base = train_config_from(values)
-    seeds = _parse_seeds(args.seeds, base.seed)
+    seeds = _parse_list("--seeds", args.seeds, int) if args.seeds else [base.seed]
     jobs = _check_jobs(args.jobs)
     split, taxonomy = _load_inputs(args)
     out = _resolve_out(args.out, "runs")
@@ -178,7 +170,8 @@ def cmd_filter(args) -> int:
     write_filter_report(stats, cfg, os.path.join(out, "filter_report.txt"))
     write_config(filter_config_values(cfg), os.path.join(out, "config.txt"))
     print(f"kept {stats.n_kept} of {stats.n_total} coarse samples "
-          f"({stats.kept_fraction:.3f})")
+          f"({stats.kept_fraction:.3f}) precision {stats.precision} "
+          f"recall {stats.recall}")
     return 0
 
 
@@ -204,8 +197,8 @@ def _sweep_one(split: DataSplit, taxonomy: Taxonomy, values: dict[str, str],
 def cmd_sweep(args) -> int:
     values = _merged_values(args)
     base = train_config_from(values)
-    levels = _parse_levels(args.levels)
-    seeds = _parse_seeds(args.seeds, base.seed)
+    levels = _parse_list("--levels", args.levels, _level)
+    seeds = _parse_list("--seeds", args.seeds, int) if args.seeds else [base.seed]
     jobs = _check_jobs(args.jobs)
     split, taxonomy = _load_inputs(args)
     tasks = [(split, taxonomy, values, level, seed)

@@ -171,6 +171,15 @@ class GenConfig:
             raise ConfigError("level_counts: all counts must be >= 1")
         if any(b < a for a, b in zip(counts, counts[1:])):
             raise ConfigError("level_counts: counts must be nondecreasing")
+        if self.level_names is not None:
+            if len(self.level_names) != depth:
+                raise ConfigError("level_names: wrong number of names")
+            if len(set(self.level_names)) != depth:
+                raise ConfigError("level_names: names must be distinct")
+            for name in self.level_names:
+                if not name or "," in name or any(ch.isspace() for ch in name):
+                    raise ConfigError(f"level_names: {name!r} is empty or "
+                                      "holds a comma or whitespace")
         if self.dim < 1:
             raise ConfigError("dim: must be >= 1")
         if len(self.sigma_levels) < depth:
@@ -230,8 +239,6 @@ def generate(config: GenConfig) -> GenResult:
     counts = config.resolved_counts()
     depth = len(counts)
     level_names = tuple(config.level_names or default_level_names(depth))
-    if len(level_names) != depth:
-        raise ConfigError("level_names: wrong number of names")
     prefixes = _level_prefixes(level_names)
 
     in_tax = shaped_taxonomy(counts, level_names, name_prefixes=prefixes)

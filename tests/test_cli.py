@@ -8,11 +8,11 @@ import pytest
 
 from hierssl.cli import main
 from hierssl.data import load_dataset
-from hierssl.evaluate import read_report, read_sweep
+from hierssl.evaluate import read_report, read_sweep, top1
 from hierssl.model import load_checkpoint
-from hierssl.ood import read_filter_report
+from hierssl.ood import FilterConfig, filter_split, read_filter_report
 from hierssl.taxonomy import load_taxonomy
-from hierssl.trainers import read_metrics
+from hierssl.trainers import TrainConfig, default_train_config, read_metrics, train
 
 GEN_ARGS = ["--set", "level_counts=1,2,8", "--set", "dim=8", "--set", "seed=0"]
 
@@ -210,6 +210,28 @@ class TestExitCodes:
                      "--out", str(tmp_path / "x")]) == 2
         assert "--data cannot be combined" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--seeds", "0,0"],
+        ["sweep", "--levels", "2,2"],
+        ["sweep", "--levels", "none,none"],
+    ], ids=["train-seeds", "sweep-levels", "sweep-levels-none"])
+    def test_repeated_seed_or_level_is_2(self, data_dir, tmp_path, capsys,
+                                         argv):
+        out = tmp_path / "x"
+        assert main([*argv, "--set", "steps=3", "--data", str(data_dir),
+                     "--out", str(out)]) == 2
+        assert "repeated value" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("names", ["a b,c,d", "a,,d", "a,b", "a,a,b"],
+                             ids=["space", "empty", "wrong-count", "repeated"])
+    def test_bad_level_names_are_2(self, tmp_path, capsys, names):
+        out = tmp_path / "x"
+        assert main(["gen-data", *GEN_ARGS, "--set", f"level_names={names}",
+                     "--out", str(out)]) == 2
+        assert "config error: level_names" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_config_value_is_2(self, data_dir, tmp_path):
         assert main(["train", "--data", str(data_dir), "--set", "steps=none",
                      "--out", str(tmp_path / "x")]) == 2
@@ -352,6 +374,16 @@ class TestFilterCommand:
         assert len(screened.coarse_out) == 0
         assert len(screened.labeled) == 24  # passes through untouched
 
+    def test_summary_line_reports_precision_and_recall(self, data_dir, trained,
+                                                       tmp_path, capsys):
+        out = tmp_path / "filtered"
+        assert main(["filter", "--data", str(data_dir),
+                     "--checkpoint", str(trained), "--out", str(out)]) == 0
+        words = capsys.readouterr().out.split()
+        stats, _ = read_filter_report(out / "filter_report.txt")
+        assert float(words[words.index("precision") + 1]) == stats.precision
+        assert float(words[words.index("recall") + 1]) == stats.recall
+
     def test_filter_rerun_is_byte_identical(self, data_dir, trained, tmp_path):
         for name in ("a", "b"):
             assert main(["filter", "--data", str(data_dir),
@@ -403,6 +435,51 @@ class TestSweepCommand:
     def test_bad_level_token_is_2(self, data_dir, tmp_path):
         assert main(["sweep", "--data", str(data_dir), "--levels", "one",
                      "--out", str(tmp_path / "x")]) == 2
+
+
+def test_out_of_class_recipe_matches_the_library(tmp_path):
+    """The README's out-of-class experiment through the CLI: a screening
+    model on the labeled split, the filter, then fixmatch at level 2 on the
+    clean, union and filtered pools. Each sweep row equals the same pipeline
+    run in memory."""
+    data, screen, filtered = (tmp_path / n for n in ("data", "screen", "filtered"))
+    assert main(["gen-data", *GEN_ARGS, "--set", "out_attach_level=2",
+                 "--set", "out_offset_scale=2.0", "--out", str(data)]) == 0
+    assert main(["train", "--data", str(data), "--set", "supervision_level=none",
+                 "--set", "arch=mlp1", "--set", "weight_decay=0.01",
+                 "--set", "steps=8", "--seeds", "0", "--out", str(screen)]) == 0
+    assert main(["filter", "--data", str(data),
+                 "--checkpoint", str(screen / "seed0" / "checkpoint.txt"),
+                 "--set", "filter_tau=0.3", "--set", "match_level=2",
+                 "--out", str(filtered)]) == 0
+    fixmatch = ["--levels", "2", "--seeds", "0", "--set", "method=fixmatch",
+                "--set", "arch=mlp1", "--set", "weight_decay=0.01",
+                "--set", "tau=0.95", "--set", "steps=8", "--jobs", "1"]
+    runs = {"clean": (data, []), "union": (data, ["--set", "coarse_source=union"]),
+            "filtered": (filtered, [])}
+    for name, (pool, extra) in runs.items():
+        assert main(["sweep", "--data", str(pool), *fixmatch, *extra,
+                     "--out", str(tmp_path / name)]) == 0
+
+    tax = load_taxonomy(data / "taxonomy.txt")
+    split = load_dataset(data / "dataset.txt", tax)
+    screen_model = train(split, tax, TrainConfig(
+        method="baseline", supervision_level=None, arch="mlp1",
+        weight_decay=1e-2, steps=8, seed=0)).model
+    kept, _ = filter_split(screen_model, tax, split,
+                           FilterConfig(tau=0.3, match_level=2))
+
+    def fixmatch_top1(pool, **kw) -> float:
+        cfg = default_train_config("fixmatch", supervision_level=2, arch="mlp1",
+                                   weight_decay=1e-2, tau=0.95, steps=8, seed=0,
+                                   **kw)
+        return top1(train(pool, tax, cfg).model, split.test, tax)
+
+    expected = {"clean": fixmatch_top1(split),
+                "union": fixmatch_top1(split, coarse_source="union"),
+                "filtered": fixmatch_top1(kept)}
+    for name, acc in expected.items():
+        assert read_sweep(tmp_path / name / "sweep.txt") == [(2, 0, acc)]
 
 
 # sha256 of the config.txt each command writes; computed before the config

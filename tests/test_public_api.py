@@ -1,6 +1,6 @@
 """Every public function, class and method of src/hierssl is used by the
-program itself: by src/ outside its own definition, by scripts/, or by
-perfbench/. Code that only tests call is deleted instead of kept public."""
+program itself: by src/ outside its own definition, or by perfbench/.
+Code that only tests call is deleted instead of kept public."""
 
 import ast
 import re
@@ -61,8 +61,7 @@ def referenced_names(tree: ast.AST) -> set[str]:
 
 
 def program_references() -> set[str]:
-    paths = [*SRC.glob("*.py"), *(ROOT / "scripts").glob("*.py"),
-             *(ROOT / "perfbench").glob("*.py")]
+    paths = [*SRC.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
     refs: set[str] = set()
     for path in paths:
         refs |= referenced_names(ast.parse(path.read_text()))
