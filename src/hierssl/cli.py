@@ -148,7 +148,8 @@ def _train_one(split: DataSplit, taxonomy: Taxonomy, values: dict[str, str],
 def cmd_train(args) -> int:
     values = _merged_values(args)
     base = train_config_from(values)
-    seeds = _parse_list("--seeds", args.seeds, int) if args.seeds else [base.seed]
+    seeds = ([base.seed] if args.seeds is None
+             else _parse_list("--seeds", args.seeds, int))
     jobs = _check_jobs(args.jobs)
     split, taxonomy = _load_inputs(args)
     out = _resolve_out(args.out, "runs")
@@ -198,7 +199,8 @@ def cmd_sweep(args) -> int:
     values = _merged_values(args)
     base = train_config_from(values)
     levels = _parse_list("--levels", args.levels, _level)
-    seeds = _parse_list("--seeds", args.seeds, int) if args.seeds else [base.seed]
+    seeds = ([base.seed] if args.seeds is None
+             else _parse_list("--seeds", args.seeds, int))
     jobs = _check_jobs(args.jobs)
     split, taxonomy = _load_inputs(args)
     tasks = [(split, taxonomy, values, level, seed)

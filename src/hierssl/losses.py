@@ -29,11 +29,16 @@ def _require_finite(name: str, arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _softmax_inplace(z: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of float64 ``z``, written into ``z``."""
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
-    z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    return _softmax_inplace(np.array(logits, dtype=np.float64))
 
 
 def _check_labels(labels: np.ndarray, n_classes: int) -> np.ndarray:
@@ -217,15 +222,18 @@ def info_nce_loss(
     n, _ = query.shape
     if n == 0:
         return 0.0, np.zeros_like(query)
-    pos = (query * key_pos).sum(axis=-1, keepdims=True)
-    neg = query @ queue.T
-    sims = np.concatenate([pos, neg], axis=-1) / temperature
-    probs = softmax(sims)
-    p0 = probs[:, 0]
+    # One (n, m + 1) buffer goes from similarities to probabilities to
+    # gradient coefficients in place: the positive in column 0, then the
+    # negatives.
+    buf = np.empty((n, len(queue) + 1))
+    (query * key_pos).sum(axis=-1, out=buf[:, 0])
+    np.matmul(query, queue.T, out=buf[:, 1:])
+    buf /= temperature
+    _softmax_inplace(buf)
+    p0 = buf[:, 0].copy()
     live = p0 >= PROB_FLOOR
     loss = float(-np.log(np.maximum(p0, PROB_FLOOR)).mean()) + 0.0
-    coeff = probs.copy()
-    coeff[:, 0] -= 1.0
-    coeff[~live] = 0.0
-    grad = (coeff[:, :1] * key_pos + coeff[:, 1:] @ queue) / (n * temperature)
+    buf[:, 0] -= 1.0
+    buf[~live] = 0.0
+    grad = (buf[:, :1] * key_pos + buf[:, 1:] @ queue) / (n * temperature)
     return loss, grad

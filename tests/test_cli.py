@@ -155,6 +155,16 @@ class TestExitCodes:
         assert "config error: --jobs: must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--set", "steps=3", "--seeds="],
+        ["sweep", "--set", "steps=3", "--levels", "2", "--seeds="],
+    ], ids=["train", "sweep"])
+    def test_empty_seeds_is_2(self, data_dir, tmp_path, capsys, argv):
+        out = tmp_path / "x"
+        assert main([*argv, "--data", str(data_dir), "--out", str(out)]) == 2
+        assert "config error: --seeds: cannot parse ''" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["eval", "filter"])
     def test_feature_width_mismatch_is_3(self, trained, tmp_path, capsys,
                                          command):

@@ -524,3 +524,60 @@ def test_marginalized_ce_grad_rows_sum_to_zero_on_live_rows(seed):
     yc = rng.integers(0, 3, size=5)
     _, grad = marginalized_cross_entropy(z, yc, w)
     assert_allclose(grad.sum(axis=-1), 0.0, atol=1e-14)
+
+
+# -- bit-for-bit pins against the straightforward bodies ----------------------
+#
+# softmax and info_nce_loss normalize in place; these references allocate
+# every intermediate, and the in-place versions must match them bit for bit.
+
+
+def _reference_softmax(logits):
+    z = np.asarray(logits, dtype=np.float64)
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _reference_info_nce(query, key_pos, queue, temperature):
+    n = len(query)
+    pos = (query * key_pos).sum(axis=-1, keepdims=True)
+    neg = query @ queue.T
+    sims = np.concatenate([pos, neg], axis=-1) / temperature
+    probs = _reference_softmax(sims)
+    p0 = probs[:, 0]
+    live = p0 >= PROB_FLOOR
+    loss = float(-np.log(np.maximum(p0, PROB_FLOOR)).mean()) + 0.0
+    coeff = probs.copy()
+    coeff[:, 0] -= 1.0
+    coeff[~live] = 0.0
+    grad = (coeff[:, :1] * key_pos + coeff[:, 1:] @ queue) / (n * temperature)
+    return loss, grad
+
+
+def _unit_rows(rng, n, d):
+    x = rng.standard_normal((n, d))
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("temperature", [0.07, 0.01])
+@pytest.mark.parametrize("m", [0, 64, 1000, 2048])
+def test_info_nce_matches_reference_bitwise(m, temperature):
+    rng = np.random.default_rng(m)
+    query, key, queue = (_unit_rows(rng, 64, 32), _unit_rows(rng, 64, 32),
+                         _unit_rows(rng, m, 32))
+    key[0] = -query[0]  # anti-aligned: under the floor at T = 0.01
+    loss, grad = info_nce_loss(query, key, queue, temperature)
+    ref_loss, ref_grad = _reference_info_nce(query, key, queue, temperature)
+    assert loss == ref_loss
+    assert grad.tobytes() == ref_grad.tobytes()
+    if m and temperature == 0.01:
+        assert not grad[0].any() and grad[1:].any()  # the live mask ran
+
+
+@pytest.mark.parametrize("shape", [(97, 810), (810,)])
+def test_softmax_matches_reference_bitwise_and_keeps_its_input(shape):
+    z = np.random.default_rng(1).standard_normal(shape) * 5.0
+    before = z.copy()
+    assert softmax(z).tobytes() == _reference_softmax(z).tobytes()
+    assert z.tobytes() == before.tobytes()

@@ -434,11 +434,7 @@ GOLDEN_RUNS = {
 }
 
 
-@pytest.mark.parametrize("method", METHODS)
-@pytest.mark.parametrize("case", sorted(RUN_CASES))
-def test_training_bytes_are_pinned(toy_gen, tmp_path, method, case):
-    cfg = quick(method, **RUN_CASES[case])
-    r = train(toy_gen.split, toy_gen.in_taxonomy, cfg)
+def run_digest(r, cfg, tmp_path) -> str:
     digest = hashlib.sha256()
     save_checkpoint(r.model, tmp_path / "ckpt", seed=cfg.seed, step=cfg.steps)
     write_metrics(r.trace, tmp_path / "metrics", r.pretrain_trace)
@@ -449,4 +445,31 @@ def test_training_bytes_are_pinned(toy_gen, tmp_path, method, case):
         paths.append(tmp_path / "teacher")
     for path in paths:
         digest.update(path.read_bytes())
-    assert digest.hexdigest() == GOLDEN_RUNS[method][list(RUN_CASES).index(case)]
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("case", sorted(RUN_CASES))
+def test_training_bytes_are_pinned(toy_gen, tmp_path, method, case):
+    cfg = quick(method, **RUN_CASES[case])
+    r = train(toy_gen.split, toy_gen.in_taxonomy, cfg)
+    assert run_digest(r, cfg, tmp_path) == \
+        GOLDEN_RUNS[method][list(RUN_CASES).index(case)]
+
+
+# The golden runs above push at most 160 keys into a queue of 2048; these
+# push 160 into a queue of 40, so the queue is full and drops its oldest
+# keys from the third step on. Same digest layout as GOLDEN_RUNS.
+GOLDEN_WRAPPED = {
+    "moco": "54b19ee854c2efa8fffee957b880dd7d63195145ab3a58a3708d29e278fa9341",
+    "moco_self_training":
+        "07a0b33ca75b07cf652cae3099216a1203e44b7da16056b9b49a37e60bb0d6c3",
+}
+
+
+@pytest.mark.parametrize("method", sorted(GOLDEN_WRAPPED))
+def test_wrapped_queue_bytes_are_pinned(toy_gen, tmp_path, method):
+    cfg = quick(method, queue_size=40)
+    r = train(toy_gen.split, toy_gen.in_taxonomy, cfg)
+    assert [s.queue_len for s in r.pretrain_trace] == [16, 32] + [40] * 8
+    assert run_digest(r, cfg, tmp_path) == GOLDEN_WRAPPED[method]
