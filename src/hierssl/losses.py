@@ -216,7 +216,10 @@ def info_nce_loss(
     """
     query = _require_finite("query embeddings", np.atleast_2d(np.asarray(query, dtype=np.float64)))
     key_pos = _require_finite("key embeddings", np.atleast_2d(np.asarray(key_pos, dtype=np.float64)))
-    queue = np.asarray(queue, dtype=np.float64).reshape(-1, query.shape[-1])
+    queue = np.asarray(queue, dtype=np.float64)
+    if queue.shape[-1:] != query.shape[-1:]:
+        raise DimensionMismatch(f"queue {queue.shape} vs query {query.shape}")
+    queue = queue.reshape(-1, query.shape[-1])
     if query.shape != key_pos.shape:
         raise DimensionMismatch(f"query {query.shape} vs key {key_pos.shape}")
     n, _ = query.shape

@@ -9,10 +9,17 @@ Marginalizing a leaf-level distribution to a coarser level sums the
 probability of every leaf under each coarse class. The heavy path uses
 grouped summation over a precomputed ancestor map; the equivalent dense
 0/1 matrix is still constructible for checks and linear-algebra use.
+When the ancestor map is nondecreasing, every coarse class's leaves are
+already contiguous and the sum reads the input in place; only unsorted
+maps gather a reordered copy first. Every level of a ``shaped_taxonomy``
+tree is sorted, and so are Semi-iNat levels 2 and finer. Semi-iNat
+level 1 (Kingdom) is not: leaves sort by phylum name, and one kingdom's
+phyla are not adjacent in that order.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -199,10 +206,22 @@ class MarginalizationMatrix:
         return w
 
     def __post_init__(self):
-        order = np.argsort(self.ancestor_map, kind="stable")
-        starts = np.searchsorted(self.ancestor_map[order], np.arange(self.n_coarse))
+        amap = self.ancestor_map
+        # A nondecreasing map is its own stable argsort: _order is None and
+        # marginalize sums the input in place instead of gathering a copy.
+        order = None
+        if np.any(amap[:-1] > amap[1:]):
+            order = np.argsort(amap, kind="stable")
+            amap = amap[order]
         object.__setattr__(self, "_order", order)
-        object.__setattr__(self, "_starts", starts)
+        object.__setattr__(self, "_starts", np.searchsorted(amap, np.arange(self.n_coarse)))
+
+    @classmethod
+    def between(cls, taxonomy: Taxonomy, fine_level: int, coarse_level: int):
+        """Edges from ``fine_level`` to ``coarse_level``; the identity when equal."""
+        return cls(fine_level, coarse_level,
+                   taxonomy.ancestor_map(fine_level, coarse_level),
+                   taxonomy.class_counts[coarse_level - 1])
 
 
 def marginalization_matrix(
@@ -213,13 +232,17 @@ def marginalization_matrix(
         raise LevelOrder(
             f"coarse level {coarse_level} must be strictly above fine level {fine_level}"
         )
-    amap = taxonomy.ancestor_map(fine_level, coarse_level)
-    return MarginalizationMatrix(
-        fine_level=fine_level,
-        coarse_level=coarse_level,
-        ancestor_map=amap,
-        n_coarse=taxonomy.class_counts[coarse_level - 1],
-    )
+    return MarginalizationMatrix.between(taxonomy, fine_level, coarse_level)
+
+
+def _distribution(probs, n_fine: int) -> np.ndarray:
+    """``probs`` as float64 whose last axis holds ``n_fine`` entries."""
+    probs = np.asarray(probs, dtype=np.float64)
+    if probs.shape[-1:] != (n_fine,):
+        raise DimensionMismatch(
+            f"distribution of shape {probs.shape}, expected {n_fine} entries on the last axis"
+        )
+    return probs
 
 
 def marginalize(probs: np.ndarray, w: MarginalizationMatrix) -> np.ndarray:
@@ -228,21 +251,20 @@ def marginalize(probs: np.ndarray, w: MarginalizationMatrix) -> np.ndarray:
     Accepts a single distribution or a batch (last axis = fine classes).
     Total mass is preserved exactly; summation order is fixed (ascending
     fine index within each coarse class), so results are deterministic.
+    A sorted ancestor map (every ``shaped_taxonomy`` level, Semi-iNat
+    levels 2 and finer) is summed in place; an unsorted one (Semi-iNat
+    level 1) is first gathered into coarse-class order.
     """
-    probs = np.asarray(probs, dtype=np.float64)
-    n_fine = len(w.ancestor_map)
-    if probs.shape[-1] != n_fine:
-        raise DimensionMismatch(
-            f"distribution has {probs.shape[-1]} entries, matrix expects {n_fine}"
-        )
-    gathered = probs[..., w._order]
-    return np.add.reduceat(gathered, w._starts, axis=-1)
+    probs = _distribution(probs, len(w.ancestor_map))
+    if w._order is not None:
+        probs = probs[..., w._order]
+    return np.add.reduceat(probs, w._starts, axis=-1)
 
 
 def coarse_probs(taxonomy: Taxonomy, leaf_probs: np.ndarray, level: int) -> np.ndarray:
     """Leaf distribution(s) marginalized up to ``level`` (identity at leaves)."""
     if level == taxonomy.leaf_level:
-        return np.asarray(leaf_probs, dtype=np.float64)
+        return _distribution(leaf_probs, taxonomy.num_leaves)
     return marginalize(leaf_probs, marginalization_matrix(taxonomy, taxonomy.leaf_level, level))
 
 
@@ -414,16 +436,14 @@ def _bounded_allocate(total, weights, lo, hi):
     remaining = total - sum(counts)
     if remaining < 0 or total > sum(hi):
         raise DataError("allocation bounds are infeasible")
-    while remaining > 0:
-        best, best_score = -1, -1.0
-        for i, w in enumerate(weights):
-            if counts[i] >= hi[i]:
-                continue
-            score = w / (counts[i] + 1)
-            if score > best_score:
-                best, best_score = i, score
-        counts[best] += 1
-        remaining -= 1
+    # each unit goes to the open slot of highest w / (count + 1), lowest index on ties
+    heap = [(-(w / (c + 1)), i) for i, (w, c) in enumerate(zip(weights, counts)) if c < hi[i]]
+    heapq.heapify(heap)
+    for _ in range(remaining):
+        _, i = heapq.heappop(heap)
+        counts[i] += 1
+        if counts[i] < hi[i]:
+            heapq.heappush(heap, (-(weights[i] / (counts[i] + 1)), i))
     return counts
 
 

@@ -282,11 +282,7 @@ def _pack(split: DataSplit, taxonomy: Taxonomy, cfg: TrainConfig,
     yu = w = None
     if level is not None:
         yu = labels_at_level(pool, taxonomy, level)
-        leaf = taxonomy.leaf_level
-        w = MarginalizationMatrix(
-            leaf, level, taxonomy.ancestor_map(leaf, level),
-            taxonomy.class_counts[level - 1],
-        )
+        w = MarginalizationMatrix.between(taxonomy, taxonomy.leaf_level, level)
     return Xl, yl, Xu, yu, w
 
 

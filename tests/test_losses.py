@@ -384,6 +384,15 @@ class TestEmptyInputs:
         assert loss == 0.0
         assert np.all(grad == 0.0)
 
+    def test_info_nce_queue_width_checked(self):
+        # a (10, 64) queue must not be read as 20 negatives of width 32
+        rng = np.random.default_rng(3)
+        q = rng.normal(size=(4, 32))
+        with pytest.raises(DimensionMismatch):
+            info_nce_loss(q, q, rng.normal(size=(10, 64)), 0.2)
+        with pytest.raises(DimensionMismatch):
+            info_nce_loss(q, q, np.zeros((0, 64)), 0.2)
+
 
 # -- distillation structure ---------------------------------------------------
 

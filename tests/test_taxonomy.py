@@ -18,7 +18,9 @@ from hierssl.errors import (
 )
 from hierssl.taxonomy import (
     SEMI_INAT_PHYLA,
+    MarginalizationMatrix,
     Taxonomy,
+    _bounded_allocate,
     build_taxonomy,
     coarse_probs,
     default_level_names,
@@ -180,6 +182,19 @@ class TestMarginalize:
         w = marginalization_matrix(toy, 3, 1)
         with pytest.raises(DimensionMismatch):
             marginalize(np.full(4, 0.25), w)
+        with pytest.raises(DimensionMismatch):
+            marginalize(np.float64(0.5), w)
+        with pytest.raises(DimensionMismatch):
+            coarse_probs(toy, 0.5, 1)
+
+    def test_leaf_level_width_checked(self):
+        tax = shaped_taxonomy([2, 4, 8])
+        with pytest.raises(DimensionMismatch):
+            coarse_probs(tax, np.ones(5), tax.leaf_level)
+        with pytest.raises(DimensionMismatch):
+            coarse_probs(tax, np.ones((3, 5)), tax.leaf_level)
+        with pytest.raises(DimensionMismatch):
+            coarse_probs(tax, np.float64(0.5), tax.leaf_level)
 
 
 class TestSemiInat:
@@ -357,3 +372,99 @@ def test_marginal_mass_per_class_positive_for_positive_dist(counts, seed):
         assert out.shape == (tax.class_counts[level - 1],)
         assert np.all(out > 0.0)
         assert abs(out.sum() - 1.0) < 1e-12
+
+
+# -- bit-for-bit pins of the fast paths ----------------------------------------
+# Sorted ancestor maps are summed in place, and the allocator uses a heap.
+# These references are the earlier bodies: a gather into coarse-class order
+# before every reduceat, and a full scan of the slots for every unit.
+
+
+def _gathered_marginalize(probs, w):
+    order = np.argsort(w.ancestor_map, kind="stable")
+    starts = np.searchsorted(w.ancestor_map[order], np.arange(w.n_coarse))
+    gathered = np.asarray(probs, dtype=np.float64)[..., order]
+    return np.add.reduceat(gathered, starts, axis=-1)
+
+
+def _scanned_allocate(total, weights, lo, hi):
+    counts = list(lo)
+    remaining = total - sum(counts)
+    if remaining < 0 or total > sum(hi):
+        raise DataError("allocation bounds are infeasible")
+    while remaining > 0:
+        best, best_score = -1, -1.0
+        for i, w in enumerate(weights):
+            if counts[i] >= hi[i]:
+                continue
+            score = w / (counts[i] + 1)
+            if score > best_score:
+                best, best_score = i, score
+        counts[best] += 1
+        remaining -= 1
+    return counts
+
+
+def _pin_matrices(tax):
+    """Leaf-to-level edges for every level, the leaf level as the identity."""
+    leaf = tax.leaf_level
+    return [marginalization_matrix(tax, leaf, level) for level in range(1, leaf)] + [
+        MarginalizationMatrix(leaf, leaf, np.arange(tax.num_leaves), tax.num_leaves)
+    ]
+
+
+@pytest.mark.parametrize("tax", [
+    shaped_taxonomy((3, 8, 29, 123, 339, 729, 810)), semi_inat_taxonomy(),
+], ids=["shaped", "semi_inat"])
+def test_marginalize_matches_gathered_bytes(tax):
+    rng = np.random.default_rng(9)
+    # a sparse Dirichlet spans many orders of magnitude, so any change in
+    # summation order would show in the low bits
+    batch = rng.dirichlet(np.full(tax.num_leaves, 0.05), size=40)
+    inputs = [batch, batch[7], np.asfortranarray(batch), batch[::3]]
+    for w in _pin_matrices(tax):
+        for probs in inputs:
+            got = marginalize(probs, w)
+            ref = _gathered_marginalize(probs, w)
+            assert got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+
+
+def test_sorted_levels_skip_the_gather():
+    shaped = shaped_taxonomy((3, 8, 29, 123, 339, 729, 810))
+    semi = semi_inat_taxonomy()
+    assert all(w._order is None for w in _pin_matrices(shaped))
+    gathers = [w.coarse_level for w in _pin_matrices(semi) if w._order is not None]
+    assert gathers == [1]
+
+
+def _allocation_cases():
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        n = int(rng.integers(1, 25))
+        if rng.random() < 0.5:
+            weights = [int(x) for x in rng.integers(1, 4, size=n)]  # many ties
+        else:
+            weights = [float((r % 5 + 1.0) ** -1.1) for r in range(n)]
+        lo = [int(x) for x in rng.integers(0, 3, size=n)]
+        hi = [l + int(x) for l, x in zip(lo, rng.integers(0, 5, size=n))]
+        total = sum(lo) + int(rng.integers(0, sum(hi) - sum(lo) + 1))
+        yield total, weights, lo, hi
+    weights = [int(x) for x in rng.integers(1, 4, size=729)]
+    yield 1620, weights, [0] * 729, [1620] * 729  # the 810-leaf novel graft
+    yield 1620, weights, [1] * 729, [3] * 729
+
+
+def test_bounded_allocate_matches_scanned_counts():
+    for total, weights, lo, hi in _allocation_cases():
+        got = _bounded_allocate(total, weights, lo, hi)
+        assert got == _scanned_allocate(total, weights, lo, hi)
+        assert sum(got) == total
+        assert all(l <= c <= h for l, c, h in zip(lo, got, hi))
+
+
+def test_bounded_allocate_infeasible_raises():
+    with pytest.raises(DataError):
+        _bounded_allocate(3, [1.0, 1.0], [2, 2], [5, 5])  # lo exceeds total
+    with pytest.raises(DataError):
+        _bounded_allocate(9, [1.0, 1.0], [0, 0], [4, 4])  # hi cannot hold total
