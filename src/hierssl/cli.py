@@ -37,6 +37,7 @@ from .errors import ConfigError, DataError, HiersslError, TrainError
 from .evaluate import evaluate, sweep_means, top1, write_report, write_sweep
 from .model import load_checkpoint, save_checkpoint
 from .ood import filter_split, write_filter_report
+from .records import value_parser, value_text
 from .taxonomy import Taxonomy, load_taxonomy, save_taxonomy
 from .trainers import train, write_metrics
 
@@ -84,10 +85,6 @@ def _parse_list(flag: str, text: str, parse) -> list:
     return values
 
 
-def _level(tok: str) -> int | None:
-    return None if tok == "none" else int(tok)
-
-
 def _check_jobs(jobs: int) -> int:
     if jobs < 1:
         raise ConfigError(f"--jobs: must be >= 1, got {jobs}")
@@ -132,9 +129,7 @@ def _train_one(split: DataSplit, taxonomy: Taxonomy, values: dict[str, str],
     cfg = replace(train_config_from(values), seed=seed)
     result = train(split, taxonomy, cfg)
     os.makedirs(out_dir, exist_ok=True)
-    meta = {"method": cfg.method,
-            "supervision_level": "none" if cfg.supervision_level is None
-            else str(cfg.supervision_level)}
+    meta = {"method": cfg.method, "supervision_level": value_text(cfg.supervision_level)}
     save_checkpoint(result.model, os.path.join(out_dir, "checkpoint.txt"),
                     seed=seed, step=cfg.steps, meta=meta)
     write_metrics(result.trace, os.path.join(out_dir, "metrics.txt"),
@@ -198,7 +193,7 @@ def _sweep_one(split: DataSplit, taxonomy: Taxonomy, values: dict[str, str],
 def cmd_sweep(args) -> int:
     values = _merged_values(args)
     base = train_config_from(values)
-    levels = _parse_list("--levels", args.levels, _level)
+    levels = _parse_list("--levels", args.levels, value_parser(int | None))
     seeds = ([base.seed] if args.seeds is None
              else _parse_list("--seeds", args.seeds, int))
     jobs = _check_jobs(args.jobs)
@@ -209,10 +204,8 @@ def cmd_sweep(args) -> int:
     rows.sort(key=lambda r: (-1 if r[0] is None else r[0], r[1]))
     out = _resolve_out(args.out, "sweep")
     write_sweep(rows, os.path.join(out, "sweep.txt"))
-    for level, mean in sorted(sweep_means(rows).items(),
-                              key=lambda kv: -1 if kv[0] is None else kv[0]):
-        tag = "none" if level is None else str(level)
-        print(f"level {tag} mean top1 {mean}")
+    for level, mean in sweep_means(rows).items():  # in the rows' level order
+        print(f"level {value_text(level)} mean top1 {mean}")
     return 0
 
 
@@ -277,14 +270,11 @@ def main(argv=None) -> int:
     except TrainError as exc:
         print(f"train error: {exc}", file=sys.stderr)
         return 4
-    except DataError as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except HiersslError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
         return 3
 
 

@@ -5,73 +5,25 @@ filter keys live in a single flat namespace, each consumer picks the
 keys it knows, and any key no consumer knows is rejected up front. The
 keys are the fields of GenConfig, TrainConfig (its nested AugmentParams
 flattened into it) and FilterConfig, whose ``tau`` is the key
-``filter_tau``; each value is parsed by its field's type. Values are
-strings in the file: "none" encodes None, tuples are comma-joined,
-booleans are "true" or "false", and floats must be finite. Resolution
-order is built-in defaults, then the config file, then --set overrides.
+``filter_tau``; each value is parsed by its field's type, spelled as
+``hierssl.records`` spells every typed value. Resolution order is
+built-in defaults, then the config file, then --set overrides.
 """
 
 from __future__ import annotations
 
-import math
-import types
-import typing
-from dataclasses import fields, is_dataclass
-
 from .data import AugmentParams, GenConfig
 from .errors import ConfigError, ParseError
 from .ood import FilterConfig
-from .records import read_record, write_record
+from .records import field_keys, field_texts, read_record, write_record
 from .trainers import TrainConfig, default_train_config
 
 CONFIG_MAGIC = "hierssl-config v1"
 
-
-def _finite(s: str) -> float:
-    value = float(s)
-    if not math.isfinite(value):
-        raise ValueError(s)
-    return value
-
-
-def _bool(s: str) -> bool:
-    if s not in ("true", "false"):
-        raise ValueError(s)
-    return s == "true"
-
-
-def _parser(hint):
-    """The string parser of one field type; the inverse of ``_to_str``."""
-    args = typing.get_args(hint)
-    if isinstance(hint, types.UnionType):  # X | None
-        inner = _parser(args[0])
-        return lambda s: None if s == "none" else inner(s)
-    if typing.get_origin(hint) is tuple:  # tuple[T, ...] or a fixed count of T
-        item = _parser(args[0])
-        size = None if args[-1] is Ellipsis else len(args)
-
-        def parse_tuple(s: str) -> tuple:
-            out = tuple(item(v) for v in s.split(","))
-            if size is not None and len(out) != size:
-                raise ValueError(s)
-            return out
-        return parse_tuple
-    return {int: int, float: _finite, str: str, bool: _bool}[hint]
-
-
-def _keys(cls, **renames: str) -> dict:
-    """Config key -> (field name, parser) for each field of a config
-    dataclass, leaving out a nested dataclass, whose fields are keys of
-    their own."""
-    hints = typing.get_type_hints(cls)
-    return {renames.get(f.name, f.name): (f.name, _parser(hints[f.name]))
-            for f in fields(cls) if not is_dataclass(hints[f.name])}
-
-
-_GEN_KEYS = _keys(GenConfig)
-_TRAIN_KEYS = _keys(TrainConfig)
-_AUGMENT_KEYS = _keys(AugmentParams)
-_FILTER_KEYS = _keys(FilterConfig, tau="filter_tau")
+_GEN_KEYS = field_keys(GenConfig)
+_TRAIN_KEYS = field_keys(TrainConfig)
+_AUGMENT_KEYS = field_keys(AugmentParams)
+_FILTER_KEYS = field_keys(FilterConfig, tau="filter_tau")
 
 KNOWN_KEYS = {*_GEN_KEYS, *_TRAIN_KEYS, *_AUGMENT_KEYS, *_FILTER_KEYS}
 
@@ -153,30 +105,15 @@ def filter_config_from(values: dict[str, str]) -> FilterConfig:
     return cfg
 
 
-def _to_str(value) -> str:
-    if value is None:
-        return "none"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (tuple, list)):
-        return ",".join(_to_str(v) for v in value)
-    return str(value)
-
-
-def _values(keys: dict, cfg) -> dict[str, str]:
-    return {key: _to_str(getattr(cfg, name)) for key, (name, _) in keys.items()}
-
-
 def gen_config_values(cfg: GenConfig) -> dict[str, str]:
     """The generator config as canonical strings, inverse of the parsers."""
-    return _values(_GEN_KEYS, cfg)
+    return field_texts(_GEN_KEYS, cfg)
 
 
 def train_config_values(cfg: TrainConfig) -> dict[str, str]:
-    return {**_values(_TRAIN_KEYS, cfg), **_values(_AUGMENT_KEYS, cfg.augment)}
+    return {**field_texts(_TRAIN_KEYS, cfg),
+            **field_texts(_AUGMENT_KEYS, cfg.augment)}
 
 
 def filter_config_values(cfg: FilterConfig) -> dict[str, str]:
-    return _values(_FILTER_KEYS, cfg)
+    return field_texts(_FILTER_KEYS, cfg)

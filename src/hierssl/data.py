@@ -258,10 +258,12 @@ def generate(config: GenConfig) -> GenResult:
             n_out, [max(int(c), 1) for c in in_per_attach],
             [0] * len(in_per_attach), [n_out] * len(in_per_attach),
         )
+        # the first leaf under each attach class, whose path leads to it
+        _, first_leaf = np.unique(in_tax.ancestors(attach), return_index=True)
         width = max(2, len(str(n_out - 1)))
         k = 0
         for attach_class, n_here in enumerate(alloc):
-            base = _class_path(in_tax, attach, attach_class)
+            base = in_tax.leaf_path(first_leaf[attach_class])[:attach]
             for _ in range(n_here):
                 chain = tuple(
                     f"X{k:0{width}d}-{prefixes[l]}" for l in range(attach, depth)
@@ -327,17 +329,6 @@ def _level_prefixes(level_names: Sequence[str]) -> list[str]:
     if len(set(initials)) == len(initials):
         return initials
     return [f"L{i}_" for i in range(1, len(level_names) + 1)]
-
-
-def _class_path(taxonomy: Taxonomy, level: int, class_id: int) -> tuple[str, ...]:
-    """Names of a class's ancestors, coarsest first, ending at the class."""
-    names = []
-    idx = class_id
-    for l in range(level, 0, -1):
-        names.append(taxonomy.class_name(l, idx))
-        if l > 1:
-            idx = int(taxonomy.parent_of(l)[idx])
-    return tuple(reversed(names))
 
 
 def _draw_centers(taxonomy, config, rng, novel):

@@ -17,7 +17,15 @@ import numpy as np
 from .data import Samples, features_of, labels_at_level
 from .errors import EmptySplit
 from .model import ensure_compatible, predict_probs
-from .records import read_record, write_record
+from .records import (
+    field_keys,
+    field_texts,
+    parse_fields,
+    read_record,
+    value_parser,
+    value_text,
+    write_record,
+)
 from .taxonomy import Taxonomy, coarse_probs
 
 _EVAL_MAGIC = "hierssl-eval v1"
@@ -69,54 +77,53 @@ def evaluate(model, samples: Samples, taxonomy: Taxonomy) -> EvalReport:
     return EvalReport(n_samples=len(samples), top1=rows[-1][2], levels=rows)
 
 
+# n_samples and top1 are one line each; every level is a "level L name acc" row
+_REPORT_KEYS = {k: v for k, v in field_keys(EvalReport).items() if k != "levels"}
+_ACCURACY = value_parser(float)
+
+
 def write_report(report: EvalReport, path) -> None:
     write_record(path, _EVAL_MAGIC, [
-        f"n_samples {report.n_samples}",
-        f"top1 {repr(float(report.top1))}",
-        *(f"level {level} {name} {repr(float(acc))}"
-          for level, name, acc in report.levels),
+        *(f"{key} {text}" for key, text in field_texts(_REPORT_KEYS, report).items()),
+        *(f"level {level} {name} {value_text(acc)}" for level, name, acc in report.levels),
     ])
 
 
 def read_report(path) -> EvalReport:
-    n_samples = None
-    top = None
     levels = []
-    with read_record(path, _EVAL_MAGIC) as body:
+
+    def key_tokens(body):
         for _, line in body:
             parts = line.split()
-            if parts[0] == "n_samples" and len(parts) == 2:
-                n_samples = int(parts[1])
-            elif parts[0] == "top1" and len(parts) == 2:
-                top = float(parts[1])
-            elif parts[0] == "level" and len(parts) == 4:
-                levels.append((int(parts[1]), parts[2], float(parts[3])))
+            if parts[0] == "level" and len(parts) == 4:
+                if int(parts[1]) != len(levels) + 1:  # levels 1, 2, ... in order
+                    raise ValueError(f"expected level {len(levels) + 1}, got {parts[1]}")
+                levels.append((len(levels) + 1, parts[2], _ACCURACY(parts[3])))
             else:
-                raise ValueError(f"malformed line {line!r}")
-        if n_samples is None or top is None or not levels:
-            raise ValueError("missing n_samples, top1, or level lines")
+                yield from parts
+
+    with read_record(path, _EVAL_MAGIC) as body:
+        n_samples, top = parse_fields(_REPORT_KEYS, key_tokens(body))
+        if not levels:
+            raise ValueError("no level lines")
     return EvalReport(n_samples=n_samples, top1=top, levels=tuple(levels))
+
+
+_SWEEP_KEYS = {key: (key, value_parser(hint)) for key, hint in
+               (("level", int | None), ("seed", int), ("top1", float))}
 
 
 def write_sweep(rows: Sequence[tuple[int | None, int, float]], path) -> None:
     """Rows of (supervision level or None, seed, top1)."""
     write_record(path, _SWEEP_MAGIC, [
-        f"level {'none' if level is None else level} seed {seed} "
-        f"top1 {repr(float(acc))}"
-        for level, seed, acc in rows
+        " ".join(f"{key} {value_text(value)}" for key, value in zip(_SWEEP_KEYS, row))
+        for row in rows
     ])
 
 
 def read_sweep(path) -> list[tuple[int | None, int, float]]:
-    rows = []
     with read_record(path, _SWEEP_MAGIC) as body:
-        for _, line in body:
-            parts = line.split()
-            if len(parts) != 6 or parts[0::2] != ["level", "seed", "top1"]:
-                raise ValueError(f"malformed line {line!r}")
-            level = None if parts[1] == "none" else int(parts[1])
-            rows.append((level, int(parts[3]), float(parts[5])))
-    return rows
+        return [tuple(parse_fields(_SWEEP_KEYS, line.split())) for _, line in body]
 
 
 def sweep_means(rows: Sequence[tuple[int | None, int, float]]) -> dict:

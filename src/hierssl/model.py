@@ -269,6 +269,16 @@ def ensure_compatible(model, taxonomy) -> None:
 # -- checkpoints -----------------------------------------------------------------
 
 
+# the header keys in file order, each with its parser
+_HEADER = {"arch": str, **dict.fromkeys(("dim", "hidden", "classes", "seed", "step"), int)}
+# each architecture's parameter shapes, in the size fields of the header
+_PARAM_SHAPES = {
+    "linear": {"W": ("classes", "dim"), "b": ("classes",)},
+    "mlp1": {"W1": ("hidden", "dim"), "b1": ("hidden",),
+             "W2": ("classes", "hidden"), "b2": ("classes",)},
+}
+
+
 def _encode(arr: np.ndarray) -> str:
     return base64.b64encode(np.ascontiguousarray(arr, dtype="<f8").tobytes()).decode()
 
@@ -277,32 +287,20 @@ def save_checkpoint(model, path, seed: int, step: int,
                     meta: dict[str, str] | None = None) -> None:
     """Textual format, byte-identical across reruns: header fields, then
     each parameter as a shape line plus base64 little-endian float64 data."""
-    lines = [
-        f"arch {model.arch}",
-        f"dim {model.dim}",
-        f"hidden {model.hidden}",
-        f"classes {model.n_classes}",
-        f"seed {seed}",
-        f"step {step}",
-    ]
+    header = (model.arch, model.dim, model.hidden, model.n_classes, seed, step)
+    lines = [f"{key} {value}" for key, value in zip(_HEADER, header)]
     for key in sorted(meta or {}):
         value = str((meta or {})[key])
-        if any(ch.isspace() for ch in key) or "\n" in value:
-            raise ConfigError(f"meta key/value must be single-line: {key!r}")
+        # any line break, not only "\n", would split the line on reading
+        if (not key or any(ch.isspace() for ch in key)
+                or "".join(value.splitlines()) != value):
+            raise ConfigError(f"meta key must be one word, value one line: {key!r}")
         lines.append(f"meta {key} {value}")
     for name, arr in model.params.items():
         shape = " ".join(str(s) for s in arr.shape)
         lines.append(f"param {name} {shape}")
         lines.append(_encode(arr))
     write_record(path, _CKPT_MAGIC, lines)
-
-
-# each architecture's parameter shapes, in the size fields of the header
-_PARAM_SHAPES = {
-    "linear": {"W": ("classes", "dim"), "b": ("classes",)},
-    "mlp1": {"W1": ("hidden", "dim"), "b1": ("hidden",),
-             "W2": ("classes", "hidden"), "b2": ("classes",)},
-}
 
 
 def load_checkpoint(path):
@@ -322,15 +320,18 @@ def load_checkpoint(path):
             key, value = line.split(maxsplit=1)
             if key == "meta":
                 k, _, v = value.partition(" ")
+                if k in meta:
+                    raise ValueError(f"repeated meta key {k!r}")
                 meta[k] = v
+            elif key not in _HEADER or key in header:
+                raise ValueError(
+                    f"{'repeated' if key in header else 'unknown'} key {key!r}")
             else:
-                header[key] = value if key == "arch" else int(value)
+                header[key] = _HEADER[key](value)
                 at[key] = ln
         else:
             line = None
-        arch, dim, hidden, classes = (
-            header[k] for k in ("arch", "dim", "hidden", "classes"))
-        seed, step = header["seed"], header["step"]
+        arch, dim, hidden, classes, seed, step = (header[k] for k in _HEADER)
         for key in ("dim", "hidden", "classes"):
             if header[key] < 0:
                 raise ParseError(f"{key}: must be >= 0", line=at[key])
@@ -346,24 +347,20 @@ def load_checkpoint(path):
         while line is not None:
             parts = line.split()
             if parts[0] != "param" or len(parts) < 3:
-                raise ParseError(f"expected a param line, got {line!r}", line=ln)
+                raise ValueError(f"expected a param line, got {line!r}")
             name = parts[1]
             shape = tuple(int(s) for s in parts[2:])
-            if name not in fields:
-                raise ParseError(f"unknown parameter {name!r} for arch {arch}",
-                                 line=ln)
+            if name not in fields or name in params:
+                raise ValueError(f"unknown or repeated parameter {name!r} for arch {arch}")
             if len(shape) != len(fields[name]):
-                raise ParseError(
-                    f"parameter {name} has shape {shape}, expected "
-                    f"{len(fields[name])} dimensions", line=ln)
+                raise ValueError(f"parameter {name} has shape {shape}, expected "
+                                 f"{len(fields[name])} dimensions")
             ln, line = next(lines, (ln, None))
             if line is None:
-                raise ParseError(f"missing data for parameter {name}", line=ln)
+                raise ValueError(f"missing data for parameter {name}")
             data = np.frombuffer(base64.b64decode(line), dtype="<f8")
             if data.size != math.prod(shape):
-                raise ParseError(
-                    f"parameter {name}: {data.size} values for shape {shape}",
-                    line=ln)
+                raise ValueError(f"parameter {name}: {data.size} values for shape {shape}")
             for size, key in zip(shape, fields[name]):
                 if size != header[key]:
                     raise ParseError(

@@ -10,14 +10,14 @@ fields feed the diagnostic counts alone.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import DataSplit, Samples, features_of, labels_at_level
 from .errors import ConfigError
 from .model import ensure_compatible, predict_probs
-from .records import read_record, write_record
+from .records import field_keys, field_texts, parse_fields, read_record, write_record
 from .taxonomy import Taxonomy
 
 _FILTER_MAGIC = "hierssl-filter v1"
@@ -112,23 +112,18 @@ def filter_split(model, taxonomy: Taxonomy, split: DataSplit,
     return split.replace_coarse(pool.take(mask)), filter_stats(pool, mask)
 
 
+_CONFIG_KEYS = field_keys(FilterConfig)
+_STATS_KEYS = field_keys(FilterStats)
+
+
 def write_filter_report(stats: FilterStats, cfg: FilterConfig, path) -> None:
-    write_record(path, _FILTER_MAGIC, [
-        f"tau {repr(float(cfg.tau))}",
-        f"match_level {cfg.match_level}",
-        *(f"{key} {value}" for key, value in asdict(stats).items()),
-    ])
+    texts = {**field_texts(_CONFIG_KEYS, cfg), **field_texts(_STATS_KEYS, stats)}
+    write_record(path, _FILTER_MAGIC, [f"{key} {text}" for key, text in texts.items()])
 
 
 def read_filter_report(path) -> tuple[FilterStats, FilterConfig]:
-    values = {}
     with read_record(path, _FILTER_MAGIC) as body:
-        for _, line in body:
-            key, value = line.split()
-            values[key] = value
-        cfg = FilterConfig(tau=float(values["tau"]),
-                           match_level=int(values["match_level"]))
-        stats = FilterStats(**{
-            f.name: int(values[f.name]) for f in fields(FilterStats)
-        })
-    return stats, cfg
+        values = parse_fields({**_CONFIG_KEYS, **_STATS_KEYS},
+                              (tok for _, line in body for tok in line.split()))
+    n = len(_CONFIG_KEYS)
+    return FilterStats(*values[n:]), FilterConfig(*values[:n])

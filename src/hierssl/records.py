@@ -1,4 +1,5 @@
-"""The envelope shared by every ``hierssl-* v1`` text artifact.
+"""The envelope shared by every ``hierssl-* v1`` text artifact, and the
+one spelling of a typed value inside it.
 
 An artifact is UTF-8 text: a magic line naming the format and its
 version, then one record per line, each line newline-terminated. This is
@@ -6,12 +7,21 @@ the only module that opens files. A write goes to a sibling temporary
 file that is renamed over the target, so a reader never sees half an
 artifact. A read checks the magic line and reports every parse failure
 as a ``ParseError`` carrying the line number.
+
+Config files, reports and checkpoint headers spell a value by the type
+of the dataclass field that holds it: "none" is None, booleans are
+"true" or "false", tuples are comma-joined, and floats are finite, in
+shortest-exact form.
 """
 
 from __future__ import annotations
 
+import math
 import os
+import types
+import typing
 from contextlib import contextmanager
+from dataclasses import fields, is_dataclass
 
 from .errors import EmptyInput, ParseError
 
@@ -66,3 +76,77 @@ def read_record(path, magic: str):
     except (ValueError, IndexError, KeyError) as exc:
         why = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
         raise ParseError(why, line=body.line) from None
+
+
+def _finite(s: str) -> float:
+    if not math.isfinite(value := float(s)):
+        raise ValueError(f"not a finite float: {s!r}")
+    return value
+
+
+def _bool(s: str) -> bool:
+    if s not in ("true", "false"):
+        raise ValueError(f"not true or false: {s!r}")
+    return s == "true"
+
+
+def value_parser(hint):
+    """The string parser of one field type; the inverse of ``value_text``."""
+    args = typing.get_args(hint)
+    if isinstance(hint, types.UnionType):  # X | None
+        inner = value_parser(args[0])
+        return lambda s: None if s == "none" else inner(s)
+    if typing.get_origin(hint) is tuple:  # tuple[T, ...] or a fixed count of T
+        item = value_parser(args[0])
+        size = None if args[-1] is Ellipsis else len(args)
+
+        def parse_tuple(s: str) -> tuple:
+            out = tuple(item(v) for v in s.split(","))
+            if size is not None and len(out) != size:
+                raise ValueError(s)
+            return out
+        return parse_tuple
+    return {int: int, float: _finite, str: str, bool: _bool}[hint]
+
+
+def value_text(value) -> str:
+    """The canonical text of a value; the inverse of ``value_parser``."""
+    if value is None:
+        return "none"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):  # a numpy float prints shortest-exact too
+        return repr(float(value))
+    if isinstance(value, (tuple, list)):
+        return ",".join(value_text(v) for v in value)
+    return str(value)
+
+
+def field_keys(cls, **renames: str) -> dict:
+    """Key -> (field name, parser) for each field of a dataclass, leaving
+    out a nested dataclass, whose fields are keys of their own."""
+    hints = typing.get_type_hints(cls)
+    return {renames.get(f.name, f.name): (f.name, value_parser(hints[f.name]))
+            for f in fields(cls) if not is_dataclass(hints[f.name])}
+
+
+def field_texts(keys: dict, obj) -> dict[str, str]:
+    """Key -> text of each field of ``obj`` that ``keys`` names."""
+    return {key: value_text(getattr(obj, name)) for key, (name, _) in keys.items()}
+
+
+def parse_fields(keys: dict, tokens) -> list:
+    """The typed values, in the order of ``keys``, of ``key value key value
+    ...`` tokens that name every key of ``keys`` exactly once."""
+    values = {}
+    tokens = iter(tokens)
+    for key in tokens:
+        if key not in keys or key in values:
+            raise ValueError(f"{'repeated' if key in values else 'unknown'} key {key!r}")
+        text = next(tokens, None)
+        if text is None:
+            raise ValueError(f"no value for key {key!r}")
+        values[key] = keys[key][1](text)
+    if missing := [key for key in keys if key not in values]:
+        raise ValueError(f"missing keys: {', '.join(missing)}")
+    return [values[key] for key in keys]

@@ -207,6 +207,10 @@ class MarginalizationMatrix:
 
     def __post_init__(self):
         amap = self.ancestor_map
+        if amap.size and (amap.min() < 0 or amap.max() >= self.n_coarse):
+            raise OutOfRange(f"ancestor map index out of range 0..{self.n_coarse - 1}")
+        if not np.bincount(amap, minlength=self.n_coarse).all():
+            raise DataError("some coarse class has no fine class")
         # A nondecreasing map is its own stable argsort: _order is None and
         # marginalize sums the input in place instead of gathering a copy.
         order = None

@@ -47,7 +47,7 @@ from .model import (
     make_model,
     momentum_update,
 )
-from .records import read_record, write_record
+from .records import field_keys, field_texts, parse_fields, read_record, write_record
 from .taxonomy import MarginalizationMatrix, Taxonomy
 
 
@@ -187,38 +187,32 @@ class TrainResult:
     pretrain_trace: list[PretrainStats] | None = None
 
 
+_STEP_KEYS = field_keys(StepStats)
+_PRETRAIN_KEYS = field_keys(PretrainStats, step="pretrain", queue_len="queue")
+
+
 def write_metrics(trace: list[StepStats], path,
                   pretrain_trace: list[PretrainStats] | None = None) -> None:
-    """Per-step losses as text, floats in shortest-exact form."""
-    lines = [
-        f"pretrain {p.step} loss {repr(float(p.loss))} queue {p.queue_len}"
-        for p in pretrain_trace or ()
-    ]
-    for s in trace:
-        lines.append(
-            f"step {s.step} total {repr(float(s.total))} fine {repr(float(s.fine))} "
-            f"coarse {repr(float(s.coarse))} extra {repr(float(s.extra))} "
-            f"mask_rate {repr(float(s.mask_rate))}"
-        )
-    write_record(path, _METRICS_MAGIC, lines)
+    """One ``key value ...`` line per step, pretraining steps first."""
+    write_record(path, _METRICS_MAGIC, [
+        " ".join(f"{key} {text}" for key, text in field_texts(keys, s).items())
+        for keys, stats in ((_PRETRAIN_KEYS, pretrain_trace or ()), (_STEP_KEYS, trace))
+        for s in stats
+    ])
 
 
 def read_metrics(path):
     """Returns (trace, pretrain_trace); both round-trip exactly."""
-    trace: list[StepStats] = []
-    pretrain: list[PretrainStats] = []
+    trace, pretrain = [], []
+    kinds = {"step": (StepStats, _STEP_KEYS, trace),
+             "pretrain": (PretrainStats, _PRETRAIN_KEYS, pretrain)}
     with read_record(path, _METRICS_MAGIC) as body:
         for _, line in body:
-            parts = line.split()
-            if parts[0] == "pretrain" and len(parts) == 6:
-                pretrain.append(PretrainStats(int(parts[1]), float(parts[3]),
-                                              int(parts[5])))
-            elif parts[0] == "step" and len(parts) == 12:
-                trace.append(StepStats(int(parts[1]), float(parts[3]),
-                                       float(parts[5]), float(parts[7]),
-                                       float(parts[9]), float(parts[11])))
-            else:
-                raise ValueError(f"malformed line {line!r}")
+            tokens = line.split()
+            if tokens[0] not in kinds:
+                raise ValueError(f"unknown line kind {tokens[0]!r}")
+            cls, keys, out = kinds[tokens[0]]
+            out.append(cls(*parse_fields(keys, tokens)))
     return trace, pretrain or None
 
 

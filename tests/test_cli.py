@@ -519,14 +519,47 @@ GOLDEN_CONFIGS = {
 }
 
 
+def _pinned_run(argv, data_dir, trained, out: Path) -> None:
+    """Run one pinned command on the module's data and checkpoint."""
+    if argv[0] != "gen-data":
+        argv = [*argv, "--data", str(data_dir)]
+    if argv[0] in ("filter", "eval"):
+        argv = [*argv, "--checkpoint", str(trained)]
+    assert main([*argv, "--out", str(out)]) == 0
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 @pytest.mark.parametrize("case", sorted(CONFIG_CASES))
 def test_config_bytes_are_pinned(data_dir, trained, tmp_path, case):
     argv = CONFIG_CASES[case]
-    if argv[0] != "gen-data":
-        argv = [*argv, "--data", str(data_dir)]
-    if argv[0] == "filter":
-        argv = [*argv, "--checkpoint", str(trained)]
-    assert main([*argv, "--out", str(tmp_path)]) == 0
+    _pinned_run(argv, data_dir, trained, tmp_path)
     config = tmp_path / ("seed0" if argv[0] == "train" else "") / "config.txt"
-    digest = hashlib.sha256(config.read_bytes()).hexdigest()
-    assert digest == GOLDEN_CONFIGS[case]
+    assert _sha256(config) == GOLDEN_CONFIGS[case]
+
+
+# sha256 of the report each command writes; computed before the report
+# formats moved onto the shared typed-field codec in hierssl.records
+REPORT_CASES = {
+    "eval.txt": ["eval"],
+    "filter_report.txt": ["filter", "--set", "filter_tau=0.3"],
+    "sweep.txt": ["sweep", "--set", "steps=8", "--levels", "none,1",
+                  "--seeds", "0,1", "--jobs", "1"],
+}
+
+GOLDEN_REPORTS = {
+    "eval.txt":
+        "eade5443696fb9ba6918a790002184f2949e131f1ca6668d9457b85d9f2b6a06",
+    "filter_report.txt":
+        "6c2664925dc19a7075f8f82ca9abd819ee76700f525bf7207e536b3e1906cc13",
+    "sweep.txt":
+        "676141c550a05c4797a3c9c256cc941c22fba4b661b9e665bae705266e2488ba",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_CASES))
+def test_report_bytes_are_pinned(data_dir, trained, tmp_path, name):
+    _pinned_run(REPORT_CASES[name], data_dir, trained, tmp_path)
+    assert _sha256(tmp_path / name) == GOLDEN_REPORTS[name]

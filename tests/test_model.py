@@ -246,6 +246,17 @@ class TestCheckpoint:
         with pytest.raises(ParseError):
             load_checkpoint(p)
 
+    def test_repeated_parameter_reports_its_line(self, tmp_path):
+        model = fresh("linear")
+        p = tmp_path / "x.ckpt"
+        save_checkpoint(model, p, seed=0, step=0)
+        lines = p.read_text().splitlines()
+        at = next(i for i, l in enumerate(lines) if l.startswith("param b"))
+        p.write_text("\n".join(lines + lines[at:at + 2]) + "\n")
+        with pytest.raises(ParseError) as e:
+            load_checkpoint(p)
+        assert e.value.line == len(lines) + 1
+
     def test_malformed_shape_line_reports_line(self, tmp_path):
         model = fresh("linear")
         p = tmp_path / "x.ckpt"
@@ -259,7 +270,19 @@ class TestCheckpoint:
         assert e.value.line == at + 1
 
     def test_multiline_meta_rejected_at_save(self, tmp_path):
+        # each would write a checkpoint that reads back different or not at
+        # all: an empty key, and every line break that str.splitlines knows
         model = fresh("linear")
-        with pytest.raises(ConfigError):
-            save_checkpoint(model, tmp_path / "x.ckpt", seed=0, step=0,
-                            meta={"bad key": "x"})
+        bad = [{"bad key": "x"}, {"": "v"}, {"k": "a\nb"}, {"k": "a\rb"},
+               {"k": "a\x0cb"}, {"k": "a\u2028b"}, {"k": "a\r\n"}]
+        for meta in bad:
+            with pytest.raises(ConfigError):
+                save_checkpoint(model, tmp_path / "x.ckpt", seed=0, step=0,
+                                meta=meta)
+        assert not (tmp_path / "x.ckpt").exists()
+
+    def test_meta_round_trips_with_spaces_and_empty_values(self, tmp_path):
+        meta = {"a": "", "b": " two  words ", "c": "tab\tinside"}
+        save_checkpoint(fresh("linear"), tmp_path / "x.ckpt", seed=0, step=0,
+                        meta=meta)
+        assert load_checkpoint(tmp_path / "x.ckpt")[1]["meta"] == meta

@@ -2,6 +2,7 @@
 byte corruption with a typed error, writes are atomic, and no other
 module opens files."""
 
+import ast
 import os
 import random
 import re
@@ -15,7 +16,7 @@ from hierssl import records
 from hierssl.cli import main
 from hierssl.config import load_config, write_config
 from hierssl.data import GenConfig, generate, load_dataset, save_dataset
-from hierssl.errors import HiersslError
+from hierssl.errors import HiersslError, ParseError
 from hierssl.evaluate import (
     EvalReport,
     read_report,
@@ -151,6 +152,92 @@ def test_cli_exits_3_on_corrupted_input(inputs, tmp_path, capsys, name, how):
     assert "data error" in capsys.readouterr().err
 
 
+def _strict_writers(tiny):
+    """A writer per format whose output has its body lines at known numbers."""
+    report = EvalReport(n_samples=4, top1=0.25,
+                        levels=((1, "L1", 1.0), (2, "L2", 0.25)))
+    return {
+        # 2 pretrain, 3 step
+        "metrics": lambda p: write_metrics(
+            [StepStats(0, 1.5, 1.0, 0.25, 0.25, 0.5)], p, [PretrainStats(0, 2.5, 4)]),
+        # 2 n_samples, 3 top1, 4-5 level rows
+        "eval": lambda p: write_report(report, p),
+        # 2 level none, 3 level 2
+        "sweep": lambda p: write_sweep([(None, 0, 0.5), (2, 0, 0.75)], p),
+        # 2 tau, 3 match_level, 4-9 counts
+        "filter": lambda p: write_filter_report(
+            FilterStats(10, 5, 6, 4, 4, 1), FilterConfig(), p),
+        # 2-7 arch dim hidden classes seed step, 8 meta, 9 on params
+        "checkpoint": lambda p: save_checkpoint(
+            _model(tiny), p, seed=0, step=3, meta={"method": "baseline"}),
+    }
+
+
+_READERS = {"metrics": read_metrics, "eval": read_report, "sweep": read_sweep,
+            "filter": read_filter_report, "checkpoint": load_checkpoint}
+
+# (format, line number, that line's new text, whether it is inserted there
+# instead of replacing the line)
+STRICT_CASES = {
+    "metrics-step-unknown":
+        ("metrics", 3, "step 0 foo 1.0 bar 2.0 coarse 0.25 extra 0.25 mask_rate 0.5", False),
+    "metrics-step-repeated":
+        ("metrics", 3, "step 0 total 1.5 total 1.0 coarse 0.25 extra 0.25 mask_rate 0.5",
+         False),
+    "metrics-step-nonfinite":
+        ("metrics", 3, "step 0 total nan fine inf coarse 0.25 extra 0.25 mask_rate 0.5",
+         False),
+    "metrics-pretrain-unknown": ("metrics", 2, "pretrain 0 loss 2.5 bogus 4", False),
+    "metrics-pretrain-repeated": ("metrics", 2, "pretrain 0 loss 2.5 loss 2.5", False),
+    "metrics-pretrain-nonfinite": ("metrics", 2, "pretrain 0 loss inf queue 4", False),
+    "eval-unknown": ("eval", 6, "bogus 9", True),
+    "eval-repeated": ("eval", 4, "top1 0.5", True),
+    "eval-nonfinite": ("eval", 3, "top1 nan", False),
+    "eval-level-nonfinite": ("eval", 5, "level 2 L2 inf", False),
+    "eval-level-repeated": ("eval", 5, "level 1 L1 1.0", True),
+    "sweep-unknown": ("sweep", 2, "level none seed 0 acc 0.5", False),
+    "sweep-repeated": ("sweep", 3, "level 2 seed 0 seed 1 top1 0.75", False),
+    "sweep-nan": ("sweep", 2, "level none seed 0 top1 nan", False),
+    "sweep-inf": ("sweep", 3, "level 2 seed 0 top1 inf", False),
+    "filter-unknown": ("filter", 10, "bogus 9", True),
+    "filter-repeated": ("filter", 10, "kept_out 3", True),
+    "filter-nonfinite": ("filter", 2, "tau inf", False),
+    "checkpoint-unknown": ("checkpoint", 7, "bogus 12", True),
+    "checkpoint-repeated": ("checkpoint", 7, "seed 7", True),
+    "checkpoint-meta-repeated": ("checkpoint", 9, "meta method other", True),
+}
+
+
+def _edit(path, line: int, text: str, insert: bool) -> None:
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[line - 1:line - 1 + (not insert)] = [text]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("case", sorted(STRICT_CASES))
+def test_unknown_repeated_or_nonfinite_fields_fail_at_their_line(tiny, tmp_path,
+                                                                 case):
+    fmt, line, text, insert = STRICT_CASES[case]
+    p = tmp_path / f"{fmt}.txt"
+    _strict_writers(tiny)[fmt](p)
+    _READERS[fmt](p)
+    _edit(p, line, text, insert)
+    with pytest.raises(ParseError) as e:
+        _READERS[fmt](p)
+    assert e.value.line == line
+
+
+@pytest.mark.parametrize("text", ["bogus 12", "seed 7"])
+def test_cli_exits_3_on_unknown_or_repeated_checkpoint_key(inputs, tmp_path,
+                                                           capsys, text):
+    ckpt = tmp_path / "checkpoint.txt"
+    ckpt.write_bytes((inputs / "checkpoint.txt").read_bytes())
+    _edit(ckpt, 7, text, insert=True)
+    assert main(["eval", "--data", str(inputs), "--checkpoint", str(ckpt),
+                 "--out", str(tmp_path / "out")]) == 3
+    assert "line 7" in capsys.readouterr().err
+
+
 class TestAtomicWrite:
     def test_success_leaves_only_the_target(self, tmp_path):
         p = tmp_path / "r.txt"
@@ -195,3 +282,25 @@ def test_only_records_opens_files_or_checks_magic():
             continue
         assert not re.search(r"\bopen\(", text), source.name
         assert "expected header" not in text, source.name
+
+
+def _spells_typed_values(node) -> bool:
+    """A "none" constant, or a call repr(float(...))."""
+    if isinstance(node, ast.Constant):
+        return node.value == "none"
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "repr" and len(node.args) == 1
+            and isinstance(node.args[0], ast.Call)
+            and isinstance(node.args[0].func, ast.Name)
+            and node.args[0].func.id == "float")
+
+
+def test_only_records_spells_typed_values():
+    package = Path(hierssl.__file__).parent
+    for source in sorted(package.glob("*.py")):
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        spelled = [node for node in ast.walk(tree) if _spells_typed_values(node)]
+        if source.name == "records.py":
+            assert spelled, "the codec moved out of records.py"
+        else:
+            assert spelled == [], source.name

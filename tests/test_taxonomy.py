@@ -178,6 +178,15 @@ class TestMarginalize:
         with pytest.raises(LevelOrder):
             marginalization_matrix(toy, 2, 3)
 
+    def test_ancestor_map_checked_against_n_coarse(self):
+        # an index past n_coarse, and a coarse class left without a fine class
+        with pytest.raises(OutOfRange):
+            MarginalizationMatrix(2, 1, np.array([0, 1, 2]), 2)
+        with pytest.raises(OutOfRange):
+            MarginalizationMatrix(2, 1, np.array([0, -1, 1]), 2)
+        with pytest.raises(DataError):
+            MarginalizationMatrix(2, 1, np.array([0, 0, 2]), 3)
+
     def test_wrong_width_rejected(self, toy):
         w = marginalization_matrix(toy, 3, 1)
         with pytest.raises(DimensionMismatch):
