@@ -144,7 +144,7 @@ def cmd_train(args) -> int:
     values = _merged_values(args)
     base = train_config_from(values)
     seeds = ([base.seed] if args.seeds is None
-             else _parse_list("--seeds", args.seeds, int))
+             else _parse_list("--seeds", args.seeds, value_parser(int)))
     jobs = _check_jobs(args.jobs)
     split, taxonomy = _load_inputs(args)
     out = _resolve_out(args.out, "runs")
@@ -195,7 +195,7 @@ def cmd_sweep(args) -> int:
     base = train_config_from(values)
     levels = _parse_list("--levels", args.levels, value_parser(int | None))
     seeds = ([base.seed] if args.seeds is None
-             else _parse_list("--seeds", args.seeds, int))
+             else _parse_list("--seeds", args.seeds, value_parser(int)))
     jobs = _check_jobs(args.jobs)
     split, taxonomy = _load_inputs(args)
     tasks = [(split, taxonomy, values, level, seed)

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, ParseError, UnknownClass
-from .records import read_record, write_record
+from .records import read_record, value_parser, write_record
 from .taxonomy import (
     Taxonomy,
     build_taxonomy,
@@ -343,7 +343,7 @@ def _draw_centers(taxonomy, config, rng, novel):
     for l in range(1, depth + 1):
         n = taxonomy.class_counts[l - 1]
         offsets = rng.standard_normal((n, config.dim))
-        parent_centers = centers[-1][taxonomy.parent_of(l)] if l > 1 else 0.0
+        parent_centers = centers[-1][taxonomy.ancestor_map(l, l - 1)] if l > 1 else 0.0
         out_mask = np.array([nm in novel for nm in taxonomy.class_names(l)])
         scale = config.sigma_levels[l - 1] * np.where(
             out_mask, config.out_offset_scale, 1.0
@@ -427,11 +427,10 @@ def load_dataset(path, taxonomy: Taxonomy) -> DataSplit:
         lines = iter(body)
         ln, line = next(lines, (2, ""))
         key, _, dim = line.partition(" ")
-        if key != "d" or not dim.isdigit():
+        if key != "d" or (dim := value_parser(int)(dim)) < 0:
             raise ParseError(
                 f"expected 'd <dim>' with dim >= 0, got {line!r}", line=ln
             )
-        dim = int(dim)
         ln, line = next(lines, (ln + 1, ""))
         key, _, names = line.partition(" ")
         if key != "levels":

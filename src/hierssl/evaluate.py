@@ -32,32 +32,6 @@ _EVAL_MAGIC = "hierssl-eval v1"
 _SWEEP_MAGIC = "hierssl-sweep v1"
 
 
-def _leaf_probs(model, samples: Samples, taxonomy: Taxonomy) -> np.ndarray:
-    """Leaf distribution of every sample: the one forward pass of a score."""
-    if not samples:
-        raise EmptySplit("cannot evaluate on an empty sample list")
-    ensure_compatible(model, taxonomy)
-    return predict_probs(model, features_of(samples))
-
-
-def _marginal_accuracy(probs: np.ndarray, samples: Samples,
-                       taxonomy: Taxonomy, level: int) -> float:
-    pred = coarse_probs(taxonomy, probs, level).argmax(axis=-1)
-    return float((pred == labels_at_level(samples, taxonomy, level)).mean())
-
-
-def top1(model, samples: Samples, taxonomy: Taxonomy) -> float:
-    return level_accuracy(model, samples, taxonomy, taxonomy.leaf_level)
-
-
-def level_accuracy(model, samples: Samples, taxonomy: Taxonomy,
-                   level: int) -> float:
-    """Accuracy at one level: leaf probabilities are summed up to the level
-    before the argmax."""
-    probs = _leaf_probs(model, samples, taxonomy)
-    return _marginal_accuracy(probs, samples, taxonomy, level)
-
-
 @dataclass(frozen=True)
 class EvalReport:
     n_samples: int
@@ -67,14 +41,22 @@ class EvalReport:
 
 
 def evaluate(model, samples: Samples, taxonomy: Taxonomy) -> EvalReport:
-    """Accuracy at every level, all marginalized from one forward pass."""
-    probs = _leaf_probs(model, samples, taxonomy)
-    rows = tuple(
-        (level, taxonomy.level_names[level - 1],
-         _marginal_accuracy(probs, samples, taxonomy, level))
-        for level in range(1, taxonomy.num_levels + 1)
-    )
-    return EvalReport(n_samples=len(samples), top1=rows[-1][2], levels=rows)
+    """Accuracy at every level, all marginalized from one forward pass:
+    leaf probabilities are summed up to each level before the argmax."""
+    if not samples:
+        raise EmptySplit("cannot evaluate on an empty sample list")
+    ensure_compatible(model, taxonomy)
+    probs = predict_probs(model, features_of(samples))
+    rows = []
+    for level in range(1, taxonomy.num_levels + 1):
+        pred = coarse_probs(taxonomy, probs, level).argmax(axis=-1)
+        acc = float((pred == labels_at_level(samples, taxonomy, level)).mean())
+        rows.append((level, taxonomy.level_names[level - 1], acc))
+    return EvalReport(n_samples=len(samples), top1=rows[-1][2], levels=tuple(rows))
+
+
+def top1(model, samples: Samples, taxonomy: Taxonomy) -> float:
+    return evaluate(model, samples, taxonomy).top1
 
 
 # n_samples and top1 are one line each; every level is a "level L name acc" row
@@ -96,7 +78,7 @@ def read_report(path) -> EvalReport:
         for _, line in body:
             parts = line.split()
             if parts[0] == "level" and len(parts) == 4:
-                if int(parts[1]) != len(levels) + 1:  # levels 1, 2, ... in order
+                if value_parser(int)(parts[1]) != len(levels) + 1:  # levels 1, 2, ... in order
                     raise ValueError(f"expected level {len(levels) + 1}, got {parts[1]}")
                 levels.append((len(levels) + 1, parts[2], _ACCURACY(parts[3])))
             else:

@@ -103,45 +103,15 @@ def marginalized_cross_entropy(
     return loss, grad / n
 
 
-def hier_supervised_loss(
-    labeled_logits: np.ndarray,
-    labels: np.ndarray,
-    coarse_logits: np.ndarray,
-    coarse_labels: np.ndarray,
-    w: MarginalizationMatrix,
-    unsup_weight: float = 1.0,
-):
-    """Fine CE on the labeled batch plus marginalized CE on the coarse batch.
-
-    Each term is averaged over its own batch; either batch may be empty,
-    in which case its term (and gradient) is zero.
-    """
-    fine_loss, fine_grad = cross_entropy(labeled_logits, labels)
-    coarse_loss, coarse_grad = marginalized_cross_entropy(coarse_logits, coarse_labels, w)
-    loss = fine_loss + unsup_weight * coarse_loss
-    return loss, fine_grad, unsup_weight * coarse_grad
-
-
 def pseudo_label_loss(logits: np.ndarray, tau: float):
-    """Self-labeled CE on confident predictions.
+    """Self-labeled CE on confident predictions: FixMatch's one-view case.
 
-    The argmax target and its confidence gate come from the same logits
-    but are treated as constants; only samples with max probability at
-    least ``tau`` contribute. The mean is over the full batch.
+    The argmax target and its confidence gate are constants, as the weak
+    view's are in ``fixmatch_loss``. With one view the target's probability
+    is the row max, at least 1 / C > ``PROB_FLOOR``, so exactly the gated
+    samples contribute.
     """
-    logits = _require_finite("logits", np.atleast_2d(np.asarray(logits, dtype=np.float64)))
-    n, _ = logits.shape
-    if n == 0:
-        return 0.0, np.zeros_like(logits), np.zeros(0, dtype=bool)
-    probs = softmax(logits)
-    conf = probs.max(axis=-1)
-    targets = probs.argmax(axis=-1)
-    mask = conf >= tau
-    loss = float(-(np.log(np.maximum(conf, PROB_FLOOR)) * mask).sum() / n) + 0.0
-    grad = probs.copy()
-    grad[np.arange(n), targets] -= 1.0
-    grad[~mask] = 0.0
-    return loss, grad / n, mask
+    return fixmatch_loss(logits, logits, tau)
 
 
 def fixmatch_loss(weak_logits: np.ndarray, strong_logits: np.ndarray, tau: float):

@@ -25,7 +25,7 @@ from .errors import (
     NonFiniteGradient,
     ParseError,
 )
-from .records import read_record, write_record
+from .records import read_record, value_parser, write_record
 
 _CKPT_MAGIC = "hierssl-checkpoint v1"
 
@@ -133,13 +133,6 @@ def make_model(arch: str, dim: int, n_classes: int,
     if arch == "mlp1":
         return Mlp1Model(dim, n_classes, rng, hidden=hidden)
     raise ConfigError(f"arch: unknown architecture {arch!r}")
-
-
-def clone_model(model):
-    copy = make_model(model.arch, model.dim, model.n_classes,
-                      np.random.default_rng(0), hidden=model.hidden)
-    copy.params = {k: v.copy() for k, v in model.params.items()}
-    return copy
 
 
 class ProjectionHead:
@@ -270,7 +263,8 @@ def ensure_compatible(model, taxonomy) -> None:
 
 
 # the header keys in file order, each with its parser
-_HEADER = {"arch": str, **dict.fromkeys(("dim", "hidden", "classes", "seed", "step"), int)}
+_HEADER = {"arch": str,
+           **dict.fromkeys(("dim", "hidden", "classes", "seed", "step"), value_parser(int))}
 # each architecture's parameter shapes, in the size fields of the header
 _PARAM_SHAPES = {
     "linear": {"W": ("classes", "dim"), "b": ("classes",)},
@@ -349,7 +343,7 @@ def load_checkpoint(path):
             if parts[0] != "param" or len(parts) < 3:
                 raise ValueError(f"expected a param line, got {line!r}")
             name = parts[1]
-            shape = tuple(int(s) for s in parts[2:])
+            shape = tuple(map(value_parser(int), parts[2:]))
             if name not in fields or name in params:
                 raise ValueError(f"unknown or repeated parameter {name!r} for arch {arch}")
             if len(shape) != len(fields[name]):

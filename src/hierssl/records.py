@@ -10,8 +10,11 @@ as a ``ParseError`` carrying the line number.
 
 Config files, reports and checkpoint headers spell a value by the type
 of the dataclass field that holds it: "none" is None, booleans are
-"true" or "false", tuples are comma-joined, and floats are finite, in
-shortest-exact form.
+"true" or "false", tuples are comma-joined, integers are in canonical
+decimal form, and floats are finite, in shortest-exact form. A reader
+accepts only these spellings, except that a float may also take any
+other ASCII form without underscores that Python reads, such as "2" or
+"1e160". A writer refuses a non-finite float.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import typing
 from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
 
-from .errors import EmptyInput, ParseError
+from .errors import DataError, EmptyInput, ParseError
 
 
 def write_record(path, magic: str, lines) -> None:
@@ -78,7 +81,15 @@ def read_record(path, magic: str):
         raise ParseError(why, line=body.line) from None
 
 
+def _int(s: str) -> int:
+    if str(value := int(s)) != s:
+        raise ValueError(f"not a canonical integer: {s!r}")
+    return value
+
+
 def _finite(s: str) -> float:
+    if not s.isascii() or "_" in s or s.strip() != s:
+        raise ValueError(f"not a float: {s!r}")
     if not math.isfinite(value := float(s)):
         raise ValueError(f"not a finite float: {s!r}")
     return value
@@ -106,7 +117,7 @@ def value_parser(hint):
                 raise ValueError(s)
             return out
         return parse_tuple
-    return {int: int, float: _finite, str: str, bool: _bool}[hint]
+    return {int: _int, float: _finite, str: str, bool: _bool}[hint]
 
 
 def value_text(value) -> str:
@@ -116,6 +127,8 @@ def value_text(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):  # a numpy float prints shortest-exact too
+        if not math.isfinite(value):
+            raise DataError(f"cannot write a non-finite float: {value!r}")
         return repr(float(value))
     if isinstance(value, (tuple, list)):
         return ",".join(value_text(v) for v in value)

@@ -6,15 +6,13 @@ builds deterministic across runs and platforms. Instances are immutable
 after construction and safe to share between workers.
 
 Marginalizing a leaf-level distribution to a coarser level sums the
-probability of every leaf under each coarse class. The heavy path uses
-grouped summation over a precomputed ancestor map; the equivalent dense
-0/1 matrix is still constructible for checks and linear-algebra use.
-When the ancestor map is nondecreasing, every coarse class's leaves are
-already contiguous and the sum reads the input in place; only unsorted
-maps gather a reordered copy first. Every level of a ``shaped_taxonomy``
-tree is sorted, and so are Semi-iNat levels 2 and finer. Semi-iNat
-level 1 (Kingdom) is not: leaves sort by phylum name, and one kingdom's
-phyla are not adjacent in that order.
+probability of every leaf under each coarse class, by grouped summation
+over a precomputed ancestor map. When the ancestor map is nondecreasing,
+every coarse class's leaves are already contiguous and the sum reads the
+input in place; only unsorted maps gather a reordered copy first. Every
+level of a ``shaped_taxonomy`` tree is sorted, and so are Semi-iNat
+levels 2 and finer. Semi-iNat level 1 (Kingdom) is not: leaves sort by
+phylum name, and one kingdom's phyla are not adjacent in that order.
 """
 
 from __future__ import annotations
@@ -47,9 +45,9 @@ _TAXONOMY_MAGIC = "hierssl-taxonomy v1"
 class Taxonomy:
     """An L-level tree of named classes with per-level integer indexing.
 
-    ``parent_of(level)`` maps each class index at ``level`` (2..L) to its
-    parent's index at ``level - 1``. Levels are 1-based throughout the
-    public API.
+    ``ancestor_map(level, level - 1)`` maps each class index at ``level``
+    (2..L) to its parent's index. Levels are 1-based throughout the public
+    API.
     """
 
     def __init__(self, level_names, names_per_level, parents):
@@ -103,13 +101,6 @@ class Taxonomy:
         except KeyError:
             raise UnknownClass(f"no class named {name!r} at level {level}") from None
 
-    def parent_of(self, level: int) -> np.ndarray:
-        """Parent index at ``level - 1`` for every class at ``level`` (>= 2)."""
-        self._check_level(level)
-        if level == 1:
-            raise LevelOrder("level 1 classes have no parent level")
-        return self._parents[level - 1].copy()
-
     # -- ancestor queries --------------------------------------------------
 
     def ancestors(self, level: int) -> np.ndarray:
@@ -120,8 +111,7 @@ class Taxonomy:
     def ancestor_map(self, fine_level: int, coarse_level: int) -> np.ndarray:
         """Class index at ``coarse_level`` for every class at ``fine_level``.
 
-        Accepts ``coarse_level == fine_level`` (identity map); the strict
-        ordering check belongs to :func:`marginalization_matrix`.
+        Accepts ``coarse_level == fine_level`` (identity map).
         """
         self._check_level(fine_level)
         self._check_level(coarse_level)
@@ -184,26 +174,12 @@ class Taxonomy:
 
 @dataclass(frozen=True)
 class MarginalizationMatrix:
-    """Edges between a fine level and a coarse level of one taxonomy.
-
+    """Edges from a fine level to a coarse level of one taxonomy:
     ``ancestor_map[r]`` is the coarse class under which fine class ``r``
-    sits; the dense 0/1 matrix (one 1 per row) is derived from it.
-    """
+    sits."""
 
-    fine_level: int
-    coarse_level: int
     ancestor_map: np.ndarray
     n_coarse: int
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.ancestor_map), self.n_coarse)
-
-    @property
-    def dense(self) -> np.ndarray:
-        w = np.zeros(self.shape)
-        w[np.arange(len(self.ancestor_map)), self.ancestor_map] = 1.0
-        return w
 
     def __post_init__(self):
         amap = self.ancestor_map
@@ -223,20 +199,8 @@ class MarginalizationMatrix:
     @classmethod
     def between(cls, taxonomy: Taxonomy, fine_level: int, coarse_level: int):
         """Edges from ``fine_level`` to ``coarse_level``; the identity when equal."""
-        return cls(fine_level, coarse_level,
-                   taxonomy.ancestor_map(fine_level, coarse_level),
+        return cls(taxonomy.ancestor_map(fine_level, coarse_level),
                    taxonomy.class_counts[coarse_level - 1])
-
-
-def marginalization_matrix(
-    taxonomy: Taxonomy, fine_level: int, coarse_level: int
-) -> MarginalizationMatrix:
-    """Edges from classes at ``fine_level`` down to ``coarse_level < fine_level``."""
-    if coarse_level >= fine_level:
-        raise LevelOrder(
-            f"coarse level {coarse_level} must be strictly above fine level {fine_level}"
-        )
-    return MarginalizationMatrix.between(taxonomy, fine_level, coarse_level)
 
 
 def _distribution(probs, n_fine: int) -> np.ndarray:
@@ -269,7 +233,8 @@ def coarse_probs(taxonomy: Taxonomy, leaf_probs: np.ndarray, level: int) -> np.n
     """Leaf distribution(s) marginalized up to ``level`` (identity at leaves)."""
     if level == taxonomy.leaf_level:
         return _distribution(leaf_probs, taxonomy.num_leaves)
-    return marginalize(leaf_probs, marginalization_matrix(taxonomy, taxonomy.leaf_level, level))
+    w = MarginalizationMatrix.between(taxonomy, taxonomy.leaf_level, level)
+    return marginalize(leaf_probs, w)
 
 
 # -- construction ----------------------------------------------------------

@@ -16,6 +16,7 @@ with the same config are bitwise identical.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -43,7 +44,6 @@ from .model import (
     ProjectionHead,
     SgdMomentum,
     add_grads,
-    clone_model,
     make_model,
     momentum_update,
 )
@@ -387,13 +387,8 @@ def _pretrain_contrastive(split: DataSplit, taxonomy: Taxonomy, cfg: TrainConfig
 
     encoder = make_model(cfg.arch, X.shape[1], taxonomy.num_leaves, rng_init,
                          hidden=cfg.hidden)
-    head = ProjectionHead(encoder.rep_dim, cfg.emb_dim, rng_init)
-    query = ContrastiveModel(encoder, head)
-    key_encoder = clone_model(encoder)
-    key_head = ProjectionHead(encoder.rep_dim, cfg.emb_dim, rng_init)
-    key = ContrastiveModel(key_encoder, key_head)
-    for name, arr in key.params.items():
-        arr[...] = query.params[name]
+    query = ContrastiveModel(encoder, ProjectionHead(encoder.rep_dim, cfg.emb_dim, rng_init))
+    key = copy.deepcopy(query)
 
     queue = NegativeQueue(cfg.queue_size, cfg.emb_dim)
     opt = SgdMomentum(cfg.lr, cfg.momentum, cfg.weight_decay)

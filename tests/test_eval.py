@@ -4,12 +4,11 @@ round trips."""
 import numpy as np
 import pytest
 
-from hierssl.data import GenConfig, Samples, generate
+from hierssl.data import GenConfig, Samples, generate, labels_at_level
 from hierssl.errors import EmptySplit, ParseError
 from hierssl.evaluate import (
     EvalReport,
     evaluate,
-    level_accuracy,
     read_report,
     read_sweep,
     sweep_means,
@@ -17,7 +16,8 @@ from hierssl.evaluate import (
     write_report,
     write_sweep,
 )
-from hierssl.taxonomy import build_taxonomy
+from hierssl.model import predict_probs
+from hierssl.taxonomy import build_taxonomy, coarse_probs
 from hierssl.trainers import default_train_config, train
 
 TOY = GenConfig(level_counts=(1, 2, 8), dim=8, seed=0)
@@ -52,6 +52,11 @@ def two_branch_taxonomy():
     )
 
 
+def level_acc(model, samples, taxonomy, level) -> float:
+    """The accuracy ``evaluate`` reports at ``level``."""
+    return evaluate(model, samples, taxonomy).levels[level - 1][2]
+
+
 def leaf_samples(labels, dim=3):
     labels = np.asarray(labels, dtype=np.int64)
     n = len(labels)
@@ -66,35 +71,34 @@ class TestArgmaxModes:
         # leaf argmax lands in branch B (0.4), but branch A holds 0.6 mass
         logits = np.log(np.array([[0.25, 0.25, 0.1, 0.4, 0.0] ]) + 1e-12)
         model = FixedModel(logits)
-        assert level_accuracy(model, leaf_samples([0]), tax, 1) == 1.0
+        assert level_acc(model, leaf_samples([0]), tax, 1) == 1.0
 
     def test_ties_resolve_to_lowest_index(self):
         tax = two_branch_taxonomy()
         logits = np.zeros((2, 5))  # all classes tied
         model = FixedModel(logits)
-        acc = level_accuracy(model, leaf_samples([0, 0]), tax, 2)
+        acc = level_acc(model, leaf_samples([0, 0]), tax, 2)
         assert acc == 1.0  # argmax picks class 0 on a full tie
-        acc_b = level_accuracy(model, leaf_samples([1, 1]), tax, 2)
+        acc_b = level_acc(model, leaf_samples([1, 1]), tax, 2)
         assert acc_b == 0.0
 
 
 class TestAccuracy:
     def test_coarse_accuracy_dominates_fine(self, setup):
         g, model = setup
-        accs = [level_accuracy(model, g.split.test, g.in_taxonomy, lvl)
-                for lvl in (1, 2, 3)]
+        accs = [acc for _, _, acc in evaluate(model, g.split.test, g.in_taxonomy).levels]
         assert accs[0] >= accs[1] >= accs[2]
         assert accs[0] == 1.0  # single kingdom
 
     def test_top1_is_leaf_level_accuracy(self, setup):
         g, model = setup
-        assert top1(model, g.split.test, g.in_taxonomy) == level_accuracy(
-            model, g.split.test, g.in_taxonomy, 3)
+        assert top1(model, g.split.test, g.in_taxonomy) == evaluate(
+            model, g.split.test, g.in_taxonomy).top1
 
     def test_empty_sample_list_rejected(self, setup):
         g, model = setup
         with pytest.raises(EmptySplit):
-            level_accuracy(model, (), g.in_taxonomy, 1)
+            evaluate(model, (), g.in_taxonomy)
 
     def test_evaluate_covers_every_level(self, setup):
         g, model = setup
@@ -120,8 +124,11 @@ class TestAccuracy:
         report = evaluate(model, g.split.test, g.in_taxonomy)
         assert len(calls) == 1
         monkeypatch.undo()
+        probs = predict_probs(model, g.split.test.X)
         for level, _, acc in report.levels:
-            assert acc == level_accuracy(model, g.split.test, g.in_taxonomy, level)
+            pred = coarse_probs(g.in_taxonomy, probs, level).argmax(axis=-1)
+            labels = labels_at_level(g.split.test, g.in_taxonomy, level)
+            assert acc == float((pred == labels).mean())
 
 
 class TestReportFiles:

@@ -12,13 +12,14 @@ from hierssl.losses import (
     cross_entropy,
     distill_loss,
     fixmatch_loss,
-    hier_supervised_loss,
     info_nce_loss,
     marginalized_cross_entropy,
     pseudo_label_loss,
     softmax,
 )
 from hierssl.taxonomy import MarginalizationMatrix
+
+from _reference import hier_supervised_loss
 
 TIGHT = dict(rtol=1e-13, atol=1e-15)
 
@@ -84,11 +85,11 @@ NCE_GRAD = np.array([
 
 
 def mce_matrix() -> MarginalizationMatrix:
-    return MarginalizationMatrix(2, 1, MCE_ANC.copy(), 2)
+    return MarginalizationMatrix(MCE_ANC.copy(), 2)
 
 
 def identity_matrix(n: int) -> MarginalizationMatrix:
-    return MarginalizationMatrix(1, 1, np.arange(n, dtype=np.int64), n)
+    return MarginalizationMatrix(np.arange(n, dtype=np.int64), n)
 
 
 def fd_grad(loss_fn, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -182,7 +183,7 @@ class TestFiniteDifferences:
         rng = np.random.default_rng(seed)
         z = rng.standard_normal((6, 8))
         anc = np.array([0, 0, 0, 1, 1, 2, 2, 2], dtype=np.int64)
-        w = MarginalizationMatrix(2, 1, anc, 3)
+        w = MarginalizationMatrix(anc, 3)
         yc = rng.integers(0, 3, size=6)
         _, grad = marginalized_cross_entropy(z, yc, w)
         assert_grads_match(
@@ -529,7 +530,7 @@ def test_marginalized_ce_grad_rows_sum_to_zero_on_live_rows(seed):
     anc = np.zeros(6, dtype=np.int64)
     anc[cut_a:] = 1
     anc[cut_b:] = 2
-    w = MarginalizationMatrix(2, 1, anc, 3)
+    w = MarginalizationMatrix(anc, 3)
     yc = rng.integers(0, 3, size=5)
     _, grad = marginalized_cross_entropy(z, yc, w)
     assert_allclose(grad.sum(axis=-1), 0.0, atol=1e-14)
@@ -590,3 +591,33 @@ def test_softmax_matches_reference_bitwise_and_keeps_its_input(shape):
     before = z.copy()
     assert softmax(z).tobytes() == _reference_softmax(z).tobytes()
     assert z.tobytes() == before.tobytes()
+
+
+def _reference_pseudo_label(logits, tau):
+    """The one-view body written out: target and gate from the same softmax."""
+    n = len(logits)
+    probs = _reference_softmax(logits)
+    conf = probs.max(axis=-1)
+    targets = probs.argmax(axis=-1)
+    mask = conf >= tau
+    loss = float(-(np.log(np.maximum(conf, PROB_FLOOR)) * mask).sum() / n) + 0.0
+    grad = probs.copy()
+    grad[np.arange(n), targets] -= 1.0
+    grad[~mask] = 0.0
+    return loss, grad / n, mask
+
+
+@pytest.mark.parametrize("gate", ["open", "shut", "mixed"])
+@pytest.mark.parametrize("width", [60, 810])
+def test_pseudo_label_is_fixmatch_with_one_view_bitwise(width, gate):
+    z = np.random.default_rng(width).standard_normal((64, width)) * 4.0
+    conf = softmax(z).max(axis=-1)
+    tau = {"open": 0.0, "shut": 1.1, "mixed": _safe_gate(conf)}[gate]
+    got = pseudo_label_loss(z, tau)
+    for want in (fixmatch_loss(z, z, tau), _reference_pseudo_label(z, tau)):
+        assert got[0] == want[0]
+        assert got[1].tobytes() == want[1].tobytes()
+        assert got[2].tobytes() == want[2].tobytes()
+    mask = got[2]
+    assert {"open": mask.all(), "shut": not mask.any(),
+            "mixed": mask.any() and not mask.all()}[gate]

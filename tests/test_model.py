@@ -16,7 +16,6 @@ from hierssl.model import (
     ContrastiveModel,
     ProjectionHead,
     SgdMomentum,
-    clone_model,
     ensure_compatible,
     load_checkpoint,
     make_model,
@@ -156,14 +155,6 @@ class TestMomentumEncoder:
 
 
 class TestCloneAndReset:
-    def test_clone_is_independent(self):
-        model = fresh("mlp1")
-        copy = clone_model(model)
-        for k in model.params:
-            assert np.array_equal(copy.params[k], model.params[k])
-        copy.params["W1"][0, 0] += 1.0
-        assert model.params["W1"][0, 0] != copy.params["W1"][0, 0]
-
     def test_unknown_arch_rejected(self):
         with pytest.raises(ConfigError):
             make_model("transformer", 4, 3, np.random.default_rng(0))

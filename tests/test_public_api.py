@@ -9,10 +9,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "hierssl"
 
-# Public names kept for the tests alone: acceptance criteria 1-2 use them
-# as the reference the fast paths are checked against.
-KEPT_FOR_TESTS = {"losses.hier_supervised_loss", "MarginalizationMatrix.dense"}
-
 
 def public_definitions() -> dict[str, str]:
     """Qualified name -> bare name of every public def and class in src/."""
@@ -71,9 +67,5 @@ def program_references() -> set[str]:
 def test_every_public_name_is_used_by_the_program():
     refs = program_references()
     unused = sorted(qual for qual, name in public_definitions().items()
-                    if name not in refs and qual not in KEPT_FOR_TESTS)
+                    if name not in refs)
     assert unused == []
-
-
-def test_kept_for_tests_names_exist():
-    assert KEPT_FOR_TESTS <= set(public_definitions())

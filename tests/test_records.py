@@ -14,9 +14,9 @@ import pytest
 import hierssl
 from hierssl import records
 from hierssl.cli import main
-from hierssl.config import load_config, write_config
+from hierssl.config import gen_config_from, load_config, train_config_from, write_config
 from hierssl.data import GenConfig, generate, load_dataset, save_dataset
-from hierssl.errors import HiersslError, ParseError
+from hierssl.errors import ConfigError, DataError, HiersslError, ParseError
 from hierssl.evaluate import (
     EvalReport,
     read_report,
@@ -236,6 +236,61 @@ def test_cli_exits_3_on_unknown_or_repeated_checkpoint_key(inputs, tmp_path,
     assert main(["eval", "--data", str(inputs), "--checkpoint", str(ckpt),
                  "--out", str(tmp_path / "out")]) == 3
     assert "line 7" in capsys.readouterr().err
+
+
+# (where, the config key or the line number, the spelling no writer
+# produces): a train or gen config value, a line of an artifact, or --seeds
+NONCANONICAL = {
+    "train-int-underscore": ("train", "steps", "1_000"),
+    "train-int-arabic-indic": ("train", "seed", "\u0663"),
+    "train-int-plus": ("train", "seed", "+7"),
+    "train-int-space": ("train", "seed", " 7"),
+    "train-int-leading-zero": ("train", "steps", "007"),
+    "train-float-underscore": ("train", "lr", "0.0_1"),
+    "train-float-arabic-indic": ("train", "lr", "\u0660.5"),
+    "train-float-space": ("train", "lr", "0.5 "),
+    "gen-tuple-item-space": ("gen", "level_counts", "1,2, 4"),
+    "dataset-dim": ("dataset", 2, "d \u0663"),
+    "checkpoint-header": ("checkpoint", 6, "seed +0"),
+    "checkpoint-shape": ("checkpoint", 9, "param W1 2 03"),
+    "eval-level": ("eval", 4, "level +1 L1 1.0"),
+    "seeds": ("seeds", None, "0,+1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NONCANONICAL))
+def test_only_canonical_spellings_parse(tiny, inputs, tmp_path, capsys, case):
+    where, at, text = NONCANONICAL[case]
+    if where in ("train", "gen"):
+        with pytest.raises(ConfigError, match=at):
+            (train_config_from if where == "train" else gen_config_from)({at: text})
+    elif where == "seeds":
+        assert main(["train", "--data", str(inputs), "--seeds", text,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "--seeds: cannot parse '+1'" in capsys.readouterr().err
+    else:
+        writers = {**_strict_writers(tiny), "dataset": lambda p: save_dataset(
+            tiny.split, tiny.in_taxonomy, p)}
+        readers = {**_READERS, "dataset": lambda p: load_dataset(p, tiny.in_taxonomy)}
+        p = tmp_path / f"{where}.txt"
+        writers[where](p)
+        readers[where](p)
+        _edit(p, at, text, insert=False)
+        with pytest.raises(ParseError) as e:
+            readers[where](p)
+        assert e.value.line == at
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("fmt", ["eval", "sweep"])
+def test_writers_refuse_nonfinite_floats(tmp_path, fmt, value):
+    p = tmp_path / f"{fmt}.txt"
+    with pytest.raises(DataError, match="non-finite"):
+        if fmt == "eval":
+            write_report(EvalReport(1, value, ((1, "A", value),)), p)
+        else:
+            write_sweep([(None, 0, value)], p)
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestAtomicWrite:

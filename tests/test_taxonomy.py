@@ -25,12 +25,13 @@ from hierssl.taxonomy import (
     coarse_probs,
     default_level_names,
     load_taxonomy,
-    marginalization_matrix,
     marginalize,
     save_taxonomy,
     semi_inat_taxonomy,
     shaped_taxonomy,
 )
+
+from _reference import dense, shape
 
 # Three-level toy tree: two kingdoms, three genera, five species.
 TOY_PATHS = [
@@ -70,10 +71,10 @@ class TestToyStructure:
         assert toy.class_name(2, 1) == "a2"
 
     def test_parent_arrays(self, toy):
-        assert np.array_equal(toy.parent_of(2), [0, 0, 1])
-        assert np.array_equal(toy.parent_of(3), [0, 1, 1, 2, 2])
-        with pytest.raises(LevelOrder):
-            toy.parent_of(1)
+        assert np.array_equal(toy.ancestor_map(2, 1), [0, 0, 1])
+        assert np.array_equal(toy.ancestor_map(3, 2), [0, 1, 1, 2, 2])
+        with pytest.raises(OutOfRange):  # level 1 has no parent level
+            toy.ancestor_map(1, 0)
 
     def test_ancestor_maps(self, toy):
         assert np.array_equal(toy.ancestor_map(3, 2), [0, 1, 1, 2, 2])
@@ -131,10 +132,9 @@ class TestMarginalize:
             probs = rng.dirichlet(np.ones(counts[-1]), size=4)
             fine = depth
             coarse = int(rng.integers(1, depth))
-            w = marginalization_matrix(tax, fine, coarse)
+            w = MarginalizationMatrix.between(tax, fine, coarse)
             got = marginalize(probs, w)
-            dense = probs @ w.dense
-            worst = max(worst, np.abs(got - dense).max())
+            worst = max(worst, np.abs(got - probs @ dense(w)).max())
         assert worst < 1e-12
 
     def test_composition_law(self):
@@ -144,10 +144,10 @@ class TestMarginalize:
             tax = shaped_taxonomy(counts)
             probs = rng.dirichlet(np.ones(counts[-1]), size=3)
             via_mid = marginalize(
-                marginalize(probs, marginalization_matrix(tax, 4, 3)),
-                marginalization_matrix(tax, 3, 2),
+                marginalize(probs, MarginalizationMatrix.between(tax, 4, 3)),
+                MarginalizationMatrix.between(tax, 3, 2),
             )
-            direct = marginalize(probs, marginalization_matrix(tax, 4, 2))
+            direct = marginalize(probs, MarginalizationMatrix.between(tax, 4, 2))
             assert np.abs(via_mid - direct).max() < 1e-12
 
     def test_mass_preserved(self, toy):
@@ -158,7 +158,7 @@ class TestMarginalize:
             assert_allclose(out.sum(axis=-1), 1.0, rtol=1e-12)
 
     def test_batch_and_single_shapes(self, toy):
-        w = marginalization_matrix(toy, 3, 1)
+        w = MarginalizationMatrix.between(toy, 3, 1)
         single = marginalize(np.full(5, 0.2), w)
         assert single.shape == (2,)
         batch = marginalize(np.full((4, 5), 0.2), w)
@@ -166,29 +166,29 @@ class TestMarginalize:
         assert np.array_equal(batch[0], single)
 
     def test_dense_matrix_is_valid_partition(self, toy):
-        w = marginalization_matrix(toy, 3, 1)
-        d = w.dense
-        assert d.shape == (5, 2)
+        w = MarginalizationMatrix.between(toy, 3, 1)
+        d = dense(w)
+        assert shape(w) == d.shape == (5, 2)
         assert np.array_equal(d.sum(axis=1), np.ones(5))
         assert set(np.unique(d)) == {0.0, 1.0}
 
     def test_level_order_enforced(self, toy):
         with pytest.raises(LevelOrder):
-            marginalization_matrix(toy, 2, 2)
-        with pytest.raises(LevelOrder):
-            marginalization_matrix(toy, 2, 3)
+            MarginalizationMatrix.between(toy, 2, 3)
+        same = MarginalizationMatrix.between(toy, 2, 2)  # the identity
+        assert np.array_equal(same.ancestor_map, [0, 1, 2]) and same.n_coarse == 3
 
     def test_ancestor_map_checked_against_n_coarse(self):
         # an index past n_coarse, and a coarse class left without a fine class
         with pytest.raises(OutOfRange):
-            MarginalizationMatrix(2, 1, np.array([0, 1, 2]), 2)
+            MarginalizationMatrix(np.array([0, 1, 2]), 2)
         with pytest.raises(OutOfRange):
-            MarginalizationMatrix(2, 1, np.array([0, -1, 1]), 2)
+            MarginalizationMatrix(np.array([0, -1, 1]), 2)
         with pytest.raises(DataError):
-            MarginalizationMatrix(2, 1, np.array([0, 0, 2]), 3)
+            MarginalizationMatrix(np.array([0, 0, 2]), 3)
 
     def test_wrong_width_rejected(self, toy):
-        w = marginalization_matrix(toy, 3, 1)
+        w = MarginalizationMatrix.between(toy, 3, 1)
         with pytest.raises(DimensionMismatch):
             marginalize(np.full(4, 0.25), w)
         with pytest.raises(DimensionMismatch):
@@ -275,9 +275,9 @@ class TestBuildErrors:
 class TestShapedTaxonomy:
     def test_proportional_spread(self):
         tax = shaped_taxonomy([2, 4])
-        assert np.array_equal(tax.parent_of(2), [0, 0, 1, 1])
+        assert np.array_equal(tax.ancestor_map(2, 1), [0, 0, 1, 1])
         tax = shaped_taxonomy([2, 3])
-        assert np.array_equal(tax.parent_of(2), [0, 0, 1])
+        assert np.array_equal(tax.ancestor_map(2, 1), [0, 0, 1])
 
     def test_decreasing_counts_rejected(self):
         with pytest.raises(DataError):
@@ -364,7 +364,7 @@ def test_ancestor_map_composes(counts):
 def test_every_class_keeps_children(counts):
     tax = shaped_taxonomy(counts)
     for level in range(2, tax.num_levels + 1):
-        p = tax.parent_of(level)
+        p = tax.ancestor_map(level, level - 1)
         assert len(np.unique(p)) == tax.class_counts[level - 2]
         assert p.min() >= 0 and p.max() < tax.class_counts[level - 2]
         assert np.array_equal(p, np.sort(p))  # shaped trees keep blocks contiguous
@@ -417,9 +417,8 @@ def _scanned_allocate(total, weights, lo, hi):
 def _pin_matrices(tax):
     """Leaf-to-level edges for every level, the leaf level as the identity."""
     leaf = tax.leaf_level
-    return [marginalization_matrix(tax, leaf, level) for level in range(1, leaf)] + [
-        MarginalizationMatrix(leaf, leaf, np.arange(tax.num_leaves), tax.num_leaves)
-    ]
+    return [MarginalizationMatrix.between(tax, leaf, level)
+            for level in range(1, leaf + 1)]
 
 
 @pytest.mark.parametrize("tax", [
@@ -443,7 +442,8 @@ def test_sorted_levels_skip_the_gather():
     shaped = shaped_taxonomy((3, 8, 29, 123, 339, 729, 810))
     semi = semi_inat_taxonomy()
     assert all(w._order is None for w in _pin_matrices(shaped))
-    gathers = [w.coarse_level for w in _pin_matrices(semi) if w._order is not None]
+    gathers = [level for level, w in enumerate(_pin_matrices(semi), start=1)
+               if w._order is not None]
     assert gathers == [1]
 
 

@@ -212,6 +212,29 @@ class TestStages:
         assert_allclose(r.model.params["W2"], fresh.params["W2"],
                         rtol=0, atol=1e-9)
 
+    def test_key_network_starts_as_an_independent_copy(self, toy_gen, monkeypatch):
+        import hierssl.trainers as trainers
+        from hierssl.model import ContrastiveModel, ProjectionHead, make_model
+
+        seen, real = [], trainers.momentum_update
+
+        def spy(key_params, query_params, m):
+            if not seen:  # before the key's first update, after one query step
+                assert not any(np.shares_memory(v, query_params[k])
+                               for k, v in key_params.items())
+                seen.append({k: v.copy() for k, v in key_params.items()})
+            real(key_params, query_params, m)
+
+        monkeypatch.setattr(trainers, "momentum_update", spy)
+        cfg = quick("moco", pretrain_steps=1)
+        _pretrain_contrastive(toy_gen.split, toy_gen.in_taxonomy, cfg)
+        rng_init = _phase_rngs(0, "pretrain")[0]
+        encoder = make_model("mlp1", 8, 8, rng_init, hidden=cfg.hidden)
+        query = ContrastiveModel(
+            encoder, ProjectionHead(encoder.rep_dim, cfg.emb_dim, rng_init))
+        assert seen[0].keys() == query.params.keys()
+        assert all(seen[0][k].tobytes() == v.tobytes() for k, v in query.params.items())
+
     def test_moco_self_training_runs_all_three_stages(self, toy_gen):
         split, tax = toy_gen.split, toy_gen.in_taxonomy
         r = train(split, tax, quick("moco_self_training", steps=15))
