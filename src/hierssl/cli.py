@@ -39,7 +39,7 @@ from .model import load_checkpoint, save_checkpoint
 from .ood import filter_split, write_filter_report
 from .records import value_parser, value_text
 from .taxonomy import Taxonomy, load_taxonomy, save_taxonomy
-from .trainers import train, write_metrics
+from .trainers import train_seeds, write_metrics
 
 
 def _resolve_out(arg: str | None, default_name: str) -> str:
@@ -85,10 +85,20 @@ def _parse_list(flag: str, text: str, parse) -> list:
     return values
 
 
-def _check_jobs(jobs: int) -> int:
+def _check_jobs(text: str) -> int:
+    try:
+        jobs = value_parser(int)(text)
+    except ValueError:
+        raise ConfigError(f"--jobs: cannot parse {text!r}") from None
     if jobs < 1:
         raise ConfigError(f"--jobs: must be >= 1, got {jobs}")
     return jobs
+
+
+def _chunks(seeds: list[int], jobs: int, cells: int = 1) -> list[list[int]]:
+    """A cell's seeds in the fewest lockstep chunks that busy ``jobs`` workers."""
+    n = -(-jobs // cells)  # chunks per cell, so that cells * n >= jobs
+    return [seeds[i::n] for i in range(min(n, len(seeds)))]
 
 
 def cmd_gen_data(args) -> int:
@@ -116,28 +126,32 @@ def _load_inputs(args) -> tuple[DataSplit, Taxonomy]:
 
 
 def _run_tasks(fn, tasks: list[tuple], jobs: int) -> list:
-    """``fn`` over the argument tuples, in worker processes when jobs > 1."""
+    """``fn``'s lists over the argument tuples, joined; in processes if jobs > 1."""
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, *zip(*tasks)))
-    return [fn(*t) for t in tasks]
+            return [row for rows in pool.map(fn, *zip(*tasks)) for row in rows]
+    return [row for t in tasks for row in fn(*t)]
 
 
-def _train_one(split: DataSplit, taxonomy: Taxonomy, values: dict[str, str],
-               seed: int, out_dir: str) -> tuple[int, float]:
-    """One seed end to end; runs in a worker process under --jobs."""
-    cfg = replace(train_config_from(values), seed=seed)
-    result = train(split, taxonomy, cfg)
-    os.makedirs(out_dir, exist_ok=True)
-    meta = {"method": cfg.method, "supervision_level": value_text(cfg.supervision_level)}
-    save_checkpoint(result.model, os.path.join(out_dir, "checkpoint.txt"),
-                    seed=seed, step=cfg.steps, meta=meta)
-    write_metrics(result.trace, os.path.join(out_dir, "metrics.txt"),
-                  pretrain_trace=result.pretrain_trace)
-    report = evaluate(result.model, split.test, taxonomy)
-    write_report(report, os.path.join(out_dir, "eval.txt"))
-    write_config(train_config_values(cfg), os.path.join(out_dir, "config.txt"))
-    return seed, report.top1
+def _train_chunk(split: DataSplit, taxonomy: Taxonomy, values: dict[str, str],
+                 seeds: list[int], out: str) -> list[tuple[int, float]]:
+    """A chunk of seeds in lockstep, one directory each; a worker under --jobs."""
+    base = train_config_from(values)
+    rows = []
+    for seed, result in zip(seeds, train_seeds(split, taxonomy, base, seeds)):
+        cfg = replace(base, seed=seed)
+        out_dir = os.path.join(out, f"seed{seed}")
+        os.makedirs(out_dir, exist_ok=True)
+        meta = {"method": cfg.method, "supervision_level": value_text(cfg.supervision_level)}
+        save_checkpoint(result.model, os.path.join(out_dir, "checkpoint.txt"),
+                        seed=seed, step=cfg.steps, meta=meta)
+        write_metrics(result.trace, os.path.join(out_dir, "metrics.txt"),
+                      pretrain_trace=result.pretrain_trace)
+        report = evaluate(result.model, split.test, taxonomy)
+        write_report(report, os.path.join(out_dir, "eval.txt"))
+        write_config(train_config_values(cfg), os.path.join(out_dir, "config.txt"))
+        rows.append((seed, report.top1))
+    return rows
 
 
 def cmd_train(args) -> int:
@@ -148,9 +162,8 @@ def cmd_train(args) -> int:
     jobs = _check_jobs(args.jobs)
     split, taxonomy = _load_inputs(args)
     out = _resolve_out(args.out, "runs")
-    tasks = [(split, taxonomy, values, seed, os.path.join(out, f"seed{seed}"))
-             for seed in seeds]
-    for seed, top in sorted(_run_tasks(_train_one, tasks, jobs)):
+    tasks = [(split, taxonomy, values, chunk, out) for chunk in _chunks(seeds, jobs)]
+    for seed, top in sorted(_run_tasks(_train_chunk, tasks, jobs)):
         print(f"seed {seed} top1 {top}")
     return 0
 
@@ -183,11 +196,11 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _sweep_one(split: DataSplit, taxonomy: Taxonomy, values: dict[str, str],
-               level: int | None, seed: int) -> tuple[int | None, int, float]:
-    cfg = replace(train_config_from(values), supervision_level=level, seed=seed)
-    result = train(split, taxonomy, cfg)
-    return level, seed, top1(result.model, split.test, taxonomy)
+def _sweep_chunk(split: DataSplit, taxonomy: Taxonomy, values: dict[str, str],
+                 level: int | None, seeds: list[int]) -> list[tuple[int | None, int, float]]:
+    cfg = replace(train_config_from(values), supervision_level=level)
+    return [(level, seed, top1(result.model, split.test, taxonomy))
+            for seed, result in zip(seeds, train_seeds(split, taxonomy, cfg, seeds))]
 
 
 def cmd_sweep(args) -> int:
@@ -198,9 +211,9 @@ def cmd_sweep(args) -> int:
              else _parse_list("--seeds", args.seeds, value_parser(int)))
     jobs = _check_jobs(args.jobs)
     split, taxonomy = _load_inputs(args)
-    tasks = [(split, taxonomy, values, level, seed)
-             for level in levels for seed in seeds]
-    rows = _run_tasks(_sweep_one, tasks, jobs)
+    tasks = [(split, taxonomy, values, level, chunk)
+             for level in levels for chunk in _chunks(seeds, jobs, len(levels))]
+    rows = _run_tasks(_sweep_chunk, tasks, jobs)
     rows.sort(key=lambda r: (-1 if r[0] is None else r[0], r[1]))
     out = _resolve_out(args.out, "sweep")
     write_sweep(rows, os.path.join(out, "sweep.txt"))
@@ -235,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train one method over one or more seeds")
     _add_common(p)
     p.add_argument("--seeds", help="comma-joined seed list, e.g. 0,1,2")
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p.add_argument("--jobs", default="1", help="parallel worker processes")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("filter", help="screen the coarse pool with a checkpoint")
@@ -253,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", required=True,
                    help="comma-joined levels, e.g. none,1,2,7")
     p.add_argument("--seeds", help="comma-joined seed list")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+    p.add_argument("--jobs", default=str(os.cpu_count() or 1),
                    help="parallel worker processes (default: core count)")
     p.set_defaults(func=cmd_sweep)
 

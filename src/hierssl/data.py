@@ -459,12 +459,14 @@ def load_dataset(path, taxonomy: Taxonomy) -> DataSplit:
         next_row = {tag: itertools.count() for tag in SPLIT_TAGS}
 
         for ln, line in lines:
-            parts = line.split()
-            if len(parts) != 4 + dim:
+            parts = line.split(None, 4)
+            text = parts.pop() if len(parts) == 5 else ""
+            feats = text.split()
+            if len(parts) + len(feats) != 4 + dim:
                 raise ParseError(
-                    f"expected {4 + dim} fields, got {len(parts)}", line=ln
+                    f"expected {4 + dim} fields, got {len(parts) + len(feats)}", line=ln
                 )
-            tag, level_name, label_name, species_name = parts[:4]
+            tag, level_name, label_name, species_name = parts
             if tag not in split:
                 raise ParseError(f"unknown split tag {tag!r}", line=ln)
             level = level_index.get(level_name)
@@ -487,7 +489,10 @@ def load_dataset(path, taxonomy: Taxonomy) -> DataSplit:
                         f"line {ln}: no species named {species_name!r} at level "
                         f"{taxonomy.level_names[-1]} ({taxonomy.num_leaves} classes)"
                     ) from None
-            feats = [float(v) for v in parts[4:]]
+            # one check per row, not per value: float() also reads "٣" and "1_0"
+            if not text.isascii() or "_" in text:
+                raise ParseError("feature values must be ASCII without '_'", line=ln)
+            feats = [float(v) for v in feats]
             if not all(map(math.isfinite, feats)):
                 raise ParseError("non-finite feature value", line=ln)
             s, i = split[tag], next(next_row[tag])

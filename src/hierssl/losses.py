@@ -4,7 +4,8 @@ Every function takes raw logits (or embeddings), returns the batch-mean
 loss together with the gradient of that mean with respect to its trainable
 input, and treats every other input as a constant. Targets derived from
 model outputs (pseudo-labels, teacher probabilities, momentum-encoder
-keys) are detached by construction: no gradient flows into them.
+keys) are detached by construction: no gradient flows into them. Inputs
+of shape ``(..., n, c)`` hold one batch per leading index (seed), one loss each.
 
 Probabilities inside a log are floored at ``PROB_FLOOR``; where the floor
 is active the loss is locally constant, so the gradient contribution of
@@ -22,13 +23,6 @@ from .taxonomy import MarginalizationMatrix, marginalize
 PROB_FLOOR = 1e-12
 
 
-def _require_finite(name: str, arr: np.ndarray) -> np.ndarray:
-    """Diverged training shows up here first; fail instead of training on NaNs."""
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise NonFiniteGradient(f"non-finite values in {name}")
-    return arr
-
-
 def _softmax_inplace(z: np.ndarray) -> np.ndarray:
     """Softmax over the last axis of float64 ``z``, written into ``z``."""
     z -= z.max(axis=-1, keepdims=True)
@@ -39,6 +33,24 @@ def _softmax_inplace(z: np.ndarray) -> np.ndarray:
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     return _softmax_inplace(np.array(logits, dtype=np.float64))
+
+
+def _batches(name: str, arr: np.ndarray) -> np.ndarray:
+    """``arr`` as float64 batches ``(..., n, c)``; diverged training fails here first."""
+    arr = np.atleast_2d(np.asarray(arr, dtype=np.float64))
+    if arr.size and not np.all(np.isfinite(arr)):
+        raise NonFiniteGradient(f"non-finite values in {name}")
+    return arr
+
+
+def _per_batch(values: np.ndarray):
+    """One loss per leading index, or a float for a single batch; -0.0 is 0.0."""
+    return float(values) + 0.0 if values.ndim == 0 else values + 0.0
+
+
+def _at(index: np.ndarray) -> tuple:
+    """Indexes entry ``index[..., i]`` of every row i of an ``(..., n, c)`` array."""
+    return (*np.indices(index.shape, sparse=True), index)
 
 
 def _check_labels(labels: np.ndarray, n_classes: int) -> np.ndarray:
@@ -53,21 +65,21 @@ def _check_labels(labels: np.ndarray, n_classes: int) -> np.ndarray:
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray):
     """Mean -log p(label); gradient is (softmax - onehot) / n."""
-    logits = _require_finite("logits", np.atleast_2d(np.asarray(logits, dtype=np.float64)))
-    n, c = logits.shape
+    logits = _batches("logits", logits)
+    *lead, n, c = logits.shape
     labels = _check_labels(labels, c)
-    if labels.shape != (n,):
-        raise DimensionMismatch(f"labels shape {labels.shape} for {n} logits rows")
+    if labels.shape != logits.shape[:-1]:
+        raise DimensionMismatch(f"labels shape {labels.shape} for logits {logits.shape}")
     if n == 0:
-        return 0.0, np.zeros_like(logits)
-    probs = softmax(logits)
-    p_true = probs[np.arange(n), labels]
+        return _per_batch(np.zeros(lead)), np.zeros_like(logits)
+    grad = softmax(logits)
+    at = _at(labels)
+    p_true = grad[at]
     live = p_true >= PROB_FLOOR
-    loss = float(-np.log(np.maximum(p_true, PROB_FLOOR)).mean()) + 0.0
-    grad = probs.copy()
-    grad[np.arange(n), labels] -= 1.0
+    loss = _per_batch(-np.log(np.maximum(p_true, PROB_FLOOR)).mean(axis=-1))
+    grad[at] -= 1.0
     grad[~live] = 0.0
-    return loss, grad / n
+    return loss, np.divide(grad, n, out=grad)
 
 
 def marginalized_cross_entropy(
@@ -78,29 +90,28 @@ def marginalized_cross_entropy(
     With loss -log M, M the probability mass of the true coarse class,
     the gradient at leaf j is p_j - p_j * [j in class] / M.
     """
-    logits = _require_finite("logits", np.atleast_2d(np.asarray(logits, dtype=np.float64)))
-    n, c = logits.shape
+    logits = _batches("logits", logits)
+    *lead, n, c = logits.shape
     if c != len(w.ancestor_map):
         raise DimensionMismatch(
             f"{c} logits columns but marginalization maps {len(w.ancestor_map)} leaves"
         )
     coarse_labels = _check_labels(coarse_labels, w.n_coarse)
-    if coarse_labels.shape != (n,):
+    if coarse_labels.shape != logits.shape[:-1]:
         raise DimensionMismatch(
-            f"coarse_labels shape {coarse_labels.shape} for {n} logits rows"
+            f"coarse_labels shape {coarse_labels.shape} for logits {logits.shape}"
         )
     if n == 0:
-        return 0.0, np.zeros_like(logits)
-    probs = softmax(logits)
-    coarse = marginalize(probs, w)
-    mass = coarse[np.arange(n), coarse_labels]
+        return _per_batch(np.zeros(lead)), np.zeros_like(logits)
+    grad = softmax(logits)
+    mass = marginalize(grad, w)[_at(coarse_labels)]
     live = mass >= PROB_FLOOR
-    loss = float(-np.log(np.maximum(mass, PROB_FLOOR)).mean()) + 0.0
-    in_class = w.ancestor_map[None, :] == coarse_labels[:, None]
-    safe_mass = np.where(live, mass, 1.0)
-    grad = probs * (1.0 - in_class / safe_mass[:, None])
+    loss = _per_batch(-np.log(np.maximum(mass, PROB_FLOOR)).mean(axis=-1))
+    in_class = w.ancestor_map == coarse_labels[..., None]
+    factor = np.divide(in_class, np.where(live, mass, 1.0)[..., None])
+    grad *= np.subtract(1.0, factor, out=factor)
     grad[~live] = 0.0
-    return loss, grad / n
+    return loss, np.divide(grad, n, out=grad)
 
 
 def pseudo_label_loss(logits: np.ndarray, tau: float):
@@ -120,26 +131,27 @@ def fixmatch_loss(weak_logits: np.ndarray, strong_logits: np.ndarray, tau: float
     No gradient flows to the weak view. The mean is over the full batch,
     gated or not.
     """
-    weak_logits = _require_finite("weak logits", np.atleast_2d(np.asarray(weak_logits, dtype=np.float64)))
-    strong_logits = _require_finite("strong logits", np.atleast_2d(np.asarray(strong_logits, dtype=np.float64)))
+    weak_logits = _batches("weak logits", weak_logits)
+    strong_logits = _batches("strong logits", strong_logits)
     if weak_logits.shape != strong_logits.shape:
         raise DimensionMismatch(
             f"weak {weak_logits.shape} vs strong {strong_logits.shape}"
         )
-    n, _ = weak_logits.shape
+    *lead, n, _ = weak_logits.shape
     if n == 0:
-        return 0.0, np.zeros_like(strong_logits), np.zeros(0, dtype=bool)
+        return (_per_batch(np.zeros(lead)), np.zeros_like(strong_logits),
+                np.zeros(weak_logits.shape[:-1], dtype=bool))
     weak_probs = softmax(weak_logits)
     targets = weak_probs.argmax(axis=-1)
     mask = weak_probs.max(axis=-1) >= tau
-    strong_probs = softmax(strong_logits)
-    p_t = strong_probs[np.arange(n), targets]
+    grad = softmax(strong_logits)
+    at = _at(targets)
+    p_t = grad[at]
     live = mask & (p_t >= PROB_FLOOR)
-    loss = float(-(np.log(np.maximum(p_t, PROB_FLOOR)) * mask).sum() / n) + 0.0
-    grad = strong_probs.copy()
-    grad[np.arange(n), targets] -= 1.0
+    loss = _per_batch(-(np.log(np.maximum(p_t, PROB_FLOOR)) * mask).sum(axis=-1) / n)
+    grad[at] -= 1.0
     grad[~live] = 0.0
-    return loss, grad / n, mask
+    return loss, np.divide(grad, n, out=grad), mask
 
 
 def distill_loss(
@@ -152,23 +164,25 @@ def distill_loss(
     Also returns the KL divergence (same gradient, nonnegative) as a
     convergence diagnostic.
     """
-    student_logits = _require_finite("student logits", np.atleast_2d(np.asarray(student_logits, dtype=np.float64)))
-    teacher_logits = _require_finite("teacher logits", np.atleast_2d(np.asarray(teacher_logits, dtype=np.float64)))
+    student_logits = _batches("student logits", student_logits)
+    teacher_logits = _batches("teacher logits", teacher_logits)
     if student_logits.shape != teacher_logits.shape:
         raise DimensionMismatch(
             f"student {student_logits.shape} vs teacher {teacher_logits.shape}"
         )
-    n, _ = student_logits.shape
+    *lead, n, c = student_logits.shape
     if n == 0:
-        return 0.0, np.zeros_like(student_logits), 0.0
+        zero = _per_batch(np.zeros(lead))
+        return zero, np.zeros_like(student_logits), zero
     t = softmax(teacher_logits / temperature)
     s = softmax(student_logits / temperature)
     live = s >= PROB_FLOOR
     log_s = np.log(np.maximum(s, PROB_FLOOR))
-    loss = float(-(t * log_s).sum() / n) + 0.0
+    # each batch summed as one flat run of n * c values
+    loss = _per_batch(-(t * log_s).reshape(*lead, n * c).sum(axis=-1) / n)
     # entropy of the teacher, with the same floor, for the KL diagnostic
     log_t = np.log(np.maximum(t, PROB_FLOOR))
-    kl = float((t * (log_t - log_s)).sum() / n)
+    kl = _per_batch((t * (log_t - log_s)).reshape(*lead, n * c).sum(axis=-1) / n)
     t_live = (t * live).sum(axis=-1, keepdims=True)
     grad = (s * t_live - t * live) / (n * temperature)
     return loss, grad, kl
@@ -184,29 +198,29 @@ def info_nce_loss(
     [q_i . k_i, q_i . queue_0, ...] with the positive at index 0.
     An empty queue gives zero loss and zero gradient.
     """
-    query = _require_finite("query embeddings", np.atleast_2d(np.asarray(query, dtype=np.float64)))
-    key_pos = _require_finite("key embeddings", np.atleast_2d(np.asarray(key_pos, dtype=np.float64)))
+    query = _batches("query embeddings", query)
+    key_pos = _batches("key embeddings", key_pos)
     queue = np.asarray(queue, dtype=np.float64)
-    if queue.shape[-1:] != query.shape[-1:]:
+    *lead, n, d = query.shape
+    if queue.shape[-1:] != (d,) or queue.shape[:-2] != tuple(lead):
         raise DimensionMismatch(f"queue {queue.shape} vs query {query.shape}")
-    queue = queue.reshape(-1, query.shape[-1])
+    queue = queue.reshape(*lead, -1, d)
     if query.shape != key_pos.shape:
         raise DimensionMismatch(f"query {query.shape} vs key {key_pos.shape}")
-    n, _ = query.shape
     if n == 0:
-        return 0.0, np.zeros_like(query)
-    # One (n, m + 1) buffer goes from similarities to probabilities to
+        return _per_batch(np.zeros(lead)), np.zeros_like(query)
+    # One (..., n, m + 1) buffer goes from similarities to probabilities to
     # gradient coefficients in place: the positive in column 0, then the
     # negatives.
-    buf = np.empty((n, len(queue) + 1))
-    (query * key_pos).sum(axis=-1, out=buf[:, 0])
-    np.matmul(query, queue.T, out=buf[:, 1:])
+    buf = np.empty((*lead, n, queue.shape[-2] + 1))
+    (query * key_pos).sum(axis=-1, out=buf[..., 0])
+    np.matmul(query, queue.swapaxes(-1, -2), out=buf[..., 1:])
     buf /= temperature
     _softmax_inplace(buf)
-    p0 = buf[:, 0].copy()
+    p0 = buf[..., 0].copy()
     live = p0 >= PROB_FLOOR
-    loss = float(-np.log(np.maximum(p0, PROB_FLOOR)).mean()) + 0.0
-    buf[:, 0] -= 1.0
+    loss = _per_batch(-np.log(np.maximum(p0, PROB_FLOOR)).mean(axis=-1))
+    buf[..., 0] -= 1.0
     buf[~live] = 0.0
-    grad = (buf[:, :1] * key_pos + buf[:, 1:] @ queue) / (n * temperature)
+    grad = (buf[..., :1] * key_pos + buf[..., 1:] @ queue) / (n * temperature)
     return loss, grad

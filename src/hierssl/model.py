@@ -7,6 +7,9 @@ part (everything below the classifier layer) is additionally exposed via
 ``rep_forward``/``rep_backward`` so a projection head can be trained on
 top of it for contrastive pretraining.
 
+Every pass also takes a leading axis: parameters ``(S, ...)`` and inputs
+``(S, n, d)`` run S models (seeds in lockstep), each as it would alone.
+
 Parameters live in an ordered name -> array dict; names whose last
 component starts with "b" are biases and are exempt from weight decay.
 """
@@ -34,6 +37,18 @@ def _init_weight(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return rng.standard_normal((rows, cols)) / np.sqrt(cols)
 
 
+def _affine(X: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``X W^T + b`` over any leading axes."""
+    out = X @ W.swapaxes(-1, -2)
+    out += b[..., None, :]
+    return out
+
+
+def _affine_grads(grad_out: np.ndarray, X: np.ndarray) -> tuple:
+    """The gradients of ``W`` and ``b`` in ``_affine(X, W, b)``."""
+    return grad_out.swapaxes(-1, -2) @ X, grad_out.sum(axis=-2)
+
+
 class LinearModel:
     """Logits = X W^T + b; the representation is the raw input."""
 
@@ -53,14 +68,13 @@ class LinearModel:
         return self.dim
 
     def forward(self, X: np.ndarray) -> np.ndarray:
-        return X @ self.params["W"].T + self.params["b"]
+        return _affine(X, self.params["W"], self.params["b"])
 
     def forward_cached(self, X: np.ndarray):
         return self.forward(X), X
 
     def backward(self, cache, grad_logits: np.ndarray) -> dict:
-        X = cache
-        return {"W": grad_logits.T @ X, "b": grad_logits.sum(axis=0)}
+        return dict(zip(("W", "b"), _affine_grads(grad_logits, cache)))
 
     def rep_forward(self, X: np.ndarray):
         return X, None
@@ -98,30 +112,26 @@ class Mlp1Model:
         return self.forward_cached(X)[0]
 
     def forward_cached(self, X: np.ndarray):
-        pre = X @ self.params["W1"].T + self.params["b1"]
+        pre = _affine(X, self.params["W1"], self.params["b1"])
         act = np.maximum(pre, 0.0)
-        logits = act @ self.params["W2"].T + self.params["b2"]
+        logits = _affine(act, self.params["W2"], self.params["b2"])
         return logits, (X, pre, act)
 
     def backward(self, cache, grad_logits: np.ndarray) -> dict:
         X, pre, act = cache
-        g_act = grad_logits @ self.params["W2"]
-        g_pre = g_act * (pre > 0)
-        return {
-            "W1": g_pre.T @ X,
-            "b1": g_pre.sum(axis=0),
-            "W2": grad_logits.T @ act,
-            "b2": grad_logits.sum(axis=0),
-        }
+        g_pre = grad_logits @ self.params["W2"]
+        g_pre *= pre > 0
+        grads = dict(zip(("W1", "b1"), _affine_grads(g_pre, X)))
+        grads["W2"], grads["b2"] = _affine_grads(grad_logits, act)
+        return grads
 
     def rep_forward(self, X: np.ndarray):
-        pre = X @ self.params["W1"].T + self.params["b1"]
+        pre = _affine(X, self.params["W1"], self.params["b1"])
         return np.maximum(pre, 0.0), (X, pre)
 
     def rep_backward(self, cache, grad_rep: np.ndarray) -> dict:
         X, pre = cache
-        g_pre = grad_rep * (pre > 0)
-        return {"W1": g_pre.T @ X, "b1": g_pre.sum(axis=0)}
+        return dict(zip(("W1", "b1"), _affine_grads(grad_rep * (pre > 0), X)))
 
     rep_param_names: tuple[str, ...] = ("W1", "b1")
 
@@ -147,7 +157,7 @@ class ProjectionHead:
         }
 
     def forward_cached(self, rep: np.ndarray):
-        v = rep @ self.params["P"].T + self.params["bp"]
+        v = _affine(rep, self.params["P"], self.params["bp"])
         norm = np.maximum(np.linalg.norm(v, axis=-1, keepdims=True), 1e-12)
         q = v / norm
         return q, (rep, q, norm)
@@ -155,8 +165,7 @@ class ProjectionHead:
     def backward(self, cache, grad_q: np.ndarray):
         rep, q, norm = cache
         g_v = (grad_q - q * (q * grad_q).sum(axis=-1, keepdims=True)) / norm
-        grads = {"P": g_v.T @ rep, "bp": g_v.sum(axis=0)}
-        return grads, g_v @ self.params["P"]
+        return dict(zip(("P", "bp"), _affine_grads(g_v, rep))), g_v @ self.params["P"]
 
 
 class ContrastiveModel:
@@ -204,7 +213,7 @@ def momentum_update(key_params: dict, query_params: dict, m: float) -> None:
 def add_grads(acc: dict, extra: dict) -> dict:
     for name, g in extra.items():
         if name in acc:
-            acc[name] = acc[name] + g
+            acc[name] += g
         else:
             acc[name] = g
     return acc

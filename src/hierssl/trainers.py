@@ -11,7 +11,9 @@ teacher distillation) is added on the coarse batch.
 Randomness is split into independent streams per phase: model init,
 batch sampling, and augmentation never share a generator, so methods
 that differ only in augmentation draw identical batch sequences. Reruns
-with the same config are bitwise identical.
+with the same config are bitwise identical. ``train_seeds`` runs seeds in
+lockstep: arrays carry a leading seed axis, and each seed draws from its
+own generators, so each result is bitwise the one ``train`` gives alone.
 """
 
 from __future__ import annotations
@@ -220,30 +222,64 @@ class NegativeQueue:
     """Fixed-capacity FIFO of key embeddings; oldest entries drop first.
 
     Starts empty: the first contrastive steps see only the positive, and
-    the loss ramps up as negatives accumulate.
+    the loss ramps up as negatives accumulate. With ``lead`` axes it
+    holds one queue per leading index (seed).
     """
 
-    def __init__(self, capacity: int, emb_dim: int):
+    def __init__(self, capacity: int, emb_dim: int, lead: tuple[int, ...] = ()):
         if capacity < 1:
             raise EmptyQueue("queue_size must be >= 1 for contrastive training")
         self.capacity = capacity
-        self._buf = np.zeros((0, emb_dim))
+        self._buf = np.zeros((*lead, 0, emb_dim))
 
     def push(self, keys: np.ndarray) -> None:
-        self._buf = np.concatenate([self._buf, keys])[-self.capacity:]
+        self._buf = np.concatenate([self._buf, keys], axis=-2)[..., -self.capacity:, :]
 
     @property
     def array(self) -> np.ndarray:
         return self._buf
 
     def __len__(self) -> int:
-        return self._buf.shape[0]
+        return self._buf.shape[-2]
 
 
 def _phase_rngs(seed: int, phase: str):
     """Independent (init, batch, augment) generators for one phase."""
     root = np.random.SeedSequence([seed, _PHASES[phase]])
     return tuple(np.random.default_rng(ss) for ss in root.spawn(3))
+
+
+def _stack(arrays: list) -> np.ndarray:
+    """Per-seed arrays on a leading seed axis; a lone seed gets no axis."""
+    return arrays[0] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _stacked(models: list):
+    """Per-seed models as one model with stacked parameters."""
+    models[0].params = {k: _stack([m.params[k] for m in models]) for k in models[0].params}
+    return models[0]
+
+
+def _unstacked(model, n_seeds: int) -> list:
+    """Each seed's model, with contiguous parameters of its own."""
+    if model is None or n_seeds == 1:
+        return [model] * n_seeds
+    out = [copy.copy(model) for _ in range(n_seeds)]
+    for i, one in enumerate(out):
+        one.params = {k: v[i].copy() for k, v in model.params.items()}
+    return out
+
+
+def _per_seed(fn, X: np.ndarray, rngs: tuple, *args) -> np.ndarray:
+    """``fn(x, *args, rng)`` on each seed's slice of ``X`` with its generator."""
+    slices = X if len(rngs) > 1 else [X]
+    return _stack([fn(x, *args, rng) for x, rng in zip(slices, rngs)])
+
+
+def _by_seed(rows: list, n_seeds: int) -> list:
+    """Per-step values, each a float or one per seed, as per-seed lists."""
+    rows = np.array(rows)
+    return (rows[None] if n_seeds == 1 else np.moveaxis(rows, -1, 0)).tolist()
 
 
 def resolve_coarse_pool(split: DataSplit, source: str):
@@ -281,27 +317,39 @@ def _pack(split: DataSplit, taxonomy: Taxonomy, cfg: TrainConfig,
 
 
 def train(split: DataSplit, taxonomy: Taxonomy, cfg: TrainConfig) -> TrainResult:
-    """Runs the method's stages in order: pretraining, teacher, classifier.
+    """Runs the method's stages in order: pretraining, teacher, classifier."""
+    return train_seeds(split, taxonomy, cfg, (cfg.seed,))[0]
 
-    The inputs are packed, and so checked, once before any stage runs."""
-    cfg.validate()
+
+def train_seeds(split: DataSplit, taxonomy: Taxonomy, cfg: TrainConfig,
+                seeds) -> list[TrainResult]:
+    """``train`` of ``replace(cfg, seed=s)`` for each seed, in lockstep; entry
+    i is bitwise ``seeds[i]`` trained alone. The inputs are packed, and so
+    checked, once before any stage runs; a non-finite value fails all seeds."""
+    seeds = tuple(seeds)
+    if not seeds:
+        raise ConfigError("seeds: need at least one seed")
+    for seed in seeds:
+        replace(cfg, seed=seed).validate()
     plan = PLANS[cfg.method]
     packed = _pack(split, taxonomy, cfg, need_pool=plan.extra is not None)
-    encoder = pretrace = teacher = None
+    encoder = pretraces = teacher = None
     if plan.pretrain:
-        encoder, pretrace = _pretrain_contrastive(split, taxonomy, cfg)
+        encoder, pretraces = _pretrain_contrastive(split, taxonomy, cfg, seeds)
     if plan.teacher:
-        teacher, _ = _train_classifier(packed, taxonomy, cfg, "teacher", None,
-                                       encoder, None)
-    model, trace = _train_classifier(packed, taxonomy, cfg, "main", plan.extra,
-                                     encoder, teacher)
-    return TrainResult(model, trace, teacher, pretrace)
+        teacher, _ = _train_classifier(packed, taxonomy, cfg, seeds, "teacher",
+                                       None, encoder, None)
+    model, traces = _train_classifier(packed, taxonomy, cfg, seeds, "main",
+                                      plan.extra, encoder, teacher)
+    n = len(seeds)
+    return [TrainResult(*r) for r in zip(_unstacked(model, n), traces,
+                                         _unstacked(teacher, n), pretraces or [None] * n)]
 
 
-def _train_classifier(packed, taxonomy: Taxonomy, cfg: TrainConfig, phase: str,
-                      extra: str | None, pretrained, teacher):
+def _train_classifier(packed, taxonomy: Taxonomy, cfg: TrainConfig, seeds: tuple,
+                      phase: str, extra: str | None, pretrained, teacher):
     """The shared supervised loop, with one optional extra term; returns
-    the trained model and its per-step trace.
+    the trained (stacked) model and one per-step trace per seed.
 
     The hierarchical part is computed identically for every method so
     that, with its extra term switched off (tau above 1, zero weight),
@@ -309,48 +357,49 @@ def _train_classifier(packed, taxonomy: Taxonomy, cfg: TrainConfig, phase: str,
     the logged total with the weight its gradient gets.
     """
     Xl, yl, Xu, yu, w = packed
-    rng_init, rng_batch, rng_aug = _phase_rngs(cfg.seed, phase)
+    rng_init, rng_batch, rng_aug = zip(*(_phase_rngs(seed, phase) for seed in seeds))
 
-    model = make_model(cfg.arch, Xl.shape[1], taxonomy.num_leaves,
-                       rng_init, hidden=cfg.hidden)
+    model = _stacked([make_model(cfg.arch, Xl.shape[1], taxonomy.num_leaves,
+                                 rng, hidden=cfg.hidden) for rng in rng_init])
     if pretrained is not None:
         for name in pretrained.rep_param_names:
             model.params[name] = pretrained.params[name].copy()
     opt = SgdMomentum(cfg.lr, cfg.momentum, cfg.weight_decay)
 
     use_pool = yu is not None or extra is not None
-    trace: list[StepStats] = []
+    zero = np.zeros(len(seeds)) if len(seeds) > 1 else 0.0
+    rows = []  # per step: total, fine, coarse, extra and mask rate
 
     for step in range(cfg.steps):
-        il = rng_batch.integers(0, len(Xl), size=cfg.batch_labeled)
+        il = _stack([r.integers(0, len(Xl), size=cfg.batch_labeled) for r in rng_batch])
         Xl_b, yl_b = Xl[il], yl[il]
         if use_pool:
-            iu = rng_batch.integers(0, len(Xu), size=cfg.batch_coarse)
+            iu = _stack([r.integers(0, len(Xu), size=cfg.batch_coarse) for r in rng_batch])
             Xu_b = Xu[iu]
 
         if extra == "fixmatch":
             # the strong view takes the place of the plain coarse view
-            Xl_b = augment_weak(Xl_b, cfg.augment.sigma_weak, rng_aug)
-            Xu_weak = augment_weak(Xu_b, cfg.augment.sigma_weak, rng_aug)
-            Xu_b = augment_strong(Xu_b, cfg.augment, rng_aug)
+            Xl_b = _per_seed(augment_weak, Xl_b, rng_aug, cfg.augment.sigma_weak)
+            Xu_weak = _per_seed(augment_weak, Xu_b, rng_aug, cfg.augment.sigma_weak)
+            Xu_b = _per_seed(augment_strong, Xu_b, rng_aug, cfg.augment)
         elif cfg.augment_inputs:
-            Xl_b = augment_weak(Xl_b, cfg.augment.sigma_weak, rng_aug)
+            Xl_b = _per_seed(augment_weak, Xl_b, rng_aug, cfg.augment.sigma_weak)
             if use_pool:
-                Xu_b = augment_weak(Xu_b, cfg.augment.sigma_weak, rng_aug)
+                Xu_b = _per_seed(augment_weak, Xu_b, rng_aug, cfg.augment.sigma_weak)
 
         zl, cache_l = model.forward_cached(Xl_b)
         fine, g_fine = cross_entropy(zl, yl_b)
         grads = model.backward(cache_l, g_fine)
         total = fine
-        coarse = extra_loss = mask_rate = 0.0
+        coarse = extra_loss = mask_rate = zero
 
         if use_pool:
             z_u, cache_u = model.forward_cached(Xu_b)
             g_u = None
             if yu is not None:
-                coarse, g_c = marginalized_cross_entropy(z_u, yu[iu], w)
-                g_u = cfg.unsup_weight * g_c
-                total += cfg.unsup_weight * coarse
+                coarse, g_u = marginalized_cross_entropy(z_u, yu[iu], w)
+                g_u *= cfg.unsup_weight
+                total = total + cfg.unsup_weight * coarse
             if extra == "distill":
                 extra_loss, g_x, _ = distill_loss(
                     z_u, teacher.forward(Xu_b), cfg.distill_temperature)
@@ -361,44 +410,50 @@ def _train_classifier(packed, taxonomy: Taxonomy, cfg: TrainConfig, phase: str,
                 else:
                     extra_loss, g_x, mask = fixmatch_loss(
                         model.forward(Xu_weak), z_u, cfg.tau)
-                mask_rate = float(mask.mean()) if mask.size else 0.0
+                mask_rate = mask.mean(axis=-1) if mask.shape[-1] else zero
                 weight = cfg.consistency_weight
             if extra is not None:
-                g_x = weight * g_x
+                g_x *= weight
                 g_u = g_x if g_u is None else g_u + g_x
-                total += weight * extra_loss
+                total = total + weight * extra_loss
             grads = add_grads(grads, model.backward(cache_u, g_u))
 
         opt.step(model.params, grads)
-        trace.append(StepStats(step, total, fine, coarse, extra_loss, mask_rate))
+        rows.append((total, fine, coarse, extra_loss, mask_rate))
 
-    return model, trace
+    return model, [[StepStats(step, *row) for step, row in enumerate(seed_rows)]
+                   for seed_rows in _by_seed(rows, len(seeds))]
 
 
-def _pretrain_contrastive(split: DataSplit, taxonomy: Taxonomy, cfg: TrainConfig):
+def _pretrain_contrastive(split: DataSplit, taxonomy: Taxonomy, cfg: TrainConfig,
+                          seeds: tuple):
     """Momentum-contrast pretraining over labeled plus coarse features.
 
     Two strong views per sample; the key view is encoded by a momentum
     copy, detached, and pushed into the negative queue for later steps.
-    Returns the trained query encoder and the per-step trace.
+    Returns the trained (stacked) query encoder and one per-step trace
+    per seed.
     """
     X = features_of(split.labeled + resolve_coarse_pool(split, cfg.coarse_source))
-    rng_init, rng_batch, rng_aug = _phase_rngs(cfg.seed, "pretrain")
+    rng_init, rng_batch, rng_aug = zip(*(_phase_rngs(seed, "pretrain") for seed in seeds))
 
-    encoder = make_model(cfg.arch, X.shape[1], taxonomy.num_leaves, rng_init,
-                         hidden=cfg.hidden)
-    query = ContrastiveModel(encoder, ProjectionHead(encoder.rep_dim, cfg.emb_dim, rng_init))
+    # each seed's rng_init draws its encoder, then its head
+    encoders = [make_model(cfg.arch, X.shape[1], taxonomy.num_leaves, rng,
+                           hidden=cfg.hidden) for rng in rng_init]
+    heads = [ProjectionHead(e.rep_dim, cfg.emb_dim, r) for e, r in zip(encoders, rng_init)]
+    encoder = _stacked(encoders)
+    query = ContrastiveModel(encoder, _stacked(heads))
     key = copy.deepcopy(query)
 
-    queue = NegativeQueue(cfg.queue_size, cfg.emb_dim)
+    # one queue per seed, on the stacked parameters' leading axis
+    queue = NegativeQueue(cfg.queue_size, cfg.emb_dim, query.params["head.bp"].shape[:-1])
     opt = SgdMomentum(cfg.lr, cfg.momentum, cfg.weight_decay)
-    trace: list[PretrainStats] = []
+    losses, sizes = [], []  # per step: loss (one per seed) and queue size
 
     for step in range(cfg.pretrain_steps):
-        idx = rng_batch.integers(0, len(X), size=cfg.batch_pretrain)
-        Xb = X[idx]
-        v_q = augment_strong(Xb, cfg.augment, rng_aug)
-        v_k = augment_strong(Xb, cfg.augment, rng_aug)
+        Xb = X[_stack([r.integers(0, len(X), size=cfg.batch_pretrain) for r in rng_batch])]
+        v_q = _per_seed(augment_strong, Xb, rng_aug, cfg.augment)
+        v_k = _per_seed(augment_strong, Xb, rng_aug, cfg.augment)
         q, cache = query.embed_cached(v_q)
         k = key.embed(v_k)
         loss, g_q = info_nce_loss(q, k, queue.array, cfg.nce_temperature)
@@ -406,6 +461,8 @@ def _pretrain_contrastive(split: DataSplit, taxonomy: Taxonomy, cfg: TrainConfig
         opt.step(query.params, grads)
         momentum_update(key.params, query.params, cfg.key_momentum)
         queue.push(k)
-        trace.append(PretrainStats(step, loss, len(queue)))
+        losses.append(loss)
+        sizes.append(len(queue))
 
-    return encoder, trace
+    return encoder, [[PretrainStats(step, *row) for step, row in enumerate(zip(own, sizes))]
+                     for own in _by_seed(losses, len(seeds))]

@@ -28,7 +28,13 @@ from hierssl.taxonomy import (
     semi_inat_taxonomy,
     shaped_taxonomy,
 )
-from hierssl.trainers import TrainConfig, default_train_config, train, write_metrics
+from hierssl.trainers import (
+    TrainConfig,
+    default_train_config,
+    train,
+    train_seeds,
+    write_metrics,
+)
 
 from _reference import dense, hier_supervised_loss
 
@@ -40,17 +46,13 @@ def verdict(tag: str, ok: bool, detail: str) -> None:
     assert ok, f"{tag}: {detail}"
 
 
-def mean_top1(gen, configs) -> float:
+def mean_top1(gen, cfg: TrainConfig) -> float:
+    """Mean test top1 of ``cfg`` over seeds 0 .. N_SEEDS - 1, trained in lockstep."""
     accs = [
-        top1(train(gen.split, gen.in_taxonomy, cfg).model,
-             gen.split.test, gen.in_taxonomy)
-        for cfg in configs
+        top1(result.model, gen.split.test, gen.in_taxonomy)
+        for result in train_seeds(gen.split, gen.in_taxonomy, cfg, range(N_SEEDS))
     ]
     return float(np.mean(accs))
-
-
-def seeds(cfg: TrainConfig) -> list[TrainConfig]:
-    return [replace(cfg, seed=s) for s in range(N_SEEDS)]
 
 
 # -- 1. exact algebra ---------------------------------------------------------
@@ -212,8 +214,7 @@ def test_2_finite_difference_gradients():
 def test_3_supervision_level_sweep(default_gen):
     levels = [None] + list(range(1, 8))
     means = [
-        mean_top1(default_gen,
-                  seeds(TrainConfig(method="baseline", supervision_level=lv)))
+        mean_top1(default_gen, TrainConfig(method="baseline", supervision_level=lv))
         for lv in levels
     ]
     gain = means[2] - means[0]  # level 2 vs none
@@ -241,11 +242,11 @@ def crit4_fixmatch(supervision_level) -> TrainConfig:
 
 
 def test_4_consistency_plus_hierarchy(default_gen):
-    b_hier = mean_top1(default_gen, seeds(TrainConfig(
+    b_hier = mean_top1(default_gen, TrainConfig(
         method="baseline", supervision_level=2, arch="mlp1",
-        weight_decay=1e-2)))
-    f_none = mean_top1(default_gen, seeds(crit4_fixmatch(None)))
-    f_hier = mean_top1(default_gen, seeds(crit4_fixmatch(2)))
+        weight_decay=1e-2))
+    f_none = mean_top1(default_gen, crit4_fixmatch(None))
+    f_hier = mean_top1(default_gen, crit4_fixmatch(2))
     ok = f_hier >= f_none and f_hier >= b_hier
     verdict("criterion 4 (consistency + coarse supervision)", ok,
             f"fixmatch+L2 {f_hier:.3f} vs fixmatch alone {f_none:.3f} "
@@ -264,11 +265,11 @@ def test_5_out_of_class_cost_and_filter_recovery(shifted_gen):
     filtered, _ = filter_split(screen.model, tax, split,
                                FilterConfig(tau=0.3, match_level=2))
 
-    f_in = mean_top1(shifted_gen, seeds(crit4_fixmatch(2)))
-    f_union = mean_top1(shifted_gen, seeds(
-        replace(crit4_fixmatch(2), coarse_source="union")))
+    f_in = mean_top1(shifted_gen, crit4_fixmatch(2))
+    f_union = mean_top1(shifted_gen,
+                        replace(crit4_fixmatch(2), coarse_source="union"))
     filtered_gen = replace(shifted_gen, split=filtered)
-    f_filt = mean_top1(filtered_gen, seeds(crit4_fixmatch(2)))
+    f_filt = mean_top1(filtered_gen, crit4_fixmatch(2))
 
     ok = f_union < f_in and f_union < f_filt < f_in
     verdict("criterion 5 (out-of-class cost and filter recovery)", ok,

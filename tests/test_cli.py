@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from hierssl.cli import main
+from hierssl.cli import _chunks, main
 from hierssl.data import load_dataset
 from hierssl.evaluate import read_report, read_sweep, top1
 from hierssl.model import load_checkpoint
@@ -88,6 +88,14 @@ class TestTrain:
         train_into(data_dir, tmp_path / "par", "--seeds", "0,1", "--jobs", "2")
         assert dir_bytes(tmp_path / "seq") == dir_bytes(tmp_path / "par")
 
+    def test_seed_chunks_reproduce_the_lone_runs(self, data_dir, tmp_path):
+        train_into(data_dir, tmp_path / "lock", "--seeds", "0,1,2", "--jobs", "1")
+        train_into(data_dir, tmp_path / "chunks", "--seeds", "0,1,2", "--jobs", "2")
+        for seed in "012":
+            train_into(data_dir, tmp_path / "lone", "--set", f"seed={seed}")
+        assert dir_bytes(tmp_path / "lock") == dir_bytes(tmp_path / "lone")
+        assert dir_bytes(tmp_path / "chunks") == dir_bytes(tmp_path / "lone")
+
     def test_multiple_seeds_differ_from_each_other(self, data_dir, tmp_path):
         train_into(data_dir, tmp_path / "r", "--seeds", "0,1")
         a = (tmp_path / "r" / "seed0" / "checkpoint.txt").read_bytes()
@@ -154,6 +162,32 @@ class TestExitCodes:
         assert main([*argv, "--data", str(data_dir), "--out", str(out)]) == 2
         assert "config error: --jobs: must be >= 1" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize("token", ["٢", "+2", "02"])
+    def test_noncanonical_jobs_is_2(self, data_dir, tmp_path, capsys, command,
+                                    token):
+        # --jobs also sets how the seeds are chunked, so it parses strictly
+        out = tmp_path / "x"
+        argv = [command, "--set", "steps=3", "--jobs", token,
+                "--data", str(data_dir), "--out", str(out)]
+        if command == "sweep":
+            argv += ["--levels", "none"]
+        assert main(argv) == 2
+        assert "config error: --jobs" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergent_chunk_writes_no_seed_directory(self, data_dir, tmp_path,
+                                                      capsys):
+        # both seeds train in one lockstep chunk, so both fail together
+        out = tmp_path / "x"
+        code = main(["train", "--data", str(data_dir), "--seeds", "0,1",
+                     "--set", "steps=5", "--set", "lr=1e160",
+                     "--set", "weight_decay=1e160", "--out", str(out)])
+        assert code == 4
+        assert "train error" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [
         ["train", "--set", "steps=3", "--seeds="],
@@ -441,6 +475,26 @@ class TestSweepCommand:
         assert main([*common, "--jobs", "1", "--out", str(tmp_path / "seq")]) == 0
         assert main([*common, "--jobs", "2", "--out", str(tmp_path / "par")]) == 0
         assert dir_bytes(tmp_path / "seq") == dir_bytes(tmp_path / "par")
+
+    @pytest.mark.parametrize("jobs, cells, chunks", [
+        (1, 1, [[0, 1, 2]]),
+        (2, 1, [[0, 2], [1]]),
+        (8, 1, [[0], [1], [2]]),
+        (2, 4, [[0, 1, 2]]),  # four levels already give two workers a task each
+        (4, 2, [[0, 2], [1]]),
+    ])
+    def test_chunks_are_as_few_as_keep_every_worker_busy(self, jobs, cells, chunks):
+        assert _chunks([0, 1, 2], jobs, cells) == chunks
+
+    def test_seed_chunks_do_not_change_the_bytes(self, data_dir, tmp_path):
+        # --jobs 1 trains the level's three seeds in one lockstep run;
+        # with one level, --jobs 2 splits them into the chunks 0,2 and 1
+        common = ["sweep", "--data", str(data_dir), "--set", "steps=8",
+                  "--levels", "2", "--seeds", "0,1,2"]
+        for jobs in ("1", "2"):
+            assert main([*common, "--jobs", jobs,
+                         "--out", str(tmp_path / jobs)]) == 0
+        assert dir_bytes(tmp_path / "1") == dir_bytes(tmp_path / "2")
 
     def test_bad_level_token_is_2(self, data_dir, tmp_path):
         assert main(["sweep", "--data", str(data_dir), "--levels", "one",

@@ -389,6 +389,21 @@ class TestPersistence:
             load_dataset(p, g.in_taxonomy)
         assert e.value.line == 4
 
+    @pytest.mark.parametrize("token", ["٣", "1_0", "１", "1_000.5"])
+    def test_only_ascii_feature_spellings_load(self, tmp_path, token):
+        # float() reads each of these; save_dataset never writes them
+        g = generate(TOY)
+        p = tmp_path / "bad.txt"
+        save_dataset(g.split, g.in_taxonomy, p)
+        lines = p.read_text().splitlines()
+        parts = lines[3].split()
+        parts[-1] = token
+        lines[3] = " ".join(parts)
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="ASCII") as e:
+            load_dataset(p, g.in_taxonomy)
+        assert e.value.line == 4
+
     def test_unknown_class_name_rejected(self, tmp_path):
         g = generate(TOY)
         p = tmp_path / "bad.txt"

@@ -621,3 +621,70 @@ def test_pseudo_label_is_fixmatch_with_one_view_bitwise(width, gate):
     mask = got[2]
     assert {"open": mask.all(), "shut": not mask.any(),
             "mixed": mask.any() and not mask.all()}[gate]
+
+
+# -- a leading (seed) axis ------------------------------------------------------
+
+
+def _stacked_cases(rng):
+    """(name, loss function, per-slice argument tuples) at training-like shapes."""
+    S, n, c = 3, 30, 60
+    anc = np.repeat(np.arange(12), 5)
+    w = MarginalizationMatrix(anc, 12)
+    z = [rng.standard_normal((n, c)) * 3 for _ in range(S)]
+    z2 = [rng.standard_normal((n, c)) * 3 for _ in range(S)]
+    q = [x / np.linalg.norm(x, axis=-1, keepdims=True)
+         for x in (rng.standard_normal((S, 16, 8)), rng.standard_normal((S, 16, 8)),
+                   rng.standard_normal((S, 40, 8)))]
+    return [
+        ("cross_entropy", cross_entropy,
+         [(z[i], rng.integers(0, c, n)) for i in range(S)]),
+        ("marginalized", lambda zz, y: marginalized_cross_entropy(zz, y, w),
+         [(z[i], rng.integers(0, 12, n)) for i in range(S)]),
+        ("pseudo_label", lambda zz: pseudo_label_loss(zz, 0.5), [(z[i],) for i in range(S)]),
+        ("fixmatch", lambda a, b: fixmatch_loss(a, b, 0.5),
+         [(z[i], z2[i]) for i in range(S)]),
+        ("distill", lambda a, b: distill_loss(a, b, 2.0), [(z[i], z2[i]) for i in range(S)]),
+        ("info_nce", lambda a, b, m: info_nce_loss(a, b, m, 0.07),
+         [(q[0][i], q[1][i], q[2][i]) for i in range(S)]),
+    ]
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_leading_axis_gives_each_slice_bitwise(case):
+    name, fn, per_slice = _stacked_cases(np.random.default_rng(11))[case]
+    lone = [fn(*args) for args in per_slice]
+    stacked = fn(*(np.stack(parts) for parts in zip(*per_slice)))
+    for k, out in enumerate(stacked):
+        assert out.shape[:1] == (len(per_slice),), name
+        for i, one in enumerate(lone):
+            assert np.asarray(one[k]).tobytes() == out[i].tobytes(), (name, k, i)
+    assert all(isinstance(one[0], float) for one in lone)
+
+
+def test_one_non_finite_slice_fails_the_call():
+    z = np.zeros((3, 4, 5))
+    z[1, 2, 3] = np.nan
+    with pytest.raises(NonFiniteGradient):
+        cross_entropy(z, np.zeros((3, 4), dtype=np.int64))
+    with pytest.raises(NonFiniteGradient):
+        fixmatch_loss(np.zeros((3, 4, 5)), z, 0.5)
+
+
+def test_leading_axis_shape_mismatch_raises():
+    with pytest.raises(DimensionMismatch):
+        cross_entropy(np.zeros((3, 4, 5)), np.zeros(4, dtype=np.int64))
+    with pytest.raises(DimensionMismatch):
+        info_nce_loss(np.zeros((3, 4, 5)), np.zeros((3, 4, 5)), np.zeros((7, 5)), 0.1)
+
+
+def test_gradient_does_not_depend_on_memory_layout():
+    # the true-class entries are updated in place: a Fortran-ordered or
+    # strided input must get them too
+    rng = np.random.default_rng(4)
+    z = rng.standard_normal((3, 6, 5))
+    y = rng.integers(0, 5, (3, 6))
+    for logits in (np.asfortranarray(z), z.transpose(1, 0, 2).copy().transpose(1, 0, 2)):
+        assert_allclose(cross_entropy(logits, y)[1], cross_entropy(z, y)[1], **TIGHT)
+        assert_allclose(fixmatch_loss(logits, logits, 0.0)[1],
+                        fixmatch_loss(z, z, 0.0)[1], **TIGHT)

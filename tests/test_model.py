@@ -277,3 +277,48 @@ class TestCheckpoint:
         save_checkpoint(fresh("linear"), tmp_path / "x.ckpt", seed=0, step=0,
                         meta=meta)
         assert load_checkpoint(tmp_path / "x.ckpt")[1]["meta"] == meta
+
+
+# -- a leading (seed) axis ------------------------------------------------------
+
+
+@pytest.mark.parametrize("arch", ["linear", "mlp1"])
+def test_stacked_passes_give_each_model_bitwise(arch):
+    # the shape of a lockstep step: three seeds, 30 rows of width 32, 60 classes
+    rng = np.random.default_rng(5)
+    lone = [make_model(arch, 32, 60, np.random.default_rng(s), hidden=64)
+            for s in range(3)]
+    heads = [ProjectionHead(m.rep_dim, 16, np.random.default_rng(10 + s))
+             for s, m in enumerate(lone)]
+    stacked = make_model(arch, 32, 60, np.random.default_rng(0), hidden=64)
+    stacked.params = {k: np.stack([m.params[k] for m in lone]) for k in stacked.params}
+    head = ProjectionHead(stacked.rep_dim, 16, np.random.default_rng(0))
+    head.params = {k: np.stack([h.params[k] for h in heads]) for k in head.params}
+    X = rng.standard_normal((3, 30, 32))
+    G = rng.standard_normal((3, 30, 60))
+    Gq = rng.standard_normal((3, 30, 16))
+
+    z, cache = stacked.forward_cached(X)
+    grads = stacked.backward(cache, G)
+    both = ContrastiveModel(stacked, head)
+    q, c_q = both.embed_cached(X)
+    g_q = both.backward(c_q, Gq)
+    for i, (m, h) in enumerate(zip(lone, heads)):
+        zi, ci = m.forward_cached(X[i])
+        assert zi.tobytes() == z[i].tobytes()
+        gi = m.backward(ci, G[i])
+        assert all(gi[k].tobytes() == grads[k][i].tobytes() for k in gi)
+        one = ContrastiveModel(m, h)
+        qi, cqi = one.embed_cached(X[i])
+        assert qi.tobytes() == q[i].tobytes()
+        gqi = one.backward(cqi, Gq[i])
+        assert gqi.keys() == g_q.keys()
+        assert all(gqi[k].tobytes() == g_q[k][i].tobytes() for k in gqi)
+
+
+def test_one_non_finite_seed_fails_the_stacked_step():
+    params = {"W": np.zeros((3, 2, 2))}
+    grad = np.zeros((3, 2, 2))
+    grad[2, 0, 1] = np.inf
+    with pytest.raises(NonFiniteGradient):
+        SgdMomentum(0.1).step(params, {"W": grad})

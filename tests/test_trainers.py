@@ -2,13 +2,20 @@
 phase separation, the contrastive queue, and the metrics round trip."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from hierssl.data import GenConfig, generate
-from hierssl.errors import ConfigError, EmptyQueue, EmptySplit, ParseError
+from hierssl.errors import (
+    ConfigError,
+    EmptyQueue,
+    EmptySplit,
+    NonFiniteGradient,
+    ParseError,
+)
 from hierssl.model import save_checkpoint
 from hierssl.trainers import (
     METHODS,
@@ -22,6 +29,7 @@ from hierssl.trainers import (
     read_metrics,
     resolve_coarse_pool,
     train,
+    train_seeds,
     write_metrics,
 )
 
@@ -198,7 +206,7 @@ class TestStages:
 
         split, tax = toy_gen.split, toy_gen.in_taxonomy
         cfg = quick("moco", steps=1, lr=1e-12)
-        encoder, _ = _pretrain_contrastive(split, tax, cfg)
+        encoder, _ = _pretrain_contrastive(split, tax, cfg, (cfg.seed,))
         r = train(split, tax, cfg)
         # representation comes from stage 1 (up to one ~1e-12 SGD step)
         assert_allclose(r.model.params["W1"], encoder.params["W1"],
@@ -227,7 +235,7 @@ class TestStages:
 
         monkeypatch.setattr(trainers, "momentum_update", spy)
         cfg = quick("moco", pretrain_steps=1)
-        _pretrain_contrastive(toy_gen.split, toy_gen.in_taxonomy, cfg)
+        _pretrain_contrastive(toy_gen.split, toy_gen.in_taxonomy, cfg, (cfg.seed,))
         rng_init = _phase_rngs(0, "pretrain")[0]
         encoder = make_model("mlp1", 8, 8, rng_init, hidden=cfg.hidden)
         query = ContrastiveModel(
@@ -261,7 +269,7 @@ class TestStages:
     def test_pretrain_first_step_has_empty_queue_and_zero_loss(self, toy_gen):
         split, tax = toy_gen.split, toy_gen.in_taxonomy
         cfg = quick("moco", queue_size=40)
-        _, trace = _pretrain_contrastive(split, tax, cfg)
+        _, (trace,) = _pretrain_contrastive(split, tax, cfg, (cfg.seed,))
         assert trace[0].loss == 0.0  # no negatives yet
         assert trace[1].loss > 0.0
         # queue length follows min(capacity, steps * batch)
@@ -282,6 +290,18 @@ class TestNegativeQueue:
     def test_zero_capacity_rejected(self):
         with pytest.raises(EmptyQueue):
             NegativeQueue(0, 4)
+
+    def test_leading_axis_holds_one_fifo_per_seed(self):
+        q = NegativeQueue(3, 2, (2,))
+        lone = [NegativeQueue(3, 2), NegativeQueue(3, 2)]
+        rng = np.random.default_rng(0)
+        for n in (2, 1, 2):
+            keys = rng.standard_normal((2, n, 2))
+            q.push(keys)
+            for one, k in zip(lone, keys):
+                one.push(k)
+        assert len(q) == 3 and q.array.shape == (2, 3, 2)
+        assert all(np.array_equal(q.array[i], lone[i].array) for i in range(2))
 
 
 class TestEmptySplits:
@@ -496,3 +516,60 @@ def test_wrapped_queue_bytes_are_pinned(toy_gen, tmp_path, method):
     r = train(toy_gen.split, toy_gen.in_taxonomy, cfg)
     assert [s.queue_len for s in r.pretrain_trace] == [16, 32] + [40] * 8
     assert run_digest(r, cfg, tmp_path) == GOLDEN_WRAPPED[method]
+
+
+# -- seeds in lockstep ----------------------------------------------------------
+
+
+def lone_digests(toy_gen, tmp_path, cfg, seeds) -> list[str]:
+    out = []
+    for seed in seeds:
+        one = replace(cfg, seed=seed)
+        out.append(run_digest(train(toy_gen.split, toy_gen.in_taxonomy, one), one,
+                              tmp_path))
+    return out
+
+
+def lockstep_digests(toy_gen, tmp_path, cfg, seeds) -> list[str]:
+    results = train_seeds(toy_gen.split, toy_gen.in_taxonomy, cfg, seeds)
+    return [run_digest(r, replace(cfg, seed=seed), tmp_path)
+            for seed, r in zip(seeds, results)]
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("case", sorted(RUN_CASES))
+def test_lockstep_seeds_match_lone_runs(toy_gen, tmp_path, method, case):
+    cfg = quick(method, **RUN_CASES[case])
+    assert lockstep_digests(toy_gen, tmp_path, cfg, (0, 1, 2)) == \
+        lone_digests(toy_gen, tmp_path, cfg, (0, 1, 2))
+
+
+@pytest.mark.parametrize("method", sorted(GOLDEN_WRAPPED))
+def test_lockstep_wrapped_queue_matches_lone_runs(toy_gen, tmp_path, method):
+    cfg = quick(method, queue_size=40)
+    digests = lockstep_digests(toy_gen, tmp_path, cfg, (0, 1, 2))
+    assert digests == lone_digests(toy_gen, tmp_path, cfg, (0, 1, 2))
+    assert digests[0] == GOLDEN_WRAPPED[method]
+
+
+def test_lockstep_results_own_their_parameters(toy_gen):
+    a, b = train_seeds(toy_gen.split, toy_gen.in_taxonomy,
+                       quick("self_training"), (0, 1))
+    for r in (a, b):
+        for model in (r.model, r.teacher):
+            assert all(v.flags.c_contiguous and v.base is None
+                       for v in model.params.values())
+    assert not np.array_equal(a.model.params["W"], b.model.params["W"])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_diverging_seed_fails_the_lockstep_run(toy_gen):
+    with pytest.raises(NonFiniteGradient):
+        train_seeds(toy_gen.split, toy_gen.in_taxonomy,
+                    quick("baseline", lr=1e160, weight_decay=1e160), (0, 1, 2))
+
+
+@pytest.mark.parametrize("seeds", [(), (0, -1)], ids=["empty", "negative"])
+def test_seed_list_is_checked(toy_gen, seeds):
+    with pytest.raises(ConfigError, match="seed"):
+        train_seeds(toy_gen.split, toy_gen.in_taxonomy, quick("baseline"), seeds)
