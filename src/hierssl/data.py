@@ -36,6 +36,8 @@ _DATASET_MAGIC = "hierssl-dataset v1"
 
 SPLIT_TAGS = ("labeled", "coarse_in", "coarse_out", "test")
 
+COARSE_SOURCES = ("coarse_in", "union")
+
 
 @dataclass(frozen=True, eq=False)
 class Samples:
@@ -43,17 +45,16 @@ class Samples:
 
     ``X`` holds the ``(n, d)`` float64 features; ``label_level`` and
     ``label`` the provided label (a class index at that taxonomy level).
-    ``true_species`` is the hidden ground-truth leaf index (-1 when the
-    sample's species is not part of the modeled label space) and
-    ``in_class`` records whether it came from an in-class or novel species.
-    Both are for generation and evaluation only; training never reads them.
+    ``true_species`` is the hidden ground-truth leaf index, -1 when the
+    sample's species is not part of the modeled label space; so a sample
+    is in-class exactly when ``true_species >= 0``. It is for generation
+    and evaluation only; training never reads it.
     """
 
     X: np.ndarray
     label_level: np.ndarray
     label: np.ndarray
     true_species: np.ndarray
-    in_class: np.ndarray
 
     def __len__(self) -> int:
         return len(self.label)
@@ -75,15 +76,14 @@ class DataSplit:
     coarse_out: Samples
     test: Samples
 
-    def replace_coarse(self, kept: Samples) -> "DataSplit":
-        """A copy whose coarse pool is exactly ``kept`` (labeled/test untouched)
-        and whose out-of-class pool is empty, of the same feature width."""
-        return DataSplit(
-            labeled=self.labeled,
-            coarse_in=kept,
-            coarse_out=self.coarse_out.take([]),
-            test=self.test,
-        )
+    def coarse(self, source: str) -> Samples:
+        """The coarse pool named by ``source``: the in-class pool alone, or
+        its union with the out-of-class pool."""
+        if source == "coarse_in":
+            return self.coarse_in
+        if source == "union":
+            return self.coarse_in + self.coarse_out
+        raise ConfigError(f"coarse_source: unknown source {source!r}")
 
 
 def features_of(samples: Samples) -> np.ndarray:
@@ -111,7 +111,7 @@ def labels_at_level(samples: Samples, taxonomy: Taxonomy, level: int) -> np.ndar
         if level < lvl:
             out[rows] = taxonomy.ancestor_map(int(lvl), level)[label[rows]]
         elif level > lvl:
-            out[rows] = taxonomy.ancestors(level)[species[rows]]
+            out[rows] = taxonomy.ancestor_map(taxonomy.leaf_level, level)[species[rows]]
     return out
 
 
@@ -251,15 +251,14 @@ def generate(config: GenConfig) -> GenResult:
     out_names: list[str] = []
     novel: set[str] = set()  # every class on a grafted chain
     if n_out:
-        in_per_attach = np.bincount(
-            in_tax.ancestors(attach), minlength=counts[attach - 1]
-        )
+        attach_of = in_tax.ancestor_map(depth, attach)
+        in_per_attach = np.bincount(attach_of, minlength=counts[attach - 1])
         alloc = _bounded_allocate(
             n_out, [max(int(c), 1) for c in in_per_attach],
             [0] * len(in_per_attach), [n_out] * len(in_per_attach),
         )
         # the first leaf under each attach class, whose path leads to it
-        _, first_leaf = np.unique(in_tax.ancestors(attach), return_index=True)
+        _, first_leaf = np.unique(attach_of, return_index=True)
         width = max(2, len(str(n_out - 1)))
         k = 0
         for attach_class, n_here in enumerate(alloc):
@@ -285,17 +284,16 @@ def generate(config: GenConfig) -> GenResult:
     )
 
     k = config.coarse_level
-    in_coarse = in_tax.ancestors(k)
+    in_coarse = in_tax.ancestor_map(depth, k)
     # coarse labels of novel species, resolved by name into the in-class space
+    full_coarse = full_tax.ancestor_map(depth, k)
     out_coarse = np.array(
-        [
-            in_tax.class_index(k, full_tax.class_name(k, full_tax.ancestors(k)[f]))
-            for f in out_full_ids
-        ],
+        [in_tax.class_index(k, full_tax.class_name(k, full_coarse[f]))
+         for f in out_full_ids],
         dtype=np.int64,
     )
 
-    def draw(full_ids, per_species, level, labels, species, in_class):
+    def draw(full_ids, per_species, level, labels, species):
         """``per_species[j]`` samples of species ``j``, in species order,
         drawn in one call: the same stream as one draw per sample."""
         rows = np.repeat(np.arange(len(per_species)), per_species)
@@ -305,21 +303,20 @@ def generate(config: GenConfig) -> GenResult:
             label_level=np.full(len(rows), level, dtype=np.int64),
             label=labels[rows],
             true_species=species[rows],
-            in_class=np.full(len(rows), in_class),
         )
 
     in_ids = np.arange(n_in, dtype=np.int64)
     split = DataSplit(
         labeled=draw(in_full_ids, [config.labeled_per_species] * n_in,
-                     depth, in_ids, in_ids, True),
+                     depth, in_ids, in_ids),
         coarse_in=draw(in_full_ids, _per_species_counts(
             config.coarse_in_per_species, n_in, config.long_tail_exponent),
-            k, in_coarse, in_ids, True),
+            k, in_coarse, in_ids),
         coarse_out=draw(out_full_ids, _per_species_counts(
             config.coarse_out_per_species, n_out, config.long_tail_exponent),
-            k, out_coarse, np.full(n_out, -1, dtype=np.int64), False),
+            k, out_coarse, np.full(n_out, -1, dtype=np.int64)),
         test=draw(in_full_ids, [config.test_per_species] * n_in,
-                  depth, in_ids, in_ids, True),
+                  depth, in_ids, in_ids),
     )
     return GenResult(taxonomy=full_tax, in_taxonomy=in_tax, split=split)
 
@@ -452,11 +449,19 @@ def load_dataset(path, taxonomy: Taxonomy) -> DataSplit:
                 label_level=np.empty(n_rows[tag], dtype=np.int64),
                 label=np.empty(n_rows[tag], dtype=np.int64),
                 true_species=np.empty(n_rows[tag], dtype=np.int64),
-                in_class=np.full(n_rows[tag], tag != "coarse_out"),
             )
             for tag in SPLIT_TAGS
         }
         next_row = {tag: itertools.count() for tag in SPLIT_TAGS}
+
+        def lookup(ln: int, kind: str, level: int, name: str) -> int:
+            try:
+                return taxonomy.class_index(level, name)
+            except UnknownClass:
+                raise UnknownClass(
+                    f"line {ln}: no {kind} named {name!r} at level "
+                    f"{level_names[level - 1]} ({taxonomy.class_counts[level - 1]} classes)"
+                ) from None
 
         for ln, line in lines:
             parts = line.split(None, 4)
@@ -472,23 +477,9 @@ def load_dataset(path, taxonomy: Taxonomy) -> DataSplit:
             level = level_index.get(level_name)
             if level is None:
                 raise ParseError(f"unknown level {level_name!r}", line=ln)
-            try:
-                label = taxonomy.class_index(level, label_name)
-            except UnknownClass:
-                raise UnknownClass(
-                    f"line {ln}: no class named {label_name!r} at level "
-                    f"{level_name} ({taxonomy.class_counts[level - 1]} classes)"
-                ) from None
-            if species_name == "-":
-                species = -1
-            else:
-                try:
-                    species = taxonomy.class_index(taxonomy.leaf_level, species_name)
-                except UnknownClass:
-                    raise UnknownClass(
-                        f"line {ln}: no species named {species_name!r} at level "
-                        f"{taxonomy.level_names[-1]} ({taxonomy.num_leaves} classes)"
-                    ) from None
+            label = lookup(ln, "class", level, label_name)
+            species = (-1 if species_name == "-" else
+                       lookup(ln, "species", taxonomy.leaf_level, species_name))
             # one check per row, not per value: float() also reads "٣" and "1_0"
             if not text.isascii() or "_" in text:
                 raise ParseError("feature values must be ASCII without '_'", line=ln)

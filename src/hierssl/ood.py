@@ -4,8 +4,8 @@ A trained model screens coarsely labeled samples before they are used
 for training: a sample is kept when the model's best leaf guess is
 confident enough and that guess sits under the sample's provided coarse
 class at the match level. The decision reads only the features and the
-provided label, never the hidden origin or ground-truth species; those
-fields feed the diagnostic counts alone.
+provided label, never the hidden ground-truth species; that field, and
+the origin it gives (``true_species >= 0``), feed the diagnostic counts alone.
 """
 
 from __future__ import annotations
@@ -39,9 +39,9 @@ class FilterConfig:
 class FilterStats:
     """Keep counts plus hidden-origin diagnostics.
 
-    Precision and recall use the hidden origin, which training never
-    sees; they exist to report how well the filter separated in-class
-    from out-of-class, not to influence what is kept.
+    Precision and recall use the hidden origin (``true_species >= 0``),
+    which training never sees; they exist to report how well the filter
+    separated in-class from out-of-class, not to influence what is kept.
     """
 
     n_total: int
@@ -84,12 +84,12 @@ def keep_mask(model, taxonomy: Taxonomy, samples: Samples,
     probs = predict_probs(model, features_of(samples))
     conf = probs.max(axis=-1)
     pred_leaf = probs.argmax(axis=-1)
-    pred_match = taxonomy.ancestors(cfg.match_level)[pred_leaf]
+    pred_match = taxonomy.ancestor_map(taxonomy.leaf_level, cfg.match_level)[pred_leaf]
     return (conf >= cfg.tau) & (pred_match == provided)
 
 
 def filter_stats(samples: Samples, mask: np.ndarray) -> FilterStats:
-    origins = samples.in_class
+    origins = samples.true_species >= 0
     return FilterStats(
         n_total=len(samples),
         n_kept=int(mask.sum()),
@@ -104,12 +104,13 @@ def filter_split(model, taxonomy: Taxonomy, split: DataSplit,
                  cfg: FilterConfig) -> tuple[DataSplit, FilterStats]:
     """Screen the union of both coarse pools; labeled and test pass through.
 
-    The returned split holds the kept samples (origins intact) as its
-    in-class coarse pool and an empty out-of-class pool.
+    The returned split holds the kept samples as its ``coarse_in`` pool,
+    hidden species and so origins intact, and an empty ``coarse_out``.
     """
-    pool = split.coarse_in + split.coarse_out
+    pool = split.coarse("union")
     mask = keep_mask(model, taxonomy, pool, cfg)
-    return split.replace_coarse(pool.take(mask)), filter_stats(pool, mask)
+    kept = DataSplit(split.labeled, pool.take(mask), split.coarse_out.take([]), split.test)
+    return kept, filter_stats(pool, mask)
 
 
 _CONFIG_KEYS = field_keys(FilterConfig)

@@ -103,11 +103,6 @@ class Taxonomy:
 
     # -- ancestor queries --------------------------------------------------
 
-    def ancestors(self, level: int) -> np.ndarray:
-        """Ancestor class index at ``level`` for every leaf, as one array."""
-        self._check_level(level)
-        return self._leaf_anc[level - 1]
-
     def ancestor_map(self, fine_level: int, coarse_level: int) -> np.ndarray:
         """Class index at ``coarse_level`` for every class at ``fine_level``.
 

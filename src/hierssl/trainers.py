@@ -25,6 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import (
+    COARSE_SOURCES,
     AugmentParams,
     DataSplit,
     augment_strong,
@@ -32,7 +33,7 @@ from .data import (
     features_of,
     labels_at_level,
 )
-from .errors import ConfigError, EmptyQueue, EmptySplit
+from .errors import ConfigError, DataError, EmptyQueue, EmptySplit
 from .losses import (
     cross_entropy,
     distill_loss,
@@ -69,8 +70,6 @@ PLANS = {
 }
 
 METHODS = tuple(PLANS)
-
-COARSE_SOURCES = ("coarse_in", "union")
 
 _PHASES = {"main": 0, "pretrain": 1, "teacher": 2}
 
@@ -282,20 +281,17 @@ def _by_seed(rows: list, n_seeds: int) -> list:
     return (rows[None] if n_seeds == 1 else np.moveaxis(rows, -1, 0)).tolist()
 
 
-def resolve_coarse_pool(split: DataSplit, source: str):
-    if source == "coarse_in":
-        return split.coarse_in
-    if source == "union":
-        return split.coarse_in + split.coarse_out
-    raise ConfigError(f"coarse_source: unknown source {source!r}")
-
-
 def _pack(split: DataSplit, taxonomy: Taxonomy, cfg: TrainConfig,
           need_pool: bool):
     """(Xl, yl, Xu, yu, w): labeled features and species, pool features, and
     the pool's labels and marginalization at the supervision level, or None."""
     if not split.labeled:
         raise EmptySplit("labeled split is empty")
+    coarse = split.labeled.label_level != taxonomy.leaf_level
+    if coarse.any():
+        raise DataError(f"labeled split: a row is labeled at level "
+                        f"{split.labeled.label_level[coarse.argmax()]}, not at the "
+                        f"leaf level {taxonomy.leaf_level} ({taxonomy.level_names[-1]})")
     Xl = features_of(split.labeled)
     yl = split.labeled.label
     level = cfg.supervision_level
@@ -303,7 +299,7 @@ def _pack(split: DataSplit, taxonomy: Taxonomy, cfg: TrainConfig,
         raise ConfigError(
             f"supervision_level: {level} exceeds the {taxonomy.num_levels}-level taxonomy"
         )
-    pool = resolve_coarse_pool(split, cfg.coarse_source)
+    pool = split.coarse(cfg.coarse_source)
     if (level is not None or need_pool) and not pool:
         raise EmptySplit(
             f"coarse pool {cfg.coarse_source!r} is empty but the method needs it"
@@ -335,7 +331,7 @@ def train_seeds(split: DataSplit, taxonomy: Taxonomy, cfg: TrainConfig,
     packed = _pack(split, taxonomy, cfg, need_pool=plan.extra is not None)
     encoder = pretraces = teacher = None
     if plan.pretrain:
-        encoder, pretraces = _pretrain_contrastive(split, taxonomy, cfg, seeds)
+        encoder, pretraces = _pretrain_contrastive(packed, taxonomy, cfg, seeds)
     if plan.teacher:
         teacher, _ = _train_classifier(packed, taxonomy, cfg, seeds, "teacher",
                                        None, encoder, None)
@@ -425,7 +421,7 @@ def _train_classifier(packed, taxonomy: Taxonomy, cfg: TrainConfig, seeds: tuple
                    for seed_rows in _by_seed(rows, len(seeds))]
 
 
-def _pretrain_contrastive(split: DataSplit, taxonomy: Taxonomy, cfg: TrainConfig,
+def _pretrain_contrastive(packed, taxonomy: Taxonomy, cfg: TrainConfig,
                           seeds: tuple):
     """Momentum-contrast pretraining over labeled plus coarse features.
 
@@ -434,7 +430,8 @@ def _pretrain_contrastive(split: DataSplit, taxonomy: Taxonomy, cfg: TrainConfig
     Returns the trained (stacked) query encoder and one per-step trace
     per seed.
     """
-    X = features_of(split.labeled + resolve_coarse_pool(split, cfg.coarse_source))
+    Xl, _, Xu, _, _ = packed
+    X = np.concatenate([Xl, Xu])
     rng_init, rng_batch, rng_aug = zip(*(_phase_rngs(seed, "pretrain") for seed in seeds))
 
     # each seed's rng_init draws its encoder, then its head

@@ -296,14 +296,14 @@ def test_6_filter_properties():
         idempotent = all(
             np.array_equal(getattr(twice.coarse_in, name),
                            getattr(once.coarse_in, name))
-            for name in ("X", "label_level", "label", "true_species", "in_class"))
+            for name in ("X", "label_level", "label", "true_species"))
 
         masks = [keep_mask(model, tax, pool, FilterConfig(tau=t))
                  for t in (0.1, 0.3, 0.5, 0.7, 0.9)]
         nested = all(
             np.all(hi <= lo) for lo, hi in zip(masks, masks[1:]))
 
-        flipped = replace(pool, in_class=~pool.in_class)
+        flipped = replace(pool, true_species=np.where(pool.true_species >= 0, -1, 0))
         blind = np.array_equal(
             keep_mask(model, tax, pool, FilterConfig(tau=0.5)),
             keep_mask(model, tax, flipped, FilterConfig(tau=0.5)))

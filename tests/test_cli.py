@@ -334,6 +334,24 @@ class TestExitCodes:
                      "--out", str(tmp_path / "x")]) == 3
         assert f"data error: line {line}:" in capsys.readouterr().err
 
+    def test_coarsely_labeled_labeled_split_is_3(self, data_dir, tmp_path, capsys):
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        (bad / "taxonomy.txt").write_bytes((data_dir / "taxonomy.txt").read_bytes())
+        tax = load_taxonomy(data_dir / "taxonomy.txt")
+        lines = (data_dir / "dataset.txt").read_text().splitlines()
+        for i, line in enumerate(lines):
+            parts = line.split()
+            if parts[0] == "labeled":  # relabel the species at its level-2 ancestor
+                leaf = tax.class_index(3, parts[2])
+                parts[1:3] = [tax.level_names[1],
+                              tax.class_name(2, tax.ancestor_map(3, 2)[leaf])]
+                lines[i] = " ".join(parts)
+        (bad / "dataset.txt").write_text("\n".join(lines) + "\n")
+        assert main(["train", "--data", str(bad), "--set", "steps=3",
+                     "--out", str(tmp_path / "x")]) == 3
+        assert "labeled at level 2, not at the leaf level 3" in capsys.readouterr().err
+
     def test_unknown_species_in_dataset_is_3(self, data_dir, tmp_path, capsys):
         bad = tmp_path / "bad"
         bad.mkdir()
@@ -434,6 +452,19 @@ class TestFilterCommand:
                          "--checkpoint", str(trained),
                          "--out", str(tmp_path / name)]) == 0
         assert dir_bytes(tmp_path / "a") == dir_bytes(tmp_path / "b")
+
+    def test_refilter_reports_origin_from_species(self, data_dir, trained, tmp_path):
+        once, twice = tmp_path / "once", tmp_path / "twice"
+        for src, out in ((data_dir, once), (once, twice)):
+            assert main(["filter", "--data", str(src), "--checkpoint", str(trained),
+                         "--set", "filter_tau=0.3", "--out", str(out)]) == 0
+        first, _ = read_filter_report(once / "filter_report.txt")
+        assert first.kept_in > 0 and first.kept_out > 0  # both origins kept
+        kept = load_dataset(once / "dataset.txt", load_taxonomy(once / "taxonomy.txt"))
+        n_in = int((kept.coarse_in.true_species >= 0).sum())
+        second, _ = read_filter_report(twice / "filter_report.txt")
+        assert (second.n_in, second.n_out) == (n_in, len(kept.coarse_in) - n_in)
+        assert (second.n_in, second.n_out) == (first.kept_in, first.kept_out)
 
     def test_missing_checkpoint_is_3(self, data_dir, tmp_path):
         assert main(["filter", "--data", str(data_dir),

@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hierssl.data import (
+    COARSE_SOURCES,
     SPLIT_TAGS,
     AugmentParams,
     DataSplit,
@@ -61,8 +62,6 @@ class TestDefaultShapes:
         assert set(s.coarse_in.label_level.tolist()) == {2}
         assert set(s.coarse_out.label_level.tolist()) == {2}
         in_class = s.labeled + s.coarse_in + s.test
-        assert in_class.in_class.all()
-        assert not s.coarse_out.in_class.any()
         assert (in_class.true_species >= 0).all()
         assert (s.coarse_out.true_species == -1).all()
 
@@ -76,7 +75,7 @@ class TestDefaultShapes:
     def test_coarse_labels_are_phylum_indices(self, default_gen):
         tax = default_gen.in_taxonomy
         ci = default_gen.split.coarse_in
-        assert np.array_equal(ci.label, tax.ancestors(2)[ci.true_species])
+        assert np.array_equal(ci.label, tax.ancestor_map(7, 2)[ci.true_species])
         assert set(default_gen.split.coarse_out.label.tolist()) <= set(range(8))
 
 
@@ -125,7 +124,7 @@ class TestRelabeling:
         lab = default_gen.split.labeled
         for level in range(1, 8):
             got = labels_at_level(lab, tax, level)
-            want = tax.ancestors(level)[lab.true_species]
+            want = tax.ancestor_map(7, level)[lab.true_species]
             assert np.array_equal(got, want)
 
     def test_coarse_in_can_be_relabeled_finer_via_ground_truth(self, default_gen):
@@ -161,7 +160,7 @@ class TestRelabeling:
                 if level <= label_level:
                     out.append(tax.ancestor_map(label_level, level)[label])
                 else:
-                    out.append(tax.ancestors(level)[species])
+                    out.append(tax.ancestor_map(tax.leaf_level, level)[species])
             return np.array(out, dtype=np.int64)
 
         for level in (1, 2):
@@ -329,18 +328,19 @@ class TestAugment:
 
 class TestPersistence:
     def test_round_trip_preserves_everything(self, default_gen, tmp_path):
-        p = tmp_path / "data.txt"
-        save_dataset(default_gen.split, default_gen.in_taxonomy, p)
-        back = load_dataset(p, default_gen.in_taxonomy)
-        for tag in SPLIT_TAGS:
-            orig = getattr(default_gen.split, tag)
-            got = getattr(back, tag)
-            assert len(got) == len(orig)
-            assert np.array_equal(got.X, orig.X)  # repr round trip
-            assert np.array_equal(got.label_level, orig.label_level)
-            assert np.array_equal(got.label, orig.label)
-            assert np.array_equal(got.true_species, orig.true_species)
-            assert np.array_equal(got.in_class, orig.in_class)
+        s = default_gen.split
+        # the shape filter writes: kept in-class and novel rows in coarse_in
+        kept = s.coarse_in.take(slice(10)) + s.coarse_out.take(slice(5))
+        filtered = DataSplit(s.labeled, kept, s.coarse_out.take([]), s.test)
+        for split in (s, filtered):
+            p = tmp_path / "data.txt"
+            save_dataset(split, default_gen.in_taxonomy, p)
+            back = load_dataset(p, default_gen.in_taxonomy)
+            for tag in SPLIT_TAGS:
+                orig, got = getattr(split, tag), getattr(back, tag)
+                assert len(got) == len(orig)
+                for name, col in vars(orig).items():  # X: repr round trip
+                    assert np.array_equal(getattr(got, name), col), (tag, name)
 
     def test_save_is_byte_identical(self, default_gen, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -465,14 +465,21 @@ class TestPersistence:
 
 class TestReplaceCoarse:
     def test_filter_result_shape(self, default_gen):
+        # the split the shape filter writes: the kept pool in coarse_in and
+        # an empty coarse_out of the same width, so either coarse source
+        # reads back exactly the kept rows
         s = default_gen.split
         kept = s.coarse_in.take(slice(10)) + s.coarse_out.take(slice(5))
-        out = s.replace_coarse(kept)
+        out = DataSplit(s.labeled, kept, s.coarse_out.take([]), s.test)
         assert out.labeled is s.labeled
         assert out.test is s.test
         assert out.coarse_in is kept
         assert len(out.coarse_out) == 0
         assert out.coarse_out.X.shape == (0, 32)
+        for source in COARSE_SOURCES:
+            pool = out.coarse(source)
+            assert np.array_equal(pool.X, kept.X)
+            assert np.array_equal(pool.true_species, kept.true_species)
 
 
 def test_features_of_empty_is_empty_matrix():

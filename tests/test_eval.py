@@ -61,8 +61,7 @@ def leaf_samples(labels, dim=3):
     labels = np.asarray(labels, dtype=np.int64)
     n = len(labels)
     return Samples(X=np.zeros((n, dim)), label_level=np.full(n, 2),
-                   label=labels, true_species=labels,
-                   in_class=np.ones(n, dtype=bool))
+                   label=labels, true_species=labels)
 
 
 class TestArgmaxModes:

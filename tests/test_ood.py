@@ -44,7 +44,7 @@ class TestKeepRule:
         mask = keep_mask(model, g.in_taxonomy, pool, cfg)
         probs = predict_probs(model, pool.X)
         conf = probs.max(axis=-1)
-        pred_phylum = g.in_taxonomy.ancestors(2)[probs.argmax(axis=-1)]
+        pred_phylum = g.in_taxonomy.ancestor_map(3, 2)[probs.argmax(axis=-1)]
         provided = pool.label
         want = (conf >= 0.5) & (pred_phylum == provided)
         assert np.array_equal(mask, want)
@@ -74,7 +74,7 @@ class TestInvariants:
         twice, stats_twice = filter_split(model, g.in_taxonomy, once, cfg)
         assert len(once.coarse_in) == len(twice.coarse_in)
         assert stats_twice.n_kept == stats_twice.n_total == stats_once.n_kept
-        for name in ("X", "label_level", "label", "true_species", "in_class"):
+        for name in ("X", "label_level", "label", "true_species"):
             assert np.array_equal(getattr(once.coarse_in, name),
                                   getattr(twice.coarse_in, name))
 
@@ -99,8 +99,7 @@ class TestInvariants:
     def test_origin_field_never_affects_the_decision(self, setup):
         g, model = setup
         pool = pool_of(g)
-        flipped = replace(pool, true_species=np.full(len(pool), -1),
-                          in_class=np.zeros(len(pool), dtype=bool))
+        flipped = replace(pool, true_species=np.full(len(pool), -1))
         cfg = FilterConfig(tau=0.4, match_level=2)
         assert np.array_equal(
             keep_mask(model, g.in_taxonomy, pool, cfg),
@@ -170,6 +169,7 @@ class TestStats:
         assert out.labeled is g.split.labeled
         assert out.test is g.split.test
         assert len(out.coarse_out) == 0
+        assert out.coarse_out.X.shape == (0, 8)
 
 
 class TestReport:

@@ -85,9 +85,9 @@ class TestToyStructure:
             toy.ancestor_map(2, 3)
 
     def test_per_leaf_ancestors(self, toy):
-        assert np.array_equal(toy.ancestors(1), [0, 0, 0, 1, 1])
+        assert np.array_equal(toy.ancestor_map(toy.leaf_level, 1), [0, 0, 0, 1, 1])
         with pytest.raises(OutOfRange):
-            toy.ancestors(4)
+            toy.ancestor_map(toy.leaf_level, 4)
 
     def test_leaf_paths_round_trip(self, toy):
         assert [toy.leaf_path(i) for i in range(5)] == TOY_PATHS
@@ -222,7 +222,7 @@ class TestSemiInat:
         assert len(tax.class_names(2)) == 8
         for kingdom, phylum, n_species in SEMI_INAT_PHYLA:
             p = tax.class_index(2, phylum)
-            leaves = np.flatnonzero(tax.ancestors(2) == p)
+            leaves = np.flatnonzero(tax.ancestor_map(tax.leaf_level, 2) == p)
             assert len(leaves) == n_species
             assert tax.ancestor_map(2, 1)[p] == tax.class_index(1, kingdom)
 

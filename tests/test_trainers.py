@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hierssl.data import GenConfig, generate
+from hierssl.data import GenConfig, generate, labels_at_level
 from hierssl.errors import (
     ConfigError,
+    DataError,
     EmptyQueue,
     EmptySplit,
     NonFiniteGradient,
@@ -23,11 +24,11 @@ from hierssl.trainers import (
     PretrainStats,
     StepStats,
     TrainConfig,
+    _pack,
     _phase_rngs,
     _pretrain_contrastive,
     default_train_config,
     read_metrics,
-    resolve_coarse_pool,
     train,
     train_seeds,
     write_metrics,
@@ -51,6 +52,12 @@ def quick(method: str, **kw) -> TrainConfig:
     base = dict(steps=30, seed=0, pretrain_steps=10, batch_pretrain=16)
     base.update(kw)
     return default_train_config(method, **base)
+
+
+def pretrain_alone(split, tax, cfg: TrainConfig):
+    """The contrastive stage alone, on the arrays ``train`` packs."""
+    return _pretrain_contrastive(_pack(split, tax, cfg, need_pool=False), tax, cfg,
+                                 (cfg.seed,))
 
 
 class TestDegenerationIdentities:
@@ -160,11 +167,18 @@ class TestSharedSupervisedCore:
         assert all(s.coarse > 0.0 for s in r.trace)
 
     def test_union_source_sees_out_samples(self, toy_gen):
-        pool_in = resolve_coarse_pool(toy_gen.split, "coarse_in")
-        pool_union = resolve_coarse_pool(toy_gen.split, "union")
+        pool_in = toy_gen.split.coarse("coarse_in")
+        pool_union = toy_gen.split.coarse("union")
         assert len(pool_union) == len(pool_in) + len(toy_gen.split.coarse_out)
         with pytest.raises(ConfigError):
-            resolve_coarse_pool(toy_gen.split, "everything")
+            toy_gen.split.coarse("everything")
+
+    def test_coarsely_labeled_labeled_split_is_rejected(self, toy_gen):
+        split, tax = toy_gen.split, toy_gen.in_taxonomy
+        labeled = replace(split.labeled, label_level=np.full(len(split.labeled), 2),
+                          label=labels_at_level(split.labeled, tax, 2))
+        with pytest.raises(DataError, match="labeled at level 2, not at the leaf level 3"):
+            train(replace(split, labeled=labeled), tax, quick("baseline", steps=5))
 
     def test_augment_inputs_with_zero_sigma_changes_nothing(self, toy_gen):
         from dataclasses import replace
@@ -206,7 +220,7 @@ class TestStages:
 
         split, tax = toy_gen.split, toy_gen.in_taxonomy
         cfg = quick("moco", steps=1, lr=1e-12)
-        encoder, _ = _pretrain_contrastive(split, tax, cfg, (cfg.seed,))
+        encoder, _ = pretrain_alone(split, tax, cfg)
         r = train(split, tax, cfg)
         # representation comes from stage 1 (up to one ~1e-12 SGD step)
         assert_allclose(r.model.params["W1"], encoder.params["W1"],
@@ -235,7 +249,7 @@ class TestStages:
 
         monkeypatch.setattr(trainers, "momentum_update", spy)
         cfg = quick("moco", pretrain_steps=1)
-        _pretrain_contrastive(toy_gen.split, toy_gen.in_taxonomy, cfg, (cfg.seed,))
+        pretrain_alone(toy_gen.split, toy_gen.in_taxonomy, cfg)
         rng_init = _phase_rngs(0, "pretrain")[0]
         encoder = make_model("mlp1", 8, 8, rng_init, hidden=cfg.hidden)
         query = ContrastiveModel(
@@ -269,7 +283,7 @@ class TestStages:
     def test_pretrain_first_step_has_empty_queue_and_zero_loss(self, toy_gen):
         split, tax = toy_gen.split, toy_gen.in_taxonomy
         cfg = quick("moco", queue_size=40)
-        _, (trace,) = _pretrain_contrastive(split, tax, cfg, (cfg.seed,))
+        _, (trace,) = pretrain_alone(split, tax, cfg)
         assert trace[0].loss == 0.0  # no negatives yet
         assert trace[1].loss > 0.0
         # queue length follows min(capacity, steps * batch)
