@@ -34,12 +34,12 @@ from .config import (
 )
 from .data import DataSplit, generate, load_dataset, save_dataset
 from .errors import ConfigError, DataError, HiersslError, TrainError
-from .evaluate import evaluate, sweep_means, top1, write_report, write_sweep
+from .evaluate import EvalReport, evaluate, sweep_means, write_report, write_sweep
 from .model import load_checkpoint, save_checkpoint
 from .ood import filter_split, write_filter_report
 from .records import value_parser, value_text
 from .taxonomy import Taxonomy, load_taxonomy, save_taxonomy
-from .trainers import train_seeds, write_metrics
+from .trainers import TrainConfig, TrainResult, train_seeds, write_metrics
 
 
 def _resolve_out(arg: str | None, default_name: str) -> str:
@@ -95,7 +95,7 @@ def _check_jobs(text: str) -> int:
     return jobs
 
 
-def _chunks(seeds: list[int], jobs: int, cells: int = 1) -> list[list[int]]:
+def _chunks(seeds: list[int], jobs: int, cells: int) -> list[list[int]]:
     """A cell's seeds in the fewest lockstep chunks that busy ``jobs`` workers."""
     n = -(-jobs // cells)  # chunks per cell, so that cells * n >= jobs
     return [seeds[i::n] for i in range(min(n, len(seeds)))]
@@ -125,46 +125,49 @@ def _load_inputs(args) -> tuple[DataSplit, Taxonomy]:
     return load_dataset(dataset_path, taxonomy), taxonomy
 
 
-def _run_tasks(fn, tasks: list[tuple], jobs: int) -> list:
-    """``fn``'s lists over the argument tuples, joined; in processes if jobs > 1."""
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return [row for rows in pool.map(fn, *zip(*tasks)) for row in rows]
-    return [row for t in tasks for row in fn(*t)]
+def _train_cell(split: DataSplit, taxonomy: Taxonomy, cfg: TrainConfig,
+                seeds: list[int]) -> list[tuple[int | None, int, TrainResult, EvalReport]]:
+    """A cell's seeds in lockstep, each scored on the test split; a worker
+    under --jobs."""
+    return [(cfg.supervision_level, seed, result, evaluate(result.model, split.test, taxonomy))
+            for seed, result in zip(seeds, train_seeds(split, taxonomy, cfg, seeds))]
 
 
-def _train_chunk(split: DataSplit, taxonomy: Taxonomy, values: dict[str, str],
-                 seeds: list[int], out: str) -> list[tuple[int, float]]:
-    """A chunk of seeds in lockstep, one directory each; a worker under --jobs."""
-    base = train_config_from(values)
-    rows = []
-    for seed, result in zip(seeds, train_seeds(split, taxonomy, base, seeds)):
-        cfg = replace(base, seed=seed)
-        out_dir = os.path.join(out, f"seed{seed}")
-        os.makedirs(out_dir, exist_ok=True)
-        meta = {"method": cfg.method, "supervision_level": value_text(cfg.supervision_level)}
-        save_checkpoint(result.model, os.path.join(out_dir, "checkpoint.txt"),
-                        seed=seed, step=cfg.steps, meta=meta)
-        write_metrics(result.trace, os.path.join(out_dir, "metrics.txt"),
-                      pretrain_trace=result.pretrain_trace)
-        report = evaluate(result.model, split.test, taxonomy)
-        write_report(report, os.path.join(out_dir, "eval.txt"))
-        write_config(train_config_values(cfg), os.path.join(out_dir, "config.txt"))
-        rows.append((seed, report.top1))
-    return rows
-
-
-def cmd_train(args) -> int:
-    values = _merged_values(args)
-    base = train_config_from(values)
-    seeds = ([base.seed] if args.seeds is None
+def _train_cells(args, cells: list[TrainConfig], default_out: str) -> tuple[str, list]:
+    """The output directory, and ``_train_cell``'s rows for every cell over
+    --seeds, sorted by level (none first), then seed. The chunks run in
+    --jobs processes; a failure in any chunk fails before any row returns."""
+    seeds = ([cells[0].seed] if args.seeds is None
              else _parse_list("--seeds", args.seeds, value_parser(int)))
     jobs = _check_jobs(args.jobs)
     split, taxonomy = _load_inputs(args)
-    out = _resolve_out(args.out, "runs")
-    tasks = [(split, taxonomy, values, chunk, out) for chunk in _chunks(seeds, jobs)]
-    for seed, top in sorted(_run_tasks(_train_chunk, tasks, jobs)):
-        print(f"seed {seed} top1 {top}")
+    out = _resolve_out(args.out, default_out)
+    tasks = [(split, taxonomy, cfg, chunk)
+             for cfg in cells for chunk in _chunks(seeds, jobs, len(cells))]
+    if jobs > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            chunks = list(pool.map(_train_cell, *zip(*tasks)))
+    else:
+        chunks = [_train_cell(*task) for task in tasks]
+    rows = [row for chunk in chunks for row in chunk]
+    return out, sorted(rows, key=lambda r: (-1 if r[0] is None else r[0], r[1]))
+
+
+def cmd_train(args) -> int:
+    base = train_config_from(_merged_values(args))
+    out, rows = _train_cells(args, [base], "runs")
+    meta = {"method": base.method, "supervision_level": value_text(base.supervision_level)}
+    for _, seed, result, report in rows:
+        out_dir = os.path.join(out, f"seed{seed}")
+        os.makedirs(out_dir, exist_ok=True)
+        save_checkpoint(result.model, os.path.join(out_dir, "checkpoint.txt"),
+                        seed=seed, step=base.steps, meta=meta)
+        write_metrics(result.trace, os.path.join(out_dir, "metrics.txt"),
+                      pretrain_trace=result.pretrain_trace)
+        write_report(report, os.path.join(out_dir, "eval.txt"))
+        write_config(train_config_values(replace(base, seed=seed)),
+                     os.path.join(out_dir, "config.txt"))
+        print(f"seed {seed} top1 {report.top1}")
     return 0
 
 
@@ -196,28 +199,14 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _sweep_chunk(split: DataSplit, taxonomy: Taxonomy, values: dict[str, str],
-                 level: int | None, seeds: list[int]) -> list[tuple[int | None, int, float]]:
-    cfg = replace(train_config_from(values), supervision_level=level)
-    return [(level, seed, top1(result.model, split.test, taxonomy))
-            for seed, result in zip(seeds, train_seeds(split, taxonomy, cfg, seeds))]
-
-
 def cmd_sweep(args) -> int:
-    values = _merged_values(args)
-    base = train_config_from(values)
+    base = train_config_from(_merged_values(args))
     levels = _parse_list("--levels", args.levels, value_parser(int | None))
-    seeds = ([base.seed] if args.seeds is None
-             else _parse_list("--seeds", args.seeds, value_parser(int)))
-    jobs = _check_jobs(args.jobs)
-    split, taxonomy = _load_inputs(args)
-    tasks = [(split, taxonomy, values, level, chunk)
-             for level in levels for chunk in _chunks(seeds, jobs, len(levels))]
-    rows = _run_tasks(_sweep_chunk, tasks, jobs)
-    rows.sort(key=lambda r: (-1 if r[0] is None else r[0], r[1]))
-    out = _resolve_out(args.out, "sweep")
-    write_sweep(rows, os.path.join(out, "sweep.txt"))
-    for level, mean in sweep_means(rows).items():  # in the rows' level order
+    out, rows = _train_cells(
+        args, [replace(base, supervision_level=level) for level in levels], "sweep")
+    scores = [(level, seed, report.top1) for level, seed, _, report in rows]
+    write_sweep(scores, os.path.join(out, "sweep.txt"))
+    for level, mean in sweep_means(scores).items():  # in the rows' level order
         print(f"level {value_text(level)} mean top1 {mean}")
     return 0
 

@@ -112,16 +112,12 @@ class Mlp1Model:
         return self.forward_cached(X)[0]
 
     def forward_cached(self, X: np.ndarray):
-        pre = _affine(X, self.params["W1"], self.params["b1"])
-        act = np.maximum(pre, 0.0)
-        logits = _affine(act, self.params["W2"], self.params["b2"])
-        return logits, (X, pre, act)
+        act, rep_cache = self.rep_forward(X)
+        return _affine(act, self.params["W2"], self.params["b2"]), (rep_cache, act)
 
     def backward(self, cache, grad_logits: np.ndarray) -> dict:
-        X, pre, act = cache
-        g_pre = grad_logits @ self.params["W2"]
-        g_pre *= pre > 0
-        grads = dict(zip(("W1", "b1"), _affine_grads(g_pre, X)))
+        rep_cache, act = cache
+        grads = self.rep_backward(rep_cache, grad_logits @ self.params["W2"])
         grads["W2"], grads["b2"] = _affine_grads(grad_logits, act)
         return grads
 

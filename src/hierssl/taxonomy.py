@@ -57,13 +57,13 @@ class Taxonomy:
         self._index = [
             {name: i for i, name in enumerate(ns)} for ns in self._names
         ]
+        self._validate()
         # leaf -> class id at every level, built bottom-up once
         anc = [None] * self.num_levels
         anc[self.num_levels - 1] = np.arange(self.num_leaves, dtype=np.int64)
         for l in range(self.num_levels - 1, 0, -1):
             anc[l - 1] = self._parents[l][anc[l]]
         self._leaf_anc = anc
-        self._validate()
 
     # -- basic structure -------------------------------------------------
 
@@ -139,6 +139,8 @@ class Taxonomy:
             raise DataError("a taxonomy needs at least 2 levels")
         if len(self.level_names) != self.num_levels:
             raise DimensionMismatch("level_names does not match level count")
+        if len(self._parents) != self.num_levels:
+            raise DimensionMismatch("need one parent map per level below the first")
         counts = self.class_counts
         for l in range(2, self.num_levels + 1):
             p = self._parents[l - 1]

@@ -406,7 +406,7 @@ def _train_classifier(packed, taxonomy: Taxonomy, cfg: TrainConfig, seeds: tuple
                 else:
                     extra_loss, g_x, mask = fixmatch_loss(
                         model.forward(Xu_weak), z_u, cfg.tau)
-                mask_rate = mask.mean(axis=-1) if mask.shape[-1] else zero
+                mask_rate = mask.mean(axis=-1)
                 weight = cfg.consistency_weight
             if extra is not None:
                 g_x *= weight

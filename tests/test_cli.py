@@ -178,13 +178,16 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("jobs", ["1", "2"], ids=["jobs1", "jobs2"])
     def test_divergent_chunk_writes_no_seed_directory(self, data_dir, tmp_path,
-                                                      capsys):
-        # both seeds train in one lockstep chunk, so both fail together
+                                                      capsys, jobs):
+        # one lockstep chunk at --jobs 1, one chunk per seed at --jobs 2:
+        # either way no seed is written before every chunk has finished
         out = tmp_path / "x"
         code = main(["train", "--data", str(data_dir), "--seeds", "0,1",
                      "--set", "steps=5", "--set", "lr=1e160",
-                     "--set", "weight_decay=1e160", "--out", str(out)])
+                     "--set", "weight_decay=1e160", "--jobs", jobs,
+                     "--out", str(out)])
         assert code == 4
         assert "train error" in capsys.readouterr().err
         assert list(out.iterdir()) == []
@@ -526,6 +529,18 @@ class TestSweepCommand:
             assert main([*common, "--jobs", jobs,
                          "--out", str(tmp_path / jobs)]) == 0
         assert dir_bytes(tmp_path / "1") == dir_bytes(tmp_path / "2")
+
+    def test_train_scores_what_sweep_scores(self, data_dir, tmp_path):
+        # one runner: a train run is the sweep cell at its supervision level
+        common = ["--data", str(data_dir), "--set", "steps=8", "--seeds", "0,1",
+                  "--jobs", "1"]
+        assert main(["train", *common, "--set", "supervision_level=2",
+                     "--out", str(tmp_path / "train")]) == 0
+        assert main(["sweep", *common, "--levels", "2",
+                     "--out", str(tmp_path / "sweep")]) == 0
+        trained = [(2, seed, read_report(tmp_path / "train" / f"seed{seed}" / "eval.txt").top1)
+                   for seed in (0, 1)]
+        assert read_sweep(tmp_path / "sweep" / "sweep.txt") == trained
 
     def test_bad_level_token_is_2(self, data_dir, tmp_path):
         assert main(["sweep", "--data", str(data_dir), "--levels", "one",

@@ -359,3 +359,13 @@ def test_only_records_spells_typed_values():
             assert spelled, "the codec moved out of records.py"
         else:
             assert spelled == [], source.name
+
+
+def test_one_cli_function_trains():
+    # train and sweep share one lockstep worker; a second one would let the
+    # two commands drift apart
+    tree = ast.parse((Path(hierssl.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    callers = [fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+               and any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                       and node.func.id == "train_seeds" for node in ast.walk(fn))]
+    assert callers == ["_train_cell"]

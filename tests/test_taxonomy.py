@@ -265,6 +265,18 @@ class TestBuildErrors:
         with pytest.raises(DimensionMismatch):
             build_taxonomy(TOY_PATHS, ("L1", "L2"))
 
+    @pytest.mark.parametrize("leaves, parents, error", [
+        (("p", "q"), [[0, 0], [0, 7]], OutOfRange),
+        (("p", "q", "r"), [[0, 0], [0, 1]], DimensionMismatch),
+        (("p", "q"), [[0, 0]], DimensionMismatch),
+        (("p", "q"), [[0, 0], [0, 1], [0, 0]], DimensionMismatch),
+    ], ids=["parent-out-of-range", "short-parent-map", "missing-parent-map",
+            "extra-parent-map"])
+    def test_bad_parent_map_is_typed(self, leaves, parents, error):
+        # checked before any ancestor is looked up through the parent map
+        with pytest.raises(error):
+            Taxonomy(("A", "B", "C"), [("a",), ("x", "y"), leaves], parents)
+
     def test_default_level_names(self):
         assert default_level_names(7) == (
             "Kingdom", "Phylum", "Class", "Order", "Family", "Genus", "Species",
