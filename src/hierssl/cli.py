@@ -188,6 +188,7 @@ def cmd_filter(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _merged_values(args)  # one config drives the pipeline; eval reads no key
     split, taxonomy = _load_inputs(args)
     model, _ = load_checkpoint(args.checkpoint)
     report = evaluate(model, split.test, taxonomy)
@@ -211,7 +212,7 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser, data: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser, data: bool = True, cells: bool = False) -> None:
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override one config key (repeatable)")
@@ -221,6 +222,9 @@ def _add_common(p: argparse.ArgumentParser, data: bool = True) -> None:
         p.add_argument("--data", help="directory holding dataset.txt and taxonomy.txt")
         p.add_argument("--dataset", help="dataset file path")
         p.add_argument("--taxonomy", help="taxonomy file path")
+    if cells:
+        p.add_argument("--seeds", help="comma-joined seed list, e.g. 0,1,2")
+        p.add_argument("--jobs", default="1", help="parallel worker processes")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -235,9 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="train one method over one or more seeds")
-    _add_common(p)
-    p.add_argument("--seeds", help="comma-joined seed list, e.g. 0,1,2")
-    p.add_argument("--jobs", default="1", help="parallel worker processes")
+    _add_common(p, cells=True)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("filter", help="screen the coarse pool with a checkpoint")
@@ -251,12 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep", help="train across supervision levels")
-    _add_common(p)
+    _add_common(p, cells=True)
     p.add_argument("--levels", required=True,
                    help="comma-joined levels, e.g. none,1,2,7")
-    p.add_argument("--seeds", help="comma-joined seed list")
-    p.add_argument("--jobs", default=str(os.cpu_count() or 1),
-                   help="parallel worker processes (default: core count)")
     p.set_defaults(func=cmd_sweep)
 
     return parser

@@ -247,7 +247,7 @@ def generate(config: GenConfig) -> GenResult:
     attach = config.attach_level(depth)
     n_in = counts[-1]
     n_out = int(round(n_in * config.out_fraction / (1.0 - config.out_fraction)))
-    paths = [in_tax.leaf_path(leaf) for leaf in range(n_in)]
+    paths = in_tax.leaf_paths()
     out_names: list[str] = []
     novel: set[str] = set()  # every class on a grafted chain
     if n_out:
@@ -262,7 +262,7 @@ def generate(config: GenConfig) -> GenResult:
         width = max(2, len(str(n_out - 1)))
         k = 0
         for attach_class, n_here in enumerate(alloc):
-            base = in_tax.leaf_path(first_leaf[attach_class])[:attach]
+            base = paths[first_leaf[attach_class]][:attach]
             for _ in range(n_here):
                 chain = tuple(
                     f"X{k:0{width}d}-{prefixes[l]}" for l in range(attach, depth)
@@ -277,11 +277,9 @@ def generate(config: GenConfig) -> GenResult:
     centers = _draw_centers(full_tax, config, rng, novel)
 
     leaf_centers = centers[depth - 1]
-    in_leaf_of = {full_tax.class_name(depth, i): i for i in range(full_tax.num_leaves)}
-    in_full_ids = np.array([in_leaf_of[nm] for nm in in_tax.class_names(depth)])
-    out_full_ids = np.array(
-        [in_leaf_of[name] for name in sorted(out_names)], dtype=np.int64
-    )
+    in_full_ids, out_full_ids = (
+        np.array([full_tax.class_index(depth, name) for name in names], dtype=np.int64)
+        for names in (in_tax.class_names(depth), sorted(out_names)))
 
     k = config.coarse_level
     in_coarse = in_tax.ancestor_map(depth, k)

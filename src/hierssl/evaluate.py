@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import Samples, features_of, labels_at_level
 from .errors import EmptySplit
-from .model import ensure_compatible, predict_probs
+from .model import predict_probs
 from .records import (
     field_keys,
     field_texts,
@@ -45,8 +45,7 @@ def evaluate(model, samples: Samples, taxonomy: Taxonomy) -> EvalReport:
     leaf probabilities are summed up to each level before the argmax."""
     if not samples:
         raise EmptySplit("cannot evaluate on an empty sample list")
-    ensure_compatible(model, taxonomy)
-    probs = predict_probs(model, features_of(samples))
+    probs = predict_probs(model, features_of(samples), taxonomy)
     rows = []
     for level in range(1, taxonomy.num_levels + 1):
         pred = coarse_probs(taxonomy, probs, level).argmax(axis=-1)

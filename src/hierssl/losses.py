@@ -10,7 +10,8 @@ of shape ``(..., n, c)`` hold one batch per leading index (seed), one loss each.
 Probabilities inside a log are floored at ``PROB_FLOOR``; where the floor
 is active the loss is locally constant, so the gradient contribution of
 that sample (or term) is exactly zero. This keeps analytic gradients
-consistent with finite differences of the computed loss.
+consistent with finite differences of the computed loss. The rule's one
+home is ``_nll``; only ``distill_loss`` floors its per-class terms itself.
 """
 
 from __future__ import annotations
@@ -53,6 +54,14 @@ def _at(index: np.ndarray) -> tuple:
     return (*np.indices(index.shape, sparse=True), index)
 
 
+def _nll(p: np.ndarray, gate=True):
+    """Sum of ``-log max(p, PROB_FLOOR)`` over the gated rows of ``p`` ``(..., n)``
+    over ``max(n, 1)`` (an empty batch costs 0), and the live mask
+    ``gate & (p >= PROB_FLOOR)`` of the rows whose gradient flows."""
+    loss = -(np.log(np.maximum(p, PROB_FLOOR)) * gate).sum(axis=-1) / max(p.shape[-1], 1)
+    return _per_batch(loss), gate & (p >= PROB_FLOOR)
+
+
 def _check_labels(labels: np.ndarray, n_classes: int) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
@@ -66,17 +75,13 @@ def _check_labels(labels: np.ndarray, n_classes: int) -> np.ndarray:
 def cross_entropy(logits: np.ndarray, labels: np.ndarray):
     """Mean -log p(label); gradient is (softmax - onehot) / n."""
     logits = _batches("logits", logits)
-    *lead, n, c = logits.shape
+    n, c = logits.shape[-2:]
     labels = _check_labels(labels, c)
     if labels.shape != logits.shape[:-1]:
         raise DimensionMismatch(f"labels shape {labels.shape} for logits {logits.shape}")
-    if n == 0:
-        return _per_batch(np.zeros(lead)), np.zeros_like(logits)
     grad = softmax(logits)
     at = _at(labels)
-    p_true = grad[at]
-    live = p_true >= PROB_FLOOR
-    loss = _per_batch(-np.log(np.maximum(p_true, PROB_FLOOR)).mean(axis=-1))
+    loss, live = _nll(grad[at])
     grad[at] -= 1.0
     grad[~live] = 0.0
     return loss, np.divide(grad, n, out=grad)
@@ -91,7 +96,7 @@ def marginalized_cross_entropy(
     the gradient at leaf j is p_j - p_j * [j in class] / M.
     """
     logits = _batches("logits", logits)
-    *lead, n, c = logits.shape
+    n, c = logits.shape[-2:]
     if c != len(w.ancestor_map):
         raise DimensionMismatch(
             f"{c} logits columns but marginalization maps {len(w.ancestor_map)} leaves"
@@ -101,12 +106,9 @@ def marginalized_cross_entropy(
         raise DimensionMismatch(
             f"coarse_labels shape {coarse_labels.shape} for logits {logits.shape}"
         )
-    if n == 0:
-        return _per_batch(np.zeros(lead)), np.zeros_like(logits)
     grad = softmax(logits)
     mass = marginalize(grad, w)[_at(coarse_labels)]
-    live = mass >= PROB_FLOOR
-    loss = _per_batch(-np.log(np.maximum(mass, PROB_FLOOR)).mean(axis=-1))
+    loss, live = _nll(mass)
     in_class = w.ancestor_map == coarse_labels[..., None]
     factor = np.divide(in_class, np.where(live, mass, 1.0)[..., None])
     grad *= np.subtract(1.0, factor, out=factor)
@@ -137,18 +139,13 @@ def fixmatch_loss(weak_logits: np.ndarray, strong_logits: np.ndarray, tau: float
         raise DimensionMismatch(
             f"weak {weak_logits.shape} vs strong {strong_logits.shape}"
         )
-    *lead, n, _ = weak_logits.shape
-    if n == 0:
-        return (_per_batch(np.zeros(lead)), np.zeros_like(strong_logits),
-                np.zeros(weak_logits.shape[:-1], dtype=bool))
+    n = weak_logits.shape[-2]
     weak_probs = softmax(weak_logits)
     targets = weak_probs.argmax(axis=-1)
     mask = weak_probs.max(axis=-1) >= tau
     grad = softmax(strong_logits)
     at = _at(targets)
-    p_t = grad[at]
-    live = mask & (p_t >= PROB_FLOOR)
-    loss = _per_batch(-(np.log(np.maximum(p_t, PROB_FLOOR)) * mask).sum(axis=-1) / n)
+    loss, live = _nll(grad[at], mask)
     grad[at] -= 1.0
     grad[~live] = 0.0
     return loss, np.divide(grad, n, out=grad), mask
@@ -207,8 +204,6 @@ def info_nce_loss(
     queue = queue.reshape(*lead, -1, d)
     if query.shape != key_pos.shape:
         raise DimensionMismatch(f"query {query.shape} vs key {key_pos.shape}")
-    if n == 0:
-        return _per_batch(np.zeros(lead)), np.zeros_like(query)
     # One (..., n, m + 1) buffer goes from similarities to probabilities to
     # gradient coefficients in place: the positive in column 0, then the
     # negatives.
@@ -217,9 +212,7 @@ def info_nce_loss(
     np.matmul(query, queue.swapaxes(-1, -2), out=buf[..., 1:])
     buf /= temperature
     _softmax_inplace(buf)
-    p0 = buf[..., 0].copy()
-    live = p0 >= PROB_FLOOR
-    loss = _per_batch(-np.log(np.maximum(p0, PROB_FLOOR)).mean(axis=-1))
+    loss, live = _nll(buf[..., 0])
     buf[..., 0] -= 1.0
     buf[~live] = 0.0
     grad = (buf[..., :1] * key_pos + buf[..., 1:] @ queue) / (n * temperature)

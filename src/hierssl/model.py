@@ -244,24 +244,21 @@ class SgdMomentum:
             theta -= self.lr * v
 
 
-def predict_probs(model, X: np.ndarray) -> np.ndarray:
-    """Leaf distribution per row of ``X``; the feature width must be the
-    model's, so data of another width is a typed error, not a matmul one."""
+def predict_probs(model, X: np.ndarray, taxonomy) -> np.ndarray:
+    """Distribution over ``taxonomy``'s leaves per row of ``X``. A model of
+    another class count or feature width is a typed error, not a matmul one."""
     from .losses import softmax
 
-    if X.shape[-1] != model.dim:
-        raise DimensionMismatch(
-            f"features have width {X.shape[-1]} but the model expects {model.dim}"
-        )
-    return softmax(model.forward(X))
-
-
-def ensure_compatible(model, taxonomy) -> None:
     if model.n_classes != taxonomy.num_leaves:
         raise ArchitectureMismatch(
             f"model predicts {model.n_classes} classes but the taxonomy "
             f"has {taxonomy.num_leaves} leaves"
         )
+    if X.shape[-1] != model.dim:
+        raise DimensionMismatch(
+            f"features have width {X.shape[-1]} but the model expects {model.dim}"
+        )
+    return softmax(model.forward(X))
 
 
 # -- checkpoints -----------------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import DataSplit, Samples, features_of, labels_at_level
 from .errors import ConfigError
-from .model import ensure_compatible, predict_probs
+from .model import predict_probs
 from .records import field_keys, field_texts, parse_fields, read_record, write_record
 from .taxonomy import Taxonomy
 
@@ -68,7 +68,6 @@ def keep_mask(model, taxonomy: Taxonomy, samples: Samples,
               cfg: FilterConfig) -> np.ndarray:
     """Boolean keep decision per sample, from features and provided labels only."""
     cfg.validate()
-    ensure_compatible(model, taxonomy)
     if cfg.match_level > taxonomy.num_levels:
         raise ConfigError(
             f"match_level: {cfg.match_level} exceeds the "
@@ -81,7 +80,7 @@ def keep_mask(model, taxonomy: Taxonomy, samples: Samples,
             f"label level {samples.label_level[too_fine.argmax()]}"
         )
     provided = labels_at_level(samples, taxonomy, cfg.match_level)
-    probs = predict_probs(model, features_of(samples))
+    probs = predict_probs(model, features_of(samples), taxonomy)
     conf = probs.max(axis=-1)
     pred_leaf = probs.argmax(axis=-1)
     pred_match = taxonomy.ancestor_map(taxonomy.leaf_level, cfg.match_level)[pred_leaf]

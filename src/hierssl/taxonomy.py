@@ -58,12 +58,6 @@ class Taxonomy:
             {name: i for i, name in enumerate(ns)} for ns in self._names
         ]
         self._validate()
-        # leaf -> class id at every level, built bottom-up once
-        anc = [None] * self.num_levels
-        anc[self.num_levels - 1] = np.arange(self.num_leaves, dtype=np.int64)
-        for l in range(self.num_levels - 1, 0, -1):
-            anc[l - 1] = self._parents[l][anc[l]]
-        self._leaf_anc = anc
 
     # -- basic structure -------------------------------------------------
 
@@ -119,12 +113,12 @@ class Taxonomy:
             mapping = self._parents[l - 1][mapping]
         return mapping
 
-    def leaf_path(self, leaf_id: int) -> tuple[str, ...]:
-        """Names of the leaf's ancestors, coarsest first."""
-        return tuple(
-            self._names[l][self._leaf_anc[l][leaf_id]]
-            for l in range(self.num_levels)
-        )
+    def leaf_paths(self) -> list[tuple[str, ...]]:
+        """Every leaf's ancestor names, coarsest first, in leaf-index order."""
+        return list(zip(*(
+            [names[i] for i in self.ancestor_map(self.leaf_level, level)]
+            for level, names in enumerate(self._names, 1)
+        )))
 
     # -- internals ---------------------------------------------------------
 
@@ -311,10 +305,9 @@ def default_level_names(depth: int) -> tuple[str, ...]:
 
 def save_taxonomy(taxonomy: Taxonomy, path) -> None:
     """Write one leaf path per line, names comma-joined, sorted; header names the levels."""
-    leaves = sorted(range(taxonomy.num_leaves), key=taxonomy.leaf_path)
     write_record(path, _TAXONOMY_MAGIC, [
         ",".join(taxonomy.level_names),
-        *(",".join(taxonomy.leaf_path(leaf)) for leaf in leaves),
+        *(",".join(p) for p in sorted(taxonomy.leaf_paths())),
     ])
 
 
@@ -436,6 +429,5 @@ def semi_inat_taxonomy() -> Taxonomy:
             name_prefixes=[f"{phylum}-C", f"{phylum}-O", f"{phylum}-F",
                            f"{phylum}-G", f"{phylum}-S"],
         )
-        for leaf in range(sub.num_leaves):
-            paths.append((kingdom, phylum) + sub.leaf_path(leaf))
+        paths.extend((kingdom, phylum) + p for p in sub.leaf_paths())
     return build_taxonomy(paths, DEFAULT_LEVEL_NAMES)

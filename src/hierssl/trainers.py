@@ -123,7 +123,7 @@ class TrainConfig:
         if not 0 <= self.momentum < 1:
             raise ConfigError("momentum: must be in [0, 1)")
         for name in ("steps", "batch_labeled", "batch_coarse", "batch_pretrain",
-                     "pretrain_steps", "emb_dim"):
+                     "pretrain_steps", "emb_dim", "hidden"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name}: must be >= 1")
         for name in ("weight_decay", "unsup_weight", "consistency_weight",

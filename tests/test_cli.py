@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from hierssl.cli import _chunks, main
+from hierssl.cli import _chunks, build_parser, main
 from hierssl.data import load_dataset
 from hierssl.evaluate import read_report, read_sweep, top1
 from hierssl.model import load_checkpoint
@@ -488,8 +488,29 @@ class TestEvalCommand:
         assert report.n_samples == 96
         assert len(report.levels) == 3
 
+    @pytest.mark.parametrize("flag, value, code", [
+        ("--set", "warp=9", 2),
+        ("--config", "absent.txt", 3),
+        ("--set", "steps=3", 0),
+    ], ids=["unknown-key", "missing-config", "known-key"])
+    def test_config_flags_are_read(self, data_dir, trained, tmp_path, flag,
+                                   value, code):
+        # one config drives the whole pipeline, so eval accepts every known key
+        if flag == "--config":
+            value = str(tmp_path / value)
+        out = tmp_path / "x"
+        assert main(["eval", "--data", str(data_dir), "--checkpoint", str(trained),
+                     flag, value, "--out", str(out)]) == code
+        assert out.exists() == (code == 0)
+
 
 class TestSweepCommand:
+    @pytest.mark.parametrize("argv", [["train"], ["sweep", "--levels", "2"]],
+                             ids=["train", "sweep"])
+    def test_jobs_default_to_one(self, argv):
+        # each worker starts its own BLAS threads, so more is opt-in
+        assert build_parser().parse_args(argv).jobs == "1"
+
     def test_sweep_rows_and_means(self, data_dir, tmp_path, capsys):
         out = tmp_path / "sw"
         assert main(["sweep", "--data", str(data_dir), "--set", "steps=8",

@@ -240,8 +240,7 @@ class TestOutClusters:
                                out_attach_level=2, coarse_level=2))
         # every novel chain hangs under a real level-2 class
         in_l2 = set(g.in_taxonomy.class_names(2))
-        for leaf in range(g.taxonomy.num_leaves):
-            path = g.taxonomy.leaf_path(leaf)
+        for path in g.taxonomy.leaf_paths():
             assert path[1] in in_l2
 
 

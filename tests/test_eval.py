@@ -123,7 +123,7 @@ class TestAccuracy:
         report = evaluate(model, g.split.test, g.in_taxonomy)
         assert len(calls) == 1
         monkeypatch.undo()
-        probs = predict_probs(model, g.split.test.X)
+        probs = predict_probs(model, g.split.test.X, g.in_taxonomy)
         for level, _, acc in report.levels:
             pred = coarse_probs(g.in_taxonomy, probs, level).argmax(axis=-1)
             labels = labels_at_level(g.split.test, g.in_taxonomy, level)

@@ -16,7 +16,6 @@ from hierssl.model import (
     ContrastiveModel,
     ProjectionHead,
     SgdMomentum,
-    ensure_compatible,
     load_checkpoint,
     make_model,
     momentum_update,
@@ -88,7 +87,7 @@ class TestBackward:
     def test_predict_probs_rows_sum_to_one(self):
         model = fresh("mlp1")
         X = np.random.default_rng(3).standard_normal((5, 6))
-        p = predict_probs(model, X)
+        p = predict_probs(model, X, shaped_taxonomy([2, 4]))
         assert p.shape == (5, 4)
         assert_allclose(p.sum(axis=-1), 1.0, rtol=1e-12)
 
@@ -165,9 +164,10 @@ class TestCloneAndReset:
 class TestCompatibility:
     def test_class_count_must_match_taxonomy(self):
         tax = shaped_taxonomy([2, 5])
-        ensure_compatible(fresh("linear", classes=5), tax)
+        X = np.zeros((3, 6))
+        predict_probs(fresh("linear", classes=5), X, tax)
         with pytest.raises(ArchitectureMismatch):
-            ensure_compatible(fresh("linear", classes=4), tax)
+            predict_probs(fresh("linear", classes=4), X, tax)
 
 
 class TestCheckpoint:

@@ -42,7 +42,7 @@ class TestKeepRule:
         cfg = FilterConfig(tau=0.5, match_level=2)
         pool = pool_of(g)
         mask = keep_mask(model, g.in_taxonomy, pool, cfg)
-        probs = predict_probs(model, pool.X)
+        probs = predict_probs(model, pool.X, g.in_taxonomy)
         conf = probs.max(axis=-1)
         pred_phylum = g.in_taxonomy.ancestor_map(3, 2)[probs.argmax(axis=-1)]
         provided = pool.label
@@ -62,7 +62,7 @@ class TestKeepRule:
         mask1 = keep_mask(model, g.in_taxonomy, pool, FilterConfig(0.5, 1))
         from hierssl.model import predict_probs
 
-        probs = predict_probs(model, pool.X)
+        probs = predict_probs(model, pool.X, g.in_taxonomy)
         assert np.array_equal(mask1, probs.max(axis=-1) >= 0.5)
 
 

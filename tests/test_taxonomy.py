@@ -90,7 +90,7 @@ class TestToyStructure:
             toy.ancestor_map(toy.leaf_level, 4)
 
     def test_leaf_paths_round_trip(self, toy):
-        assert [toy.leaf_path(i) for i in range(5)] == TOY_PATHS
+        assert toy.leaf_paths() == TOY_PATHS
 
     def test_unknown_class_name(self, toy):
         with pytest.raises(UnknownClass):
@@ -229,7 +229,7 @@ class TestSemiInat:
     def test_construction_is_deterministic(self):
         a, b = semi_inat_taxonomy(), semi_inat_taxonomy()
         assert a == b
-        assert a.leaf_path(0) == b.leaf_path(0)
+        assert a.leaf_paths() == b.leaf_paths()
 
 
 class TestBuildErrors:

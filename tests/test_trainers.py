@@ -386,6 +386,7 @@ class TestDefaults:
         dict(queue_size=-1),
         dict(pretrain_steps=0),
         dict(emb_dim=0),
+        dict(hidden=-3),
         dict(arch="cnn"),
         dict(seed=-1),
         dict(method="moco", arch="linear"),
