@@ -20,18 +20,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
-from .config import (
-    filter_config_from,
-    filter_config_values,
-    gen_config_from,
-    gen_config_values,
-    load_config,
-    parse_overrides,
-    train_config_from,
-    train_config_values,
-    validate_keys,
-    write_config,
-)
+from .config import PipelineConfig, config_values, read_config, write_config
 from .data import DataSplit, generate, load_dataset, save_dataset
 from .errors import ConfigError, DataError, HiersslError, TrainError
 from .evaluate import EvalReport, evaluate, sweep_means, write_report, write_sweep
@@ -48,15 +37,6 @@ def _resolve_out(arg: str | None, default_name: str) -> str:
         path = os.path.join(os.environ.get("HIERSSL_OUT", "."), path)
     os.makedirs(path, exist_ok=True)
     return path
-
-
-def _merged_values(args) -> dict[str, str]:
-    values: dict[str, str] = {}
-    if getattr(args, "config", None):
-        values.update(load_config(args.config))
-    values.update(parse_overrides(getattr(args, "set", None)))
-    validate_keys(values)
-    return values
 
 
 def _data_paths(args) -> tuple[str, str]:
@@ -101,15 +81,13 @@ def _chunks(seeds: list[int], jobs: int, cells: int) -> list[list[int]]:
     return [seeds[i::n] for i in range(min(n, len(seeds)))]
 
 
-def cmd_gen_data(args) -> int:
-    values = _merged_values(args)
-    cfg = gen_config_from(values)
-    result = generate(cfg)
+def cmd_gen_data(args, config: PipelineConfig) -> int:
+    result = generate(config.gen)
     out = _resolve_out(args.out, "data")
     save_taxonomy(result.in_taxonomy, os.path.join(out, "taxonomy.txt"))
     save_taxonomy(result.taxonomy, os.path.join(out, "taxonomy_full.txt"))
     save_dataset(result.split, result.in_taxonomy, os.path.join(out, "dataset.txt"))
-    write_config(gen_config_values(cfg), os.path.join(out, "config.txt"))
+    write_config(config_values(config.gen), os.path.join(out, "config.txt"))
     s = result.split
     print(f"wrote {out}: {result.in_taxonomy.num_leaves} classes, "
           f"{len(s.labeled)} labeled, {len(s.coarse_in)} coarse_in, "
@@ -136,12 +114,12 @@ def _train_cell(split: DataSplit, taxonomy: Taxonomy, cfg: TrainConfig,
 def _train_cells(args, cells: list[TrainConfig], default_out: str) -> tuple[str, list]:
     """The output directory, and ``_train_cell``'s rows for every cell over
     --seeds, sorted by level (none first), then seed. The chunks run in
-    --jobs processes; a failure in any chunk fails before any row returns."""
+    --jobs processes; a failure in any chunk fails before any row returns
+    and before the output directory is made."""
     seeds = ([cells[0].seed] if args.seeds is None
              else _parse_list("--seeds", args.seeds, value_parser(int)))
     jobs = _check_jobs(args.jobs)
     split, taxonomy = _load_inputs(args)
-    out = _resolve_out(args.out, default_out)
     tasks = [(split, taxonomy, cfg, chunk)
              for cfg in cells for chunk in _chunks(seeds, jobs, len(cells))]
     if jobs > 1 and len(tasks) > 1:
@@ -149,12 +127,13 @@ def _train_cells(args, cells: list[TrainConfig], default_out: str) -> tuple[str,
             chunks = list(pool.map(_train_cell, *zip(*tasks)))
     else:
         chunks = [_train_cell(*task) for task in tasks]
-    rows = [row for chunk in chunks for row in chunk]
-    return out, sorted(rows, key=lambda r: (-1 if r[0] is None else r[0], r[1]))
+    rows = sorted((row for chunk in chunks for row in chunk),
+                  key=lambda r: (-1 if r[0] is None else r[0], r[1]))
+    return _resolve_out(args.out, default_out), rows
 
 
-def cmd_train(args) -> int:
-    base = train_config_from(_merged_values(args))
+def cmd_train(args, config: PipelineConfig) -> int:
+    base = config.train
     out, rows = _train_cells(args, [base], "runs")
     meta = {"method": base.method, "supervision_level": value_text(base.supervision_level)}
     for _, seed, result, report in rows:
@@ -165,14 +144,14 @@ def cmd_train(args) -> int:
         write_metrics(result.trace, os.path.join(out_dir, "metrics.txt"),
                       pretrain_trace=result.pretrain_trace)
         write_report(report, os.path.join(out_dir, "eval.txt"))
-        write_config(train_config_values(replace(base, seed=seed)),
+        write_config(config_values(replace(base, seed=seed)),
                      os.path.join(out_dir, "config.txt"))
         print(f"seed {seed} top1 {report.top1}")
     return 0
 
 
-def cmd_filter(args) -> int:
-    cfg = filter_config_from(_merged_values(args))
+def cmd_filter(args, config: PipelineConfig) -> int:
+    cfg = config.filter
     split, taxonomy = _load_inputs(args)
     model, _ = load_checkpoint(args.checkpoint)
     filtered, stats = filter_split(model, taxonomy, split, cfg)
@@ -180,15 +159,14 @@ def cmd_filter(args) -> int:
     save_taxonomy(taxonomy, os.path.join(out, "taxonomy.txt"))
     save_dataset(filtered, taxonomy, os.path.join(out, "dataset.txt"))
     write_filter_report(stats, cfg, os.path.join(out, "filter_report.txt"))
-    write_config(filter_config_values(cfg), os.path.join(out, "config.txt"))
+    write_config(config_values(cfg), os.path.join(out, "config.txt"))
     print(f"kept {stats.n_kept} of {stats.n_total} coarse samples "
           f"({stats.kept_fraction:.3f}) precision {stats.precision} "
           f"recall {stats.recall}")
     return 0
 
 
-def cmd_eval(args) -> int:
-    _merged_values(args)  # one config drives the pipeline; eval reads no key
+def cmd_eval(args, config: PipelineConfig) -> int:
     split, taxonomy = _load_inputs(args)
     model, _ = load_checkpoint(args.checkpoint)
     report = evaluate(model, split.test, taxonomy)
@@ -200,8 +178,8 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    base = train_config_from(_merged_values(args))
+def cmd_sweep(args, config: PipelineConfig) -> int:
+    base = config.train
     levels = _parse_list("--levels", args.levels, value_parser(int | None))
     out, rows = _train_cells(
         args, [replace(base, supervision_level=level) for level in levels], "sweep")
@@ -264,7 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # one config drives the pipeline: every command reads and checks
+        # all of it, eval too, though eval uses no key
+        return args.func(args, read_config(args.config, args.set))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

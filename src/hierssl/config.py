@@ -1,16 +1,19 @@
-"""Flat key=value config files and typed coercion into the config dataclasses.
+"""Flat key=value config files and typed coercion into the pipeline config.
 
-One config file can drive a whole pipeline: generator, trainer, and
-filter keys live in a single flat namespace, each consumer picks the
-keys it knows, and any key no consumer knows is rejected up front. The
-keys are the fields of GenConfig, TrainConfig (its nested AugmentParams
-flattened into it) and FilterConfig, whose ``tau`` is the key
-``filter_tau``; each value is parsed by its field's type, spelled as
-``hierssl.records`` spells every typed value. Resolution order is
-built-in defaults, then the config file, then --set overrides.
+One config file drives a whole pipeline: generator, trainer, and filter
+keys live in a single flat namespace, and every command parses every key
+and validates every section, so a value that any command would reject
+fails the first command it reaches. The keys are the fields of
+GenConfig, TrainConfig (its nested AugmentParams flattened into it) and
+FilterConfig, whose ``tau`` is the key ``filter_tau``; each value is
+parsed by its field's type, spelled as ``hierssl.records`` spells every
+typed value. Resolution order is built-in defaults, then the config
+file, then --set overrides.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 from .data import AugmentParams, GenConfig
 from .errors import ConfigError, ParseError
@@ -20,29 +23,24 @@ from .trainers import TrainConfig, default_train_config
 
 CONFIG_MAGIC = "hierssl-config v1"
 
-_GEN_KEYS = field_keys(GenConfig)
-_TRAIN_KEYS = field_keys(TrainConfig)
-_AUGMENT_KEYS = field_keys(AugmentParams)
-_FILTER_KEYS = field_keys(FilterConfig, tau="filter_tau")
+# each section's keys; AugmentParams's keys belong to the train section
+_KEYS = {
+    GenConfig: field_keys(GenConfig),
+    TrainConfig: field_keys(TrainConfig),
+    AugmentParams: field_keys(AugmentParams),
+    FilterConfig: field_keys(FilterConfig, tau="filter_tau"),
+}
 
-KNOWN_KEYS = {*_GEN_KEYS, *_TRAIN_KEYS, *_AUGMENT_KEYS, *_FILTER_KEYS}
-
-
-def parse_overrides(pairs) -> dict[str, str]:
-    """--set style key=value strings into a dict."""
-    out: dict[str, str] = {}
-    for pair in pairs or ():
-        key, sep, value = pair.partition("=")
-        if not sep or not key:
-            raise ConfigError(f"override {pair!r} is not of the form key=value")
-        out[key] = value
-    return out
+KNOWN_KEYS = {key for keys in _KEYS.values() for key in keys}
 
 
-def validate_keys(values: dict[str, str]) -> None:
-    unknown = sorted(set(values) - KNOWN_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+@dataclass(frozen=True)
+class PipelineConfig:
+    """The config of every command: each takes the section it uses."""
+
+    gen: GenConfig
+    train: TrainConfig
+    filter: FilterConfig
 
 
 def load_config(path) -> dict[str, str]:
@@ -67,6 +65,17 @@ def write_config(values: dict[str, str], path) -> None:
                  [f"{key}={values[key]}" for key in sorted(values)])
 
 
+def _parse_overrides(pairs) -> dict[str, str]:
+    """--set style key=value strings into a dict."""
+    out: dict[str, str] = {}
+    for pair in pairs or ():
+        key, sep, value = pair.partition("=")
+        if not sep or not key:
+            raise ConfigError(f"override {pair!r} is not of the form key=value")
+        out[key] = value
+    return out
+
+
 def _parse(keys: dict, values: dict[str, str]) -> dict:
     """Typed field values for those of ``keys`` that ``values`` sets."""
     out = {}
@@ -81,39 +90,28 @@ def _parse(keys: dict, values: dict[str, str]) -> dict:
     return out
 
 
-def gen_config_from(values: dict[str, str]) -> GenConfig:
-    validate_keys(values)
-    cfg = GenConfig(**_parse(_GEN_KEYS, values))
-    cfg.validate()
-    return cfg
-
-
-def train_config_from(values: dict[str, str]) -> TrainConfig:
-    validate_keys(values)
-    cfg = default_train_config(
-        **_parse(_TRAIN_KEYS, values),
-        augment=AugmentParams(**_parse(_AUGMENT_KEYS, values)),
+def read_config(path=None, overrides=()) -> PipelineConfig:
+    """The defaults, then the config file at ``path`` (if any), then the
+    ``key=value`` strings of ``overrides``, parsed and validated."""
+    values = load_config(path) if path else {}
+    values.update(_parse_overrides(overrides))
+    if unknown := sorted(set(values) - KNOWN_KEYS):
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    typed = {cls: _parse(keys, values) for cls, keys in _KEYS.items()}
+    cfg = PipelineConfig(
+        gen=GenConfig(**typed[GenConfig]),
+        train=default_train_config(**typed[TrainConfig],
+                                   augment=AugmentParams(**typed[AugmentParams])),
+        filter=FilterConfig(**typed[FilterConfig]),
     )
-    cfg.validate()
+    for section in (cfg.gen, cfg.train, cfg.filter):
+        section.validate()
     return cfg
 
 
-def filter_config_from(values: dict[str, str]) -> FilterConfig:
-    validate_keys(values)
-    cfg = FilterConfig(**_parse(_FILTER_KEYS, values))
-    cfg.validate()
-    return cfg
-
-
-def gen_config_values(cfg: GenConfig) -> dict[str, str]:
-    """The generator config as canonical strings, inverse of the parsers."""
-    return field_texts(_GEN_KEYS, cfg)
-
-
-def train_config_values(cfg: TrainConfig) -> dict[str, str]:
-    return {**field_texts(_TRAIN_KEYS, cfg),
-            **field_texts(_AUGMENT_KEYS, cfg.augment)}
-
-
-def filter_config_values(cfg: FilterConfig) -> dict[str, str]:
-    return field_texts(_FILTER_KEYS, cfg)
+def config_values(section) -> dict[str, str]:
+    """A section's keys as canonical strings, the inverse of ``read_config``."""
+    values = field_texts(_KEYS[type(section)], section)
+    if isinstance(section, TrainConfig):
+        values.update(field_texts(_KEYS[AugmentParams], section.augment))
+    return values

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, UnknownClass
+from .errors import ConfigError, DataError, ParseError, UnknownClass
 from .records import read_record, value_parser, write_record
 from .taxonomy import (
     Taxonomy,
@@ -188,6 +188,8 @@ class GenConfig:
             )
         if any(s <= 0 for s in self.sigma_levels[:depth]):
             raise ConfigError("sigma_levels: scales must be > 0")
+        if self.seed < 0:
+            raise ConfigError("seed: must be >= 0")
         if self.sigma_x < 0:
             raise ConfigError("sigma_x: must be >= 0")
         for name in ("labeled_per_species", "coarse_in_per_species",
@@ -398,8 +400,11 @@ def augment_strong(
 
 def save_dataset(split: DataSplit, taxonomy: Taxonomy, path) -> None:
     """One sample per line: split tag, level name, class name, species name
-    or '-', then the feature floats (shortest round-trip formatting)."""
+    or '-', then the feature floats (shortest round-trip formatting); a
+    non-finite feature is a DataError before anything is written."""
     parts = [(tag, getattr(split, tag)) for tag in SPLIT_TAGS]
+    if not all(np.isfinite(s.X).all() for _, s in parts):
+        raise DataError("cannot write a non-finite feature value")
     dim = next((s.X.shape[1] for _, s in parts if len(s)), 0)
     lines = [f"d {dim}", "levels " + ",".join(taxonomy.level_names)]
     for tag, s in parts:

@@ -246,8 +246,9 @@ class SgdMomentum:
 
 def predict_probs(model, X: np.ndarray, taxonomy) -> np.ndarray:
     """Distribution over ``taxonomy``'s leaves per row of ``X``. A model of
-    another class count or feature width is a typed error, not a matmul one."""
-    from .losses import softmax
+    another class count or feature width is a typed error, not a matmul one,
+    and non-finite logits (a diverged model) are a NonFiniteGradient."""
+    from .losses import _batches, softmax
 
     if model.n_classes != taxonomy.num_leaves:
         raise ArchitectureMismatch(
@@ -258,7 +259,7 @@ def predict_probs(model, X: np.ndarray, taxonomy) -> np.ndarray:
         raise DimensionMismatch(
             f"features have width {X.shape[-1]} but the model expects {model.dim}"
         )
-    return softmax(model.forward(X))
+    return softmax(_batches("logits", model.forward(X)))
 
 
 # -- checkpoints -----------------------------------------------------------------

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from hierssl.cli import _chunks, build_parser, main
-from hierssl.data import load_dataset
+from hierssl.config import config_values, load_config, write_config
+from hierssl.data import GenConfig, load_dataset
 from hierssl.evaluate import read_report, read_sweep, top1
 from hierssl.model import load_checkpoint
 from hierssl.ood import FilterConfig, filter_split, read_filter_report
@@ -190,7 +191,25 @@ class TestExitCodes:
                      "--out", str(out)])
         assert code == 4
         assert "train error" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_on_the_last_step_is_4(self, data_dir, tmp_path, capsys):
+        # the one step trains without a non-finite gradient, but the model it
+        # leaves has overflowing logits, which scoring it refuses
+        out = tmp_path / "x"
+        assert main(["train", "--data", str(data_dir), "--set", "steps=1",
+                     "--set", "lr=1e308", "--out", str(out)]) == 4
+        assert "non-finite values in logits" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_features_are_3(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["gen-data", *GEN_ARGS, "--set", "sigma_x=1e308",
+                     "--out", str(out)]) == 3
+        assert "non-finite feature" in capsys.readouterr().err
+        assert not (out / "dataset.txt").exists()
 
     @pytest.mark.parametrize("argv", [
         ["train", "--set", "steps=3", "--seeds="],
@@ -282,6 +301,37 @@ class TestExitCodes:
     def test_invalid_config_value_is_2(self, data_dir, tmp_path):
         assert main(["train", "--data", str(data_dir), "--set", "steps=none",
                      "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_level_beyond_the_taxonomy_is_2(self, data_dir, tmp_path, capsys,
+                                            command):
+        # the config passes; the 3-level taxonomy it trains on does not
+        out = tmp_path / "x"
+        argv = [command, "--set", "supervision_level=9", "--set", "steps=3",
+                "--data", str(data_dir), "--out", str(out)]
+        if command == "sweep":
+            argv += ["--levels", "9"]
+        assert main(argv) == 2
+        assert "supervision_level: 9 exceeds" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["gen-data", "--set", "steps=none"],
+        ["train", "--set", "level_counts=8,4"],
+        ["filter", "--set", "method=gan"],
+        ["eval", "--set", "filter_tau=0"],
+    ], ids=["gen-data", "train", "filter", "eval"])
+    def test_another_commands_bad_value_is_2(self, data_dir, trained, tmp_path,
+                                             capsys, argv):
+        # one config drives the pipeline, so each command checks all of it
+        if argv[0] != "gen-data":
+            argv = [*argv, "--data", str(data_dir)]
+        if argv[0] in ("filter", "eval"):
+            argv = [*argv, "--checkpoint", str(trained)]
+        out = tmp_path / "x"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_malformed_checkpoint_shape_is_3(self, data_dir, trained, tmp_path,
                                              capsys):
@@ -502,6 +552,39 @@ class TestEvalCommand:
         assert main(["eval", "--data", str(data_dir), "--checkpoint", str(trained),
                      flag, value, "--out", str(out)]) == code
         assert out.exists() == (code == 0)
+
+
+class TestOneConfigFile:
+    SECTIONS = {
+        "gen": {"level_counts": "1,2,8", "dim": "8", "seed": "0"},
+        "train": {"steps": "8", "method": "pseudo_label", "tau": "0.9"},
+        "filter": {"filter_tau": "0.5", "match_level": "2"},
+    }
+
+    def test_one_file_drives_every_command(self, tmp_path, capsys):
+        cfg = tmp_path / "pipeline.txt"
+        write_config({k: v for keys in self.SECTIONS.values()
+                      for k, v in keys.items()}, cfg)
+        data, runs = tmp_path / "data", tmp_path / "runs"
+        ckpt = str(runs / "seed0" / "checkpoint.txt")
+        for argv, out in [
+            (["gen-data"], data),
+            (["train", "--data", str(data)], runs),
+            (["sweep", "--data", str(data), "--levels", "none,1"], tmp_path / "sweep"),
+            (["filter", "--data", str(data), "--checkpoint", ckpt], tmp_path / "filtered"),
+            (["eval", "--data", str(data), "--checkpoint", ckpt], tmp_path / "eval"),
+        ]:
+            assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 0, \
+                capsys.readouterr().err
+        # each config.txt holds exactly its own section's keys
+        for name, section, written in [
+            ("gen", GenConfig(), data),
+            ("train", TrainConfig(), runs / "seed0"),
+            ("filter", FilterConfig(), tmp_path / "filtered"),
+        ]:
+            values = load_config(written / "config.txt")
+            assert set(values) == set(config_values(section))
+            assert {k: values[k] for k in self.SECTIONS[name]} == self.SECTIONS[name]
 
 
 class TestSweepCommand:

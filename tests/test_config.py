@@ -6,21 +6,21 @@ import pytest
 from hierssl.config import (
     CONFIG_MAGIC,
     KNOWN_KEYS,
-    filter_config_from,
-    filter_config_values,
-    gen_config_from,
-    gen_config_values,
+    _parse_overrides,
+    config_values,
     load_config,
-    parse_overrides,
-    train_config_from,
-    train_config_values,
-    validate_keys,
+    read_config,
     write_config,
 )
 from hierssl.data import GenConfig
 from hierssl.errors import ConfigError, ParseError
 from hierssl.ood import FilterConfig
 from hierssl.trainers import TrainConfig, default_train_config
+
+
+def read(values: dict[str, str]):
+    """The pipeline config that ``--set key=value`` per entry of ``values`` reads."""
+    return read_config(overrides=[f"{k}={v}" for k, v in values.items()])
 
 
 class TestFileFormat:
@@ -71,19 +71,19 @@ class TestFileFormat:
 
 class TestOverrides:
     def test_parse_overrides(self):
-        assert parse_overrides(["a=1", "b=x=y"]) == {"a": "1", "b": "x=y"}
-        assert parse_overrides(None) == {}
-        assert parse_overrides(["tau="]) == {"tau": ""}
+        assert _parse_overrides(["a=1", "b=x=y"]) == {"a": "1", "b": "x=y"}
+        assert _parse_overrides(None) == {}
+        assert _parse_overrides(["tau="]) == {"tau": ""}
 
     def test_malformed_override(self):
         with pytest.raises(ConfigError):
-            parse_overrides(["no-equals-here"])
+            _parse_overrides(["no-equals-here"])
         with pytest.raises(ConfigError):
-            parse_overrides(["=value"])
+            _parse_overrides(["=value"])
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError) as e:
-            validate_keys({"steps": "5", "warp_speed": "9"})
+            read({"steps": "5", "warp_speed": "9"})
         assert "warp_speed" in str(e.value)
 
     def test_known_keys_are_pinned(self):
@@ -105,11 +105,11 @@ class TestOverrides:
 
 class TestTrainCoercion:
     def test_typed_fields(self):
-        cfg = train_config_from({
+        cfg = read({
             "method": "fixmatch", "steps": "7", "lr": "0.125",
             "supervision_level": "none", "tau": "0.9",
             "augment_inputs": "true", "arch": "mlp1",
-        })
+        }).train
         assert cfg.method == "fixmatch"
         assert cfg.steps == 7
         assert cfg.lr == 0.125
@@ -119,76 +119,76 @@ class TestTrainCoercion:
         assert (cfg.batch_labeled, cfg.batch_coarse) == (32, 160)
 
     def test_bool_values_are_strict(self):
-        assert train_config_from({"augment_inputs": "false"}).augment_inputs is False
+        assert read({"augment_inputs": "false"}).train.augment_inputs is False
         with pytest.raises(ConfigError) as e:
-            train_config_from({"augment_inputs": "True"})
+            read({"augment_inputs": "True"})
         assert "augment_inputs" in str(e.value)
         with pytest.raises(ConfigError):
-            train_config_from({"augment_inputs": "1"})
+            read({"augment_inputs": "1"})
 
     def test_augment_keys_reach_the_nested_params(self):
-        cfg = train_config_from({"sigma_weak": "0.25", "jitter": "0.8,1.2"})
+        cfg = read({"sigma_weak": "0.25", "jitter": "0.8,1.2"}).train
         assert cfg.augment.sigma_weak == 0.25
         assert cfg.augment.jitter == (0.8, 1.2)
 
     def test_jitter_needs_exactly_two_values(self):
         with pytest.raises(ConfigError):
-            train_config_from({"jitter": "0.9"})
+            read({"jitter": "0.9"})
         with pytest.raises(ConfigError):
-            train_config_from({"jitter": "0.8,1.0,1.2"})
+            read({"jitter": "0.8,1.0,1.2"})
 
     def test_bad_value_names_the_key(self):
         with pytest.raises(ConfigError) as e:
-            train_config_from({"steps": "ten"})
+            read({"steps": "ten"})
         assert "steps" in str(e.value)
 
     def test_validation_still_runs(self):
         with pytest.raises(ConfigError):
-            train_config_from({"steps": "0"})
+            read({"steps": "0"})
         with pytest.raises(ConfigError):
-            train_config_from({"method": "gan"})
+            read({"method": "gan"})
 
     def test_round_trip_through_strings(self):
         cfg = default_train_config("fixmatch", tau=0.95, lr=1.0 / 3.0,
                                    supervision_level=None, augment_inputs=True)
-        values = train_config_values(cfg)
+        values = config_values(cfg)
         assert values["supervision_level"] == "none"
         assert values["augment_inputs"] == "true"
         assert values["lr"] == repr(1.0 / 3.0)
-        back = train_config_from(values)
+        back = read(values).train
         assert back == cfg
 
 
 class TestGenCoercion:
     def test_typed_fields(self):
-        cfg = gen_config_from({
+        cfg = read({
             "level_counts": "1,2,8", "dim": "8", "sigma_x": "0.5",
             "out_attach_level": "none", "level_names": "none",
-        })
+        }).gen
         assert cfg.level_counts == (1, 2, 8)
         assert cfg.dim == 8
         assert cfg.out_attach_level is None
 
     def test_branching_replaces_level_counts(self):
-        cfg = gen_config_from({"branching": "1,2,4"})
+        cfg = read({"branching": "1,2,4"}).gen
         assert cfg.branching == (1, 2, 4)
         assert cfg.level_counts is None
         assert cfg.resolved_counts() == (1, 2, 8)
 
     def test_round_trip_through_strings(self):
         cfg = GenConfig(level_counts=(1, 2, 8), dim=8, sigma_x=0.75, seed=3)
-        back = gen_config_from(gen_config_values(cfg))
+        back = read(config_values(cfg)).gen
         assert back == cfg
 
     def test_round_trip_with_branching(self):
         cfg = GenConfig(branching=(2, 2, 3), level_counts=None, dim=8)
-        values = gen_config_values(cfg)
+        values = config_values(cfg)
         assert values["level_counts"] == "none"
-        assert gen_config_from(values) == cfg
+        assert read(values).gen == cfg
 
     def test_validation_still_runs(self):
         with pytest.raises(ConfigError):
-            gen_config_from({"level_counts": "8,4"})
+            read({"level_counts": "8,4"})
 
     @pytest.mark.parametrize("key, value", [
         ("sigma_x", "-inf"), ("out_fraction", "1e999"),
@@ -196,29 +196,29 @@ class TestGenCoercion:
     ])
     def test_non_finite_floats_rejected(self, key, value):
         with pytest.raises(ConfigError, match=f"{key}: cannot parse value"):
-            gen_config_from({key: value})
+            read({key: value})
 
 
 class TestFilterCoercion:
     def test_namespaced_tau(self):
-        cfg = filter_config_from({"filter_tau": "0.3", "match_level": "1"})
+        cfg = read({"filter_tau": "0.3", "match_level": "1"}).filter
         assert cfg == FilterConfig(tau=0.3, match_level=1)
 
     def test_defaults_when_absent(self):
-        assert filter_config_from({}) == FilterConfig()
+        assert read({}).filter == FilterConfig()
 
     def test_round_trip(self):
         cfg = FilterConfig(tau=0.35, match_level=2)
-        assert filter_config_from(filter_config_values(cfg)) == cfg
+        assert read(config_values(cfg)).filter == cfg
 
     def test_filter_tau_does_not_collide_with_train_tau(self):
         values = {"tau": "0.95", "filter_tau": "0.3"}
-        assert train_config_from(values).tau == 0.95
-        assert filter_config_from(values).tau == 0.3
+        assert read(values).train.tau == 0.95
+        assert read(values).filter.tau == 0.3
 
     def test_validation_still_runs(self):
         with pytest.raises(ConfigError):
-            filter_config_from({"filter_tau": "0"})
+            read({"filter_tau": "0"})
 
 
 class TestFullConfigSharing:
@@ -230,10 +230,8 @@ class TestFullConfigSharing:
         }
         p = tmp_path / "cfg.txt"
         write_config(values, p)
-        loaded = load_config(p)
-        gen = gen_config_from(loaded)
-        tr = train_config_from(loaded)
-        fl = filter_config_from(loaded)
+        config = read_config(p)
+        gen, tr, fl = config.gen, config.train, config.filter
         assert gen.seed == 1 and tr.seed == 1
         assert tr.tau == 0.9 and fl.tau == 0.4
         assert gen.level_counts == (1, 2, 8)

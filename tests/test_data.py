@@ -262,6 +262,7 @@ class TestGenConfigValidation:
         dict(coarse_level=7),             # finer than the attach level
         dict(sigma_levels=(1.0, 0.5)),    # too few scales for 7 levels
         dict(level_counts=None),          # and no branching either
+        dict(seed=-1),
     ])
     def test_rejected(self, bad):
         with pytest.raises(ConfigError):

@@ -91,6 +91,12 @@ class TestBackward:
         assert p.shape == (5, 4)
         assert_allclose(p.sum(axis=-1), 1.0, rtol=1e-12)
 
+    def test_predict_probs_refuses_non_finite_logits(self):
+        model = fresh("linear")
+        model.params["b"][1] = np.inf
+        with pytest.raises(NonFiniteGradient, match="logits"):
+            predict_probs(model, np.zeros((3, 6)), shaped_taxonomy([2, 4]))
+
 
 class TestSgdMomentum:
     def test_two_hand_computed_steps(self):

@@ -14,7 +14,7 @@ import pytest
 import hierssl
 from hierssl import records
 from hierssl.cli import main
-from hierssl.config import gen_config_from, load_config, train_config_from, write_config
+from hierssl.config import load_config, read_config, write_config
 from hierssl.data import GenConfig, generate, load_dataset, save_dataset
 from hierssl.errors import ConfigError, DataError, HiersslError, ParseError
 from hierssl.evaluate import (
@@ -263,7 +263,7 @@ def test_only_canonical_spellings_parse(tiny, inputs, tmp_path, capsys, case):
     where, at, text = NONCANONICAL[case]
     if where in ("train", "gen"):
         with pytest.raises(ConfigError, match=at):
-            (train_config_from if where == "train" else gen_config_from)({at: text})
+            read_config(overrides=[f"{at}={text}"])
     elif where == "seeds":
         assert main(["train", "--data", str(inputs), "--seeds", text,
                      "--out", str(tmp_path / "out")]) == 2
