@@ -236,7 +236,8 @@ def _per_species_counts(base: int, n_species: int, exponent: float) -> list[int]
 
 
 def generate(config: GenConfig) -> GenResult:
-    """Build the taxonomy, class centers, and all four splits."""
+    """Build the taxonomy, class centers, and all four splits; a feature
+    that overflows (a huge ``sigma_x``) is a DataError."""
     config.validate()
     counts = config.resolved_counts()
     depth = len(counts)
@@ -318,6 +319,7 @@ def generate(config: GenConfig) -> GenResult:
         test=draw(in_full_ids, [config.test_per_species] * n_in,
                   depth, in_ids, in_ids),
     )
+    _check_finite(split)
     return GenResult(taxonomy=full_tax, in_taxonomy=in_tax, split=split)
 
 
@@ -398,28 +400,38 @@ def augment_strong(
 # -- persistence ----------------------------------------------------------------
 
 
+def _check_finite(split: DataSplit) -> None:
+    """A non-finite feature is a DataError: no dataset file can hold it."""
+    for tag in SPLIT_TAGS:
+        if not np.isfinite(getattr(split, tag).X).all():
+            raise DataError(f"non-finite feature value in the {tag} split")
+
+
 def save_dataset(split: DataSplit, taxonomy: Taxonomy, path) -> None:
     """One sample per line: split tag, level name, class name, species name
     or '-', then the feature floats (shortest round-trip formatting); a
-    non-finite feature is a DataError before anything is written."""
+    non-finite feature is a DataError before anything is written. Lines
+    are streamed to the file as they are formatted."""
+    _check_finite(split)
     parts = [(tag, getattr(split, tag)) for tag in SPLIT_TAGS]
-    if not all(np.isfinite(s.X).all() for _, s in parts):
-        raise DataError("cannot write a non-finite feature value")
     dim = next((s.X.shape[1] for _, s in parts if len(s)), 0)
-    lines = [f"d {dim}", "levels " + ",".join(taxonomy.level_names)]
-    for tag, s in parts:
-        for level, label, species, x in zip(
-                s.label_level.tolist(), s.label.tolist(),
-                s.true_species.tolist(), s.X):
-            level_name = taxonomy.level_names[level - 1]
-            label_name = taxonomy.class_name(level, label)
-            species_name = (
-                taxonomy.class_name(taxonomy.leaf_level, species)
-                if species >= 0 else "-"
-            )
-            feats = " ".join(map(repr, x.tolist()))
-            lines.append(f"{tag} {level_name} {label_name} {species_name} {feats}")
-    write_record(path, _DATASET_MAGIC, lines)
+
+    def lines():
+        yield f"d {dim}"
+        yield "levels " + ",".join(taxonomy.level_names)
+        for tag, s in parts:
+            for level, label, species, x in zip(
+                    s.label_level.tolist(), s.label.tolist(),
+                    s.true_species.tolist(), s.X):
+                level_name = taxonomy.level_names[level - 1]
+                label_name = taxonomy.class_name(level, label)
+                species_name = (
+                    taxonomy.class_name(taxonomy.leaf_level, species)
+                    if species >= 0 else "-"
+                )
+                feats = " ".join(map(repr, x.tolist()))
+                yield f"{tag} {level_name} {label_name} {species_name} {feats}"
+    write_record(path, _DATASET_MAGIC, lines())
 
 
 def load_dataset(path, taxonomy: Taxonomy) -> DataSplit:

@@ -30,6 +30,9 @@ from .taxonomy import Taxonomy, coarse_probs
 
 _EVAL_MAGIC = "hierssl-eval v1"
 _SWEEP_MAGIC = "hierssl-sweep v1"
+# rows of the probability matrix marginalized at once; each row's sums and
+# argmax are its own, so the block size never changes a prediction
+_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -42,13 +45,16 @@ class EvalReport:
 
 def evaluate(model, samples: Samples, taxonomy: Taxonomy) -> EvalReport:
     """Accuracy at every level, all marginalized from one forward pass:
-    leaf probabilities are summed up to each level before the argmax."""
+    leaf probabilities are summed up to each level before the argmax, one
+    block of rows at a time, so no level's marginals are held whole."""
     if not samples:
         raise EmptySplit("cannot evaluate on an empty sample list")
     probs = predict_probs(model, features_of(samples), taxonomy)
     rows = []
     for level in range(1, taxonomy.num_levels + 1):
-        pred = coarse_probs(taxonomy, probs, level).argmax(axis=-1)
+        pred = np.concatenate([
+            coarse_probs(taxonomy, probs[i:i + _BLOCK_ROWS], level).argmax(axis=-1)
+            for i in range(0, len(probs), _BLOCK_ROWS)])
         acc = float((pred == labels_at_level(samples, taxonomy, level)).mean())
         rows.append((level, taxonomy.level_names[level - 1], acc))
     return EvalReport(n_samples=len(samples), top1=rows[-1][2], levels=tuple(rows))

@@ -247,8 +247,9 @@ class SgdMomentum:
 def predict_probs(model, X: np.ndarray, taxonomy) -> np.ndarray:
     """Distribution over ``taxonomy``'s leaves per row of ``X``. A model of
     another class count or feature width is a typed error, not a matmul one,
-    and non-finite logits (a diverged model) are a NonFiniteGradient."""
-    from .losses import _batches, softmax
+    and non-finite logits (a diverged model) are a NonFiniteGradient. The
+    fresh logits that ``forward`` returns are normalized in place."""
+    from .losses import _batches, _softmax_inplace
 
     if model.n_classes != taxonomy.num_leaves:
         raise ArchitectureMismatch(
@@ -259,7 +260,7 @@ def predict_probs(model, X: np.ndarray, taxonomy) -> np.ndarray:
         raise DimensionMismatch(
             f"features have width {X.shape[-1]} but the model expects {model.dim}"
         )
-    return softmax(_batches("logits", model.forward(X)))
+    return _softmax_inplace(_batches("logits", model.forward(X)))
 
 
 # -- checkpoints -----------------------------------------------------------------

@@ -30,7 +30,8 @@ class FilterConfig:
 
     def validate(self) -> None:
         if self.tau <= 0:
-            raise ConfigError("tau: must be > 0")
+            # named by its config key: ``tau`` is the train key
+            raise ConfigError("filter_tau: must be > 0")
         if self.match_level < 1:
             raise ConfigError("match_level: must be >= 1")
 

@@ -30,12 +30,14 @@ from .errors import DataError, EmptyInput, ParseError
 
 
 def write_record(path, magic: str, lines) -> None:
-    """Write ``magic`` and ``lines`` to ``path``, or leave ``path`` untouched."""
-    text = "\n".join([magic, *lines]) + "\n"
+    """Write ``magic`` and ``lines`` to ``path``, or leave ``path`` untouched.
+    Each line is written as ``lines`` yields it, so a generator of lines is
+    never held whole."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.write(f"{magic}\n")
+            fh.writelines(f"{line}\n" for line in lines)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

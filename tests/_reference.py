@@ -3,8 +3,10 @@ and the loss tests check the fast paths against."""
 
 import numpy as np
 
-from hierssl.losses import cross_entropy, marginalized_cross_entropy
-from hierssl.taxonomy import MarginalizationMatrix
+from hierssl.data import labels_at_level
+from hierssl.evaluate import EvalReport
+from hierssl.losses import cross_entropy, marginalized_cross_entropy, softmax
+from hierssl.taxonomy import MarginalizationMatrix, coarse_probs
 
 
 def hier_supervised_loss(
@@ -35,3 +37,15 @@ def dense(w: MarginalizationMatrix) -> np.ndarray:
     out = np.zeros(shape(w))
     out[np.arange(len(w.ancestor_map)), w.ancestor_map] = 1.0
     return out
+
+
+def evaluate(model, samples, taxonomy) -> EvalReport:
+    """Accuracy at every level, each level's marginals taken over the whole
+    probability matrix at once."""
+    probs = softmax(model.forward(samples.X))
+    rows = []
+    for level in range(1, taxonomy.num_levels + 1):
+        pred = coarse_probs(taxonomy, probs, level).argmax(axis=-1)
+        acc = float((pred == labels_at_level(samples, taxonomy, level)).mean())
+        rows.append((level, taxonomy.level_names[level - 1], acc))
+    return EvalReport(n_samples=len(samples), top1=rows[-1][2], levels=tuple(rows))

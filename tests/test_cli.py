@@ -209,7 +209,7 @@ class TestExitCodes:
         assert main(["gen-data", *GEN_ARGS, "--set", "sigma_x=1e308",
                      "--out", str(out)]) == 3
         assert "non-finite feature" in capsys.readouterr().err
-        assert not (out / "dataset.txt").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["train", "--set", "steps=3", "--seeds="],
@@ -332,6 +332,15 @@ class TestExitCodes:
         assert main([*argv, "--out", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "filter"])
+    def test_bad_filter_tau_names_its_key(self, data_dir, trained, tmp_path,
+                                          capsys, command):
+        # tau is the train key; the filter's threshold is filter_tau
+        assert main([command, "--set", "filter_tau=0", "--data", str(data_dir),
+                     "--checkpoint", str(trained),
+                     "--out", str(tmp_path / "x")]) == 2
+        assert "config error: filter_tau: must be > 0" in capsys.readouterr().err
 
     def test_malformed_checkpoint_shape_is_3(self, data_dir, trained, tmp_path,
                                              capsys):

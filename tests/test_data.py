@@ -2,6 +2,7 @@
 relabeling, augmentations, and the dataset text round trip."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from hierssl.data import (
     load_dataset,
     save_dataset,
 )
-from hierssl.errors import ConfigError, ParseError, UnknownClass
+from hierssl.errors import ConfigError, OutOfRange, ParseError, UnknownClass
 
 TOY = GenConfig(level_counts=(1, 2, 8), dim=8, seed=0)
 
@@ -375,6 +376,22 @@ class TestPersistence:
         save_dataset(g.split, g.in_taxonomy, p)
         with pytest.raises(ParseError):
             load_dataset(p, other.in_taxonomy)
+
+    def test_failed_save_leaves_the_old_file(self, tmp_path):
+        g = generate(TOY)
+        p = tmp_path / "dataset.txt"
+        save_dataset(g.split, g.in_taxonomy, p)
+        before = p.read_bytes()
+        # the last test row's label is out of range: every row before it has
+        # been streamed to the temporary file when save_dataset raises
+        label = g.split.test.label.copy()
+        label[-1] = g.in_taxonomy.num_leaves
+        bad = DataSplit(g.split.labeled, g.split.coarse_in, g.split.coarse_out,
+                        replace(g.split.test, label=label))
+        with pytest.raises(OutOfRange):
+            save_dataset(bad, g.in_taxonomy, p)
+        assert p.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [p]
 
     def test_non_finite_feature_rejected(self, tmp_path):
         g = generate(TOY)

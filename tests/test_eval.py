@@ -7,6 +7,7 @@ import pytest
 from hierssl.data import GenConfig, Samples, generate, labels_at_level
 from hierssl.errors import EmptySplit, ParseError
 from hierssl.evaluate import (
+    _BLOCK_ROWS,
     EvalReport,
     evaluate,
     read_report,
@@ -16,9 +17,11 @@ from hierssl.evaluate import (
     write_report,
     write_sweep,
 )
-from hierssl.model import predict_probs
-from hierssl.taxonomy import build_taxonomy, coarse_probs
+from hierssl.model import make_model, predict_probs
+from hierssl.taxonomy import build_taxonomy, coarse_probs, semi_inat_taxonomy
 from hierssl.trainers import default_train_config, train
+
+from _reference import evaluate as evaluate_whole
 
 TOY = GenConfig(level_counts=(1, 2, 8), dim=8, seed=0)
 
@@ -41,7 +44,7 @@ class FixedModel:
         self.dim = dim
 
     def forward(self, X: np.ndarray) -> np.ndarray:
-        return self._logits[: X.shape[0]]
+        return self._logits[: X.shape[0]].copy()  # a new array, as every model's
 
 
 def two_branch_taxonomy():
@@ -128,6 +131,24 @@ class TestAccuracy:
             pred = coarse_probs(g.in_taxonomy, probs, level).argmax(axis=-1)
             labels = labels_at_level(g.split.test, g.in_taxonomy, level)
             assert acc == float((pred == labels).mean())
+
+    def test_row_blocks_match_the_whole_matrix(self):
+        # 2,500 rows: two full blocks and a partial one, on a taxonomy whose
+        # level 1 map is unsorted (marginalize gathers before summing)
+        tax = semi_inat_taxonomy()
+        rng = np.random.default_rng(5)
+        n = 2500
+        assert n > _BLOCK_ROWS and n % _BLOCK_ROWS
+        model = make_model("linear", 8, tax.num_leaves, rng)
+        X = rng.standard_normal((n, 8))
+        # label each row with its own leaf argmax, so any row out of place
+        # in the concatenated blocks lowers top1 below 1
+        leaves = predict_probs(model, X, tax).argmax(axis=-1)
+        samples = Samples(X=X, label_level=np.full(n, tax.leaf_level),
+                          label=leaves, true_species=leaves)
+        report = evaluate(model, samples, tax)
+        assert report == evaluate_whole(model, samples, tax)
+        assert report.top1 == 1.0
 
 
 class TestReportFiles:

@@ -1,0 +1,69 @@
+"""Peak memory of scoring and of a dataset save at the Semi-iNat shape.
+
+tracemalloc sees numpy's array buffers as well as Python objects, so the
+peak above the starting point is every transient a call makes. Scoring
+may hold one probability matrix plus a little; a save streams its lines
+and holds almost none of the file it writes.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from hierssl.data import DataSplit, Samples, save_dataset
+from hierssl.evaluate import evaluate
+from hierssl.model import make_model
+from hierssl.ood import FilterConfig, keep_mask
+from hierssl.taxonomy import semi_inat_taxonomy
+
+N_TEST = 9720  # 12 test rows for each of the 810 species
+N_LABELED = 2430  # 3 labeled rows for each
+DIM = 32
+
+
+@pytest.fixture(scope="module")
+def inat():
+    tax = semi_inat_taxonomy()
+    rng = np.random.default_rng(0)
+    leaves = rng.integers(0, tax.num_leaves, N_TEST)
+    samples = Samples(X=rng.standard_normal((N_TEST, DIM)),
+                      label_level=np.full(N_TEST, tax.leaf_level), label=leaves,
+                      true_species=leaves)
+    return tax, samples, make_model("linear", DIM, tax.num_leaves, rng)
+
+
+def peak_bytes(fn, *args) -> int:
+    """The most memory ``fn(*args)`` held at once above what it started with."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def probs_bytes(tax, samples) -> int:
+    return len(samples) * tax.num_leaves * 8
+
+
+def test_evaluate_holds_one_probability_matrix(inat):
+    tax, samples, model = inat
+    assert peak_bytes(evaluate, model, samples, tax) <= 1.25 * probs_bytes(tax, samples)
+
+
+def test_keep_mask_holds_one_probability_matrix(inat):
+    tax, samples, model = inat
+    cfg = FilterConfig(tau=0.5, match_level=2)
+    assert peak_bytes(keep_mask, model, tax, samples, cfg) <= \
+        1.25 * probs_bytes(tax, samples)
+
+
+def test_save_dataset_streams_its_lines(inat, tmp_path):
+    tax, samples, _ = inat
+    empty = samples.take([])
+    split = DataSplit(labeled=samples.take(slice(N_LABELED)), coarse_in=empty, coarse_out=empty, test=empty)
+    path = tmp_path / "dataset.txt"
+    peak = peak_bytes(save_dataset, split, tax, path)
+    assert peak < path.stat().st_size / 4

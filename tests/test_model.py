@@ -11,7 +11,7 @@ from hierssl.errors import (
     NonFiniteGradient,
     ParseError,
 )
-from hierssl.losses import cross_entropy
+from hierssl.losses import cross_entropy, softmax
 from hierssl.model import (
     ContrastiveModel,
     ProjectionHead,
@@ -90,6 +90,16 @@ class TestBackward:
         p = predict_probs(model, X, shaped_taxonomy([2, 4]))
         assert p.shape == (5, 4)
         assert_allclose(p.sum(axis=-1), 1.0, rtol=1e-12)
+
+    @pytest.mark.parametrize("arch", ["linear", "mlp1"])
+    def test_predict_probs_is_softmax_of_forward_bit_for_bit(self, arch):
+        # predict_probs normalizes forward's fresh logits in place
+        model = fresh(arch)
+        before = {name: p.copy() for name, p in model.params.items()}
+        X = np.random.default_rng(4).standard_normal((7, 6))
+        assert np.array_equal(predict_probs(model, X, shaped_taxonomy([2, 4])),
+                              softmax(model.forward(X)))
+        assert all(np.array_equal(p, before[name]) for name, p in model.params.items())
 
     def test_predict_probs_refuses_non_finite_logits(self):
         model = fresh("linear")
