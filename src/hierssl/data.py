@@ -14,9 +14,8 @@ given the config seed.
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections import Counter
+from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -436,14 +435,13 @@ def save_dataset(split: DataSplit, taxonomy: Taxonomy, path) -> None:
 
 def load_dataset(path, taxonomy: Taxonomy) -> DataSplit:
     with read_record(path, _DATASET_MAGIC) as body:
-        lines = iter(body)
-        ln, line = next(lines, (2, ""))
+        ln, line = next(body, (2, ""))
         key, _, dim = line.partition(" ")
         if key != "d" or (dim := value_parser(int)(dim)) < 0:
             raise ParseError(
                 f"expected 'd <dim>' with dim >= 0, got {line!r}", line=ln
             )
-        ln, line = next(lines, (ln + 1, ""))
+        ln, line = next(body, (ln + 1, ""))
         key, _, names = line.partition(" ")
         if key != "levels":
             raise ParseError(f"expected a 'levels' line, got {line!r}", line=ln)
@@ -454,20 +452,8 @@ def load_dataset(path, taxonomy: Taxonomy) -> DataSplit:
                 f"{taxonomy.level_names}", line=ln,
             )
         level_index = {n: i + 1 for i, n in enumerate(level_names)}
-        # Rows per split, so each is filled in place. A line too short for
-        # 4 + dim fields fails below, uncounted: dim never allocates past it.
-        n_rows = Counter(line.split(None, 1)[0] for _, line in body
-                         if len(line) >= 2 * (4 + dim) - 1)
-        split = {
-            tag: Samples(
-                X=np.empty((n_rows[tag], dim)),
-                label_level=np.empty(n_rows[tag], dtype=np.int64),
-                label=np.empty(n_rows[tag], dtype=np.int64),
-                true_species=np.empty(n_rows[tag], dtype=np.int64),
-            )
-            for tag in SPLIT_TAGS
-        }
-        next_row = {tag: itertools.count() for tag in SPLIT_TAGS}
+        # each split's features, and its (level, label, species) per row
+        rows = {tag: (array("d"), array("q")) for tag in SPLIT_TAGS}
 
         def lookup(ln: int, kind: str, level: int, name: str) -> int:
             try:
@@ -478,7 +464,7 @@ def load_dataset(path, taxonomy: Taxonomy) -> DataSplit:
                     f"{level_names[level - 1]} ({taxonomy.class_counts[level - 1]} classes)"
                 ) from None
 
-        for ln, line in lines:
+        for ln, line in body:
             parts = line.split(None, 4)
             text = parts.pop() if len(parts) == 5 else ""
             feats = text.split()
@@ -487,7 +473,7 @@ def load_dataset(path, taxonomy: Taxonomy) -> DataSplit:
                     f"expected {4 + dim} fields, got {len(parts) + len(feats)}", line=ln
                 )
             tag, level_name, label_name, species_name = parts
-            if tag not in split:
+            if tag not in rows:
                 raise ParseError(f"unknown split tag {tag!r}", line=ln)
             level = level_index.get(level_name)
             if level is None:
@@ -501,7 +487,12 @@ def load_dataset(path, taxonomy: Taxonomy) -> DataSplit:
             feats = [float(v) for v in feats]
             if not all(map(math.isfinite, feats)):
                 raise ParseError("non-finite feature value", line=ln)
-            s, i = split[tag], next(next_row[tag])
-            s.X[i] = feats
-            s.label_level[i], s.label[i], s.true_species[i] = level, label, species
+            X, labels = rows[tag]
+            X.extend(feats)
+            labels.extend((level, label, species))
+    split = {}
+    for tag, (X, labels) in rows.items():
+        level, label, species = np.frombuffer(labels, np.int64).reshape(-1, 3).T.copy()
+        split[tag] = Samples(X=np.frombuffer(X, np.float64).reshape(len(level), dim),
+                             label_level=level, label=label, true_species=species)
     return DataSplit(**split)

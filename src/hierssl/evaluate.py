@@ -109,8 +109,14 @@ def write_sweep(rows: Sequence[tuple[int | None, int, float]], path) -> None:
 
 
 def read_sweep(path) -> list[tuple[int | None, int, float]]:
+    rows = {}
     with read_record(path, _SWEEP_MAGIC) as body:
-        return [tuple(parse_fields(_SWEEP_KEYS, line.split())) for _, line in body]
+        for _, line in body:
+            level, seed, top = parse_fields(_SWEEP_KEYS, line.split())
+            if (level, seed) in rows:
+                raise ValueError(f"repeated row level {value_text(level)} seed {seed}")
+            rows[level, seed] = top
+    return [(level, seed, top) for (level, seed), top in rows.items()]
 
 
 def sweep_means(rows: Sequence[tuple[int | None, int, float]]) -> dict:

@@ -28,6 +28,7 @@ from .errors import (
     NonFiniteGradient,
     ParseError,
 )
+from .losses import _batches, _softmax_inplace
 from .records import read_record, value_parser, write_record
 
 _CKPT_MAGIC = "hierssl-checkpoint v1"
@@ -249,8 +250,6 @@ def predict_probs(model, X: np.ndarray, taxonomy) -> np.ndarray:
     another class count or feature width is a typed error, not a matmul one,
     and non-finite logits (a diverged model) are a NonFiniteGradient. The
     fresh logits that ``forward`` returns are normalized in place."""
-    from .losses import _batches, _softmax_inplace
-
     if model.n_classes != taxonomy.num_leaves:
         raise ArchitectureMismatch(
             f"model predicts {model.n_classes} classes but the taxonomy "
@@ -311,8 +310,7 @@ def load_checkpoint(path):
     meta: dict[str, str] = {}
     params: dict[str, np.ndarray] = {}
     with read_record(path, _CKPT_MAGIC) as body:
-        lines = iter(body)
-        for ln, line in lines:
+        for ln, line in body:
             if line.startswith("param "):
                 break
             key, value = line.split(maxsplit=1)
@@ -353,7 +351,7 @@ def load_checkpoint(path):
             if len(shape) != len(fields[name]):
                 raise ValueError(f"parameter {name} has shape {shape}, expected "
                                  f"{len(fields[name])} dimensions")
-            ln, line = next(lines, (ln, None))
+            ln, line = next(body, (ln, None))
             if line is None:
                 raise ValueError(f"missing data for parameter {name}")
             data = np.frombuffer(base64.b64decode(line), dtype="<f8")
@@ -365,7 +363,7 @@ def load_checkpoint(path):
                         f"{key} {header[key]} does not match parameter {name} "
                         f"of shape {shape}", line=at[key])
             params[name] = data.reshape(shape).copy()
-            ln, line = next(lines, (ln, None))
+            ln, line = next(body, (ln, None))
         missing = set(fields) - set(params)
         if missing:
             raise ValueError(f"missing parameters: {sorted(missing)}")

@@ -5,8 +5,9 @@ An artifact is UTF-8 text: a magic line naming the format and its
 version, then one record per line, each line newline-terminated. This is
 the only module that opens files. A write goes to a sibling temporary
 file that is renamed over the target, so a reader never sees half an
-artifact. A read checks the magic line and reports every parse failure
-as a ``ParseError`` carrying the line number.
+artifact. A read checks the magic line, decodes the file one line at a
+time as it is parsed, and reports every parse failure as a ``ParseError``
+carrying the line number.
 
 Config files, reports and checkpoint headers spell a value by the type
 of the dataclass field that holds it: "none" is None, booleans are
@@ -23,6 +24,7 @@ import math
 import os
 import types
 import typing
+from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
 
@@ -44,18 +46,29 @@ def write_record(path, magic: str, lines) -> None:
             os.remove(tmp)
 
 
-class _Body:
-    """The non-blank lines after the magic line as (line number, line);
-    ``line`` is the number of the line read last."""
+class _Body(Iterator):
+    """The non-blank lines after the magic line as (line number, line), read
+    once from the binary file ``fh``: each line is decoded as it is read and
+    split as ``str.splitlines`` splits text. ``line`` is the number of the
+    line read last."""
 
-    def __init__(self, raw: list[str]):
-        self.raw = raw
-        self.line = 1
+    def __init__(self, fh):
+        self.line = 0
+        self.lines = self._decode(fh)  # every line, the magic line first
+        self.texts = filter(str.strip, self.lines)
 
-    def __iter__(self):
-        for self.line, text in enumerate(self.raw[1:], start=2):
-            if text.strip():
-                yield self.line, text
+    def _decode(self, fh):
+        for raw in fh:
+            try:
+                texts = raw.decode("utf-8").splitlines()
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"not UTF-8: {exc.reason}", line=self.line + 1) from None
+            for self.line, text in enumerate(texts, start=self.line + 1):
+                yield text
+
+    def __next__(self):
+        text = next(self.texts)
+        return self.line, text
 
 
 @contextmanager
@@ -66,21 +79,17 @@ def read_record(path, magic: str):
     becomes a ParseError at the line read last.
     """
     with open(path, "rb") as fh:
+        body = _Body(fh)
+        first = next(body.lines, None)
+        if first is None:
+            raise EmptyInput(f"{path} is empty")
+        if first.strip() != magic:
+            raise ParseError(f"expected header {magic!r}", line=1)
         try:
-            raw = fh.read().decode("utf-8").splitlines()
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"not UTF-8: {exc.reason}",
-                             line=exc.object.count(b"\n", 0, exc.start) + 1) from None
-    if not raw:
-        raise EmptyInput(f"{path} is empty")
-    if raw[0].strip() != magic:
-        raise ParseError(f"expected header {magic!r}", line=1)
-    body = _Body(raw)
-    try:
-        yield body
-    except (ValueError, IndexError, KeyError) as exc:
-        why = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
-        raise ParseError(why, line=body.line) from None
+            yield body
+        except (ValueError, IndexError, KeyError) as exc:
+            why = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+            raise ParseError(why, line=body.line) from None
 
 
 def _int(s: str) -> int:

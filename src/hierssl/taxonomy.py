@@ -311,18 +311,25 @@ def save_taxonomy(taxonomy: Taxonomy, path) -> None:
     ])
 
 
+def _names(line: str) -> list[str]:
+    """The comma-separated names of a taxonomy line, none of them padded."""
+    names = line.split(",")
+    if any(n != n.strip() for n in names):
+        raise ValueError(f"padded name in {line!r}")
+    return names
+
+
 def load_taxonomy(path) -> Taxonomy:
     with read_record(path, _TAXONOMY_MAGIC) as body:
-        lines = iter(body)
-        ln, line = next(lines, (None, None))
+        ln, line = next(body, (None, None))
         if line is None:
             raise EmptyInput(f"{path} has no level-name line")
-        level_names = [n.strip() for n in line.split(",")]
+        level_names = _names(line)
         if any(not n for n in level_names):
             raise ParseError("empty level name", line=ln)
         paths = []
-        for ln, line in lines:
-            parts = [p.strip() for p in line.split(",")]
+        for ln, line in body:
+            parts = _names(line)
             if len(parts) != len(level_names):
                 raise ParseError(
                     f"expected {len(level_names)} names, got {len(parts)}", line=ln

@@ -1,9 +1,11 @@
-"""Peak memory of scoring and of a dataset save at the Semi-iNat shape.
+"""Peak memory of scoring and of a dataset save and load at the Semi-iNat
+shape, and of reading an artifact.
 
 tracemalloc sees numpy's array buffers as well as Python objects, so the
 peak above the starting point is every transient a call makes. Scoring
 may hold one probability matrix plus a little; a save streams its lines
-and holds almost none of the file it writes.
+and holds almost none of the file it writes; a read streams its lines
+too, so a load holds little more than the arrays it returns.
 """
 
 import tracemalloc
@@ -11,10 +13,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hierssl.data import DataSplit, Samples, save_dataset
+from hierssl.data import SPLIT_TAGS, DataSplit, Samples, load_dataset, save_dataset
 from hierssl.evaluate import evaluate
 from hierssl.model import make_model
 from hierssl.ood import FilterConfig, keep_mask
+from hierssl.records import read_record, write_record
 from hierssl.taxonomy import semi_inat_taxonomy
 
 N_TEST = 9720  # 12 test rows for each of the 810 species
@@ -60,10 +63,36 @@ def test_keep_mask_holds_one_probability_matrix(inat):
         1.25 * probs_bytes(tax, samples)
 
 
+def labeled_split(samples) -> DataSplit:
+    empty = samples.take([])
+    return DataSplit(labeled=samples.take(slice(N_LABELED)), coarse_in=empty,
+                     coarse_out=empty, test=empty)
+
+
 def test_save_dataset_streams_its_lines(inat, tmp_path):
     tax, samples, _ = inat
-    empty = samples.take([])
-    split = DataSplit(labeled=samples.take(slice(N_LABELED)), coarse_in=empty, coarse_out=empty, test=empty)
     path = tmp_path / "dataset.txt"
-    peak = peak_bytes(save_dataset, split, tax, path)
+    peak = peak_bytes(save_dataset, labeled_split(samples), tax, path)
     assert peak < path.stat().st_size / 4
+
+
+def test_load_dataset_holds_its_arrays_not_its_file(inat, tmp_path):
+    tax, samples, _ = inat
+    path = tmp_path / "dataset.txt"
+    save_dataset(labeled_split(samples), tax, path)
+    loaded = load_dataset(path, tax)
+    arrays = sum(col.nbytes for tag in SPLIT_TAGS
+                 for col in vars(getattr(loaded, tag)).values())
+    assert peak_bytes(load_dataset, path, tax) <= 2.5 * arrays
+
+
+def test_read_record_streams_its_lines(tmp_path):
+    path = tmp_path / "record.txt"
+    write_record(path, "hierssl-test v1", (f"row {i:095d}" for i in range(50_000)))
+
+    def read():
+        with read_record(path, "hierssl-test v1") as body:
+            for _ in body:
+                pass
+
+    assert peak_bytes(read) < path.stat().st_size / 100

@@ -110,10 +110,14 @@ def test_every_reader_fails_typed_on_truncation_and_corruption(tiny, tmp_path):
 
 def test_invalid_utf8_reports_its_line(tmp_path):
     p = tmp_path / "cfg.txt"
-    p.write_bytes(b"hierssl-config v1\nsteps=5\nseed=\xff\n")
-    with pytest.raises(HiersslError) as e:
-        load_config(p)
-    assert e.value.line == 3
+    comments = b"".join(b"# %097d\n" % i for i in range(1000))  # 100 kB
+    for data, line in [(b"hierssl-config v1\nsteps=5\nseed=\xff\n", 3),
+                       (b"hierssl-config v1\nsteps=5\n" + comments + b"seed=1\xff\n",
+                        1003)]:
+        p.write_bytes(data)
+        with pytest.raises(HiersslError) as e:
+            load_config(p)
+        assert e.value.line == line
 
 
 @pytest.fixture(scope="module")
@@ -199,6 +203,7 @@ STRICT_CASES = {
     "sweep-repeated": ("sweep", 3, "level 2 seed 0 seed 1 top1 0.75", False),
     "sweep-nan": ("sweep", 2, "level none seed 0 top1 nan", False),
     "sweep-inf": ("sweep", 3, "level 2 seed 0 top1 inf", False),
+    "sweep-repeated-row": ("sweep", 3, "level none seed 0 top1 0.25", True),
     "filter-unknown": ("filter", 10, "bogus 9", True),
     "filter-repeated": ("filter", 10, "kept_out 3", True),
     "filter-nonfinite": ("filter", 2, "tau inf", False),
@@ -254,6 +259,8 @@ NONCANONICAL = {
     "checkpoint-header": ("checkpoint", 6, "seed +0"),
     "checkpoint-shape": ("checkpoint", 9, "param W1 2 03"),
     "eval-level": ("eval", 4, "level +1 L1 1.0"),
+    "taxonomy-padded-name": ("taxonomy", 3, "L1_00 , L2_00 , L3_00"),
+    "taxonomy-padded-level": ("taxonomy", 2, "L1, L2, L3"),
     "seeds": ("seeds", None, "0,+1"),
 }
 
@@ -270,8 +277,10 @@ def test_only_canonical_spellings_parse(tiny, inputs, tmp_path, capsys, case):
         assert "--seeds: cannot parse '+1'" in capsys.readouterr().err
     else:
         writers = {**_strict_writers(tiny), "dataset": lambda p: save_dataset(
-            tiny.split, tiny.in_taxonomy, p)}
-        readers = {**_READERS, "dataset": lambda p: load_dataset(p, tiny.in_taxonomy)}
+            tiny.split, tiny.in_taxonomy, p),
+            "taxonomy": lambda p: save_taxonomy(tiny.in_taxonomy, p)}
+        readers = {**_READERS, "dataset": lambda p: load_dataset(p, tiny.in_taxonomy),
+                   "taxonomy": load_taxonomy}
         p = tmp_path / f"{where}.txt"
         writers[where](p)
         readers[where](p)
