@@ -7,8 +7,9 @@ fails the first command it reaches. The keys are the fields of
 GenConfig, TrainConfig (its nested AugmentParams flattened into it) and
 FilterConfig, whose ``tau`` is the key ``filter_tau``; each value is
 parsed by its field's type, spelled as ``hierssl.records`` spells every
-typed value. Resolution order is built-in defaults, then the config
-file, then --set overrides.
+typed value. A file line and a --set override share one form,
+``key=value`` with no spaces around the key or the value. Resolution
+order is built-in defaults, then the config file, then --set overrides.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .data import AugmentParams, GenConfig
-from .errors import ConfigError, ParseError
+from .errors import ConfigError
 from .ood import FilterConfig
 from .records import field_keys, field_texts, read_record, write_record
 from .trainers import TrainConfig, default_train_config
@@ -43,20 +44,25 @@ class PipelineConfig:
     filter: FilterConfig
 
 
+def _key_value(text: str) -> tuple[str, str]:
+    """``key=value``, split at the first "=": the key is not empty, and
+    neither part has surrounding spaces."""
+    key, sep, value = text.partition("=")
+    if not sep or not key or key.strip() != key or value.strip() != value:
+        raise ValueError(f"expected key=value without surrounding spaces, got {text!r}")
+    return key, value
+
+
 def load_config(path) -> dict[str, str]:
     out: dict[str, str] = {}
     with read_record(path, CONFIG_MAGIC) as body:
-        for ln, line in body:
-            stripped = line.strip()
-            if stripped.startswith("#"):
+        for _, line in body:
+            if line.lstrip().startswith("#"):
                 continue
-            key, sep, value = stripped.partition("=")
-            if not sep or not key.strip():
-                raise ParseError(f"expected key=value, got {line!r}", line=ln)
-            key = key.strip()
+            key, value = _key_value(line)
             if key in out:
-                raise ParseError(f"duplicate key {key!r}", line=ln)
-            out[key] = value.strip()
+                raise ValueError(f"duplicate key {key!r}")
+            out[key] = value
     return out
 
 
@@ -69,9 +75,10 @@ def _parse_overrides(pairs) -> dict[str, str]:
     """--set style key=value strings into a dict."""
     out: dict[str, str] = {}
     for pair in pairs or ():
-        key, sep, value = pair.partition("=")
-        if not sep or not key:
-            raise ConfigError(f"override {pair!r} is not of the form key=value")
+        try:
+            key, value = _key_value(pair)
+        except ValueError as exc:
+            raise ConfigError(f"override: {exc}") from None
         out[key] = value
     return out
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import Samples, features_of, labels_at_level
 from .errors import EmptySplit
-from .model import predict_probs
+from .model import _prob_blocks
 from .records import (
     field_keys,
     field_texts,
@@ -26,13 +26,10 @@ from .records import (
     value_text,
     write_record,
 )
-from .taxonomy import Taxonomy, coarse_probs
+from .taxonomy import MarginalizationMatrix, Taxonomy, marginalize
 
 _EVAL_MAGIC = "hierssl-eval v1"
 _SWEEP_MAGIC = "hierssl-sweep v1"
-# rows of the probability matrix marginalized at once; each row's sums and
-# argmax are its own, so the block size never changes a prediction
-_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -44,18 +41,21 @@ class EvalReport:
 
 
 def evaluate(model, samples: Samples, taxonomy: Taxonomy) -> EvalReport:
-    """Accuracy at every level, all marginalized from one forward pass:
-    leaf probabilities are summed up to each level before the argmax, one
-    block of rows at a time, so no level's marginals are held whole."""
+    """Accuracy at every level, from one forward pass per block of rows: a
+    block's leaf probabilities are summed up to each level before the
+    argmax, so no probability matrix or level's marginals is held whole."""
     if not samples:
         raise EmptySplit("cannot evaluate on an empty sample list")
-    probs = predict_probs(model, features_of(samples), taxonomy)
+    leaf = taxonomy.leaf_level
+    maps = [MarginalizationMatrix.between(taxonomy, leaf, level) for level in range(1, leaf)]
+    pred = np.empty((taxonomy.num_levels, len(samples)), dtype=np.int64)
+    for block, probs in _prob_blocks(model, features_of(samples), taxonomy):
+        for w, level_pred in zip(maps, pred):
+            level_pred[block] = marginalize(probs, w).argmax(axis=-1)
+        pred[-1, block] = probs.argmax(axis=-1)
     rows = []
     for level in range(1, taxonomy.num_levels + 1):
-        pred = np.concatenate([
-            coarse_probs(taxonomy, probs[i:i + _BLOCK_ROWS], level).argmax(axis=-1)
-            for i in range(0, len(probs), _BLOCK_ROWS)])
-        acc = float((pred == labels_at_level(samples, taxonomy, level)).mean())
+        acc = float((pred[level - 1] == labels_at_level(samples, taxonomy, level)).mean())
         rows.append((level, taxonomy.level_names[level - 1], acc))
     return EvalReport(n_samples=len(samples), top1=rows[-1][2], levels=tuple(rows))
 

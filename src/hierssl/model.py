@@ -32,6 +32,11 @@ from .losses import _batches, _softmax_inplace
 from .records import read_record, value_parser, write_record
 
 _CKPT_MAGIC = "hierssl-checkpoint v1"
+# rows scored at once, so scoring never holds a whole probability matrix. A
+# row's softmax, marginals and argmax are its own, but BLAS may order the
+# sums of a product by its shape, so a row's probabilities can differ from
+# the whole matrix's in the last bits (up to 5e-15 seen at 810 leaves)
+_BLOCK_ROWS = 1024
 
 
 def _init_weight(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -260,6 +265,15 @@ def predict_probs(model, X: np.ndarray, taxonomy) -> np.ndarray:
             f"features have width {X.shape[-1]} but the model expects {model.dim}"
         )
     return _softmax_inplace(_batches("logits", model.forward(X)))
+
+
+def _prob_blocks(model, X: np.ndarray, taxonomy):
+    """``predict_probs`` of each block of ``_BLOCK_ROWS`` rows of ``X``, as
+    (row slice, probabilities) pairs. A zero-row ``X`` is one empty block,
+    so it still meets the model-fit checks."""
+    for start in range(0, max(len(X), 1), _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        yield rows, predict_probs(model, X[rows], taxonomy)
 
 
 # -- checkpoints -----------------------------------------------------------------

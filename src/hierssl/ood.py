@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import DataSplit, Samples, features_of, labels_at_level
 from .errors import ConfigError
-from .model import predict_probs
+from .model import _prob_blocks
 from .records import field_keys, field_texts, parse_fields, read_record, write_record
 from .taxonomy import Taxonomy
 
@@ -81,9 +81,11 @@ def keep_mask(model, taxonomy: Taxonomy, samples: Samples,
             f"label level {samples.label_level[too_fine.argmax()]}"
         )
     provided = labels_at_level(samples, taxonomy, cfg.match_level)
-    probs = predict_probs(model, features_of(samples), taxonomy)
-    conf = probs.max(axis=-1)
-    pred_leaf = probs.argmax(axis=-1)
+    conf = np.empty(len(samples))
+    pred_leaf = np.empty(len(samples), dtype=np.int64)
+    for block, probs in _prob_blocks(model, features_of(samples), taxonomy):
+        conf[block] = probs.max(axis=-1)
+        pred_leaf[block] = probs.argmax(axis=-1)
     pred_match = taxonomy.ancestor_map(taxonomy.leaf_level, cfg.match_level)[pred_leaf]
     return (conf >= cfg.tau) & (pred_match == provided)
 

@@ -194,16 +194,6 @@ class MarginalizationMatrix:
                    taxonomy.class_counts[coarse_level - 1])
 
 
-def _distribution(probs, n_fine: int) -> np.ndarray:
-    """``probs`` as float64 whose last axis holds ``n_fine`` entries."""
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.shape[-1:] != (n_fine,):
-        raise DimensionMismatch(
-            f"distribution of shape {probs.shape}, expected {n_fine} entries on the last axis"
-        )
-    return probs
-
-
 def marginalize(probs: np.ndarray, w: MarginalizationMatrix) -> np.ndarray:
     """Sum fine-class mass onto coarse classes: out[c] = sum of probs under c.
 
@@ -214,18 +204,13 @@ def marginalize(probs: np.ndarray, w: MarginalizationMatrix) -> np.ndarray:
     levels 2 and finer) is summed in place; an unsorted one (Semi-iNat
     level 1) is first gathered into coarse-class order.
     """
-    probs = _distribution(probs, len(w.ancestor_map))
+    probs = np.asarray(probs, dtype=np.float64)
+    if probs.shape[-1:] != w.ancestor_map.shape:
+        raise DimensionMismatch(f"distribution of shape {probs.shape}, expected "
+                                f"{len(w.ancestor_map)} entries on the last axis")
     if w._order is not None:
         probs = probs[..., w._order]
     return np.add.reduceat(probs, w._starts, axis=-1)
-
-
-def coarse_probs(taxonomy: Taxonomy, leaf_probs: np.ndarray, level: int) -> np.ndarray:
-    """Leaf distribution(s) marginalized up to ``level`` (identity at leaves)."""
-    if level == taxonomy.leaf_level:
-        return _distribution(leaf_probs, taxonomy.num_leaves)
-    w = MarginalizationMatrix.between(taxonomy, taxonomy.leaf_level, level)
-    return marginalize(leaf_probs, w)
 
 
 # -- construction ----------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 from hierssl.data import labels_at_level
 from hierssl.evaluate import EvalReport
 from hierssl.losses import cross_entropy, marginalized_cross_entropy, softmax
-from hierssl.taxonomy import MarginalizationMatrix, coarse_probs
+from hierssl.taxonomy import MarginalizationMatrix, marginalize
 
 
 def hier_supervised_loss(
@@ -37,6 +37,13 @@ def dense(w: MarginalizationMatrix) -> np.ndarray:
     out = np.zeros(shape(w))
     out[np.arange(len(w.ancestor_map)), w.ancestor_map] = 1.0
     return out
+
+
+def coarse_probs(taxonomy, leaf_probs, level: int) -> np.ndarray:
+    """Leaf distribution(s) marginalized up to ``level``; at the leaf level
+    through the identity matrix."""
+    w = MarginalizationMatrix.between(taxonomy, taxonomy.leaf_level, level)
+    return marginalize(leaf_probs, w)
 
 
 def evaluate(model, samples, taxonomy) -> EvalReport:

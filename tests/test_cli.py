@@ -776,3 +776,39 @@ GOLDEN_REPORTS = {
 def test_report_bytes_are_pinned(data_dir, trained, tmp_path, name):
     _pinned_run(REPORT_CASES[name], data_dir, trained, tmp_path)
     assert _sha256(tmp_path / name) == GOLDEN_REPORTS[name]
+
+
+# sha256 of the artifacts of a chain whose test split (3,120 rows) and coarse
+# pool (4,200 rows) each span three or more scoring blocks plus a remainder;
+# computed while each command still scored its rows as one matrix
+BLOCKED_GEN = ["--set", "level_counts=3,12,60", "--set", "dim=8",
+               "--set", "test_per_species=52", "--set", "coarse_in_per_species=20"]
+
+GOLDEN_BLOCKED = {
+    "eval/eval.txt":
+        "da5fd7339a6853675331b625418af893e9f41007889d0d5647ab23b9c3f75326",
+    "filtered/filter_report.txt":
+        "d3c9da4686e24407e5c522bf87fc06876b5973a55220fcff2c76c59be1cd2d53",
+    "filtered/dataset.txt":
+        "853f485165b372e61cfd20307952a89dad4c8f0853ce37018f559bd383f17873",
+}
+
+
+@pytest.fixture(scope="module")
+def blocked_chain(tmp_path_factory) -> Path:
+    d = tmp_path_factory.mktemp("blocked")
+    checkpoint = str(d / "run" / "seed0" / "checkpoint.txt")
+    for argv in (["gen-data", *BLOCKED_GEN, "--out", str(d / "data")],
+                 ["train", "--set", "steps=20", "--out", str(d / "run")],
+                 ["eval", "--checkpoint", checkpoint, "--out", str(d / "eval")],
+                 ["filter", "--checkpoint", checkpoint, "--set", "filter_tau=0.3",
+                  "--out", str(d / "filtered")]):
+        if argv[0] != "gen-data":
+            argv = [*argv, "--data", str(d / "data")]
+        assert main(argv) == 0
+    return d
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_BLOCKED))
+def test_many_block_chain_bytes_are_pinned(blocked_chain, name):
+    assert _sha256(blocked_chain / name) == GOLDEN_BLOCKED[name]

@@ -63,6 +63,14 @@ class TestFileFormat:
             load_config(p)
         assert e.value.line == 2
 
+    @pytest.mark.parametrize("line", ["seed = 7", "seed=7 ", " seed=7", "seed= 7"])
+    def test_spaces_around_key_or_value_fail_at_their_line(self, tmp_path, line):
+        p = tmp_path / "cfg.txt"
+        p.write_text(f"{CONFIG_MAGIC}\nsteps=5\n{line}\n")
+        with pytest.raises(ParseError) as e:
+            load_config(p)
+        assert e.value.line == 3
+
     def test_values_may_contain_equals(self, tmp_path):
         p = tmp_path / "cfg.txt"
         p.write_text(f"{CONFIG_MAGIC}\nmethod=base=line\n")
@@ -80,6 +88,11 @@ class TestOverrides:
             _parse_overrides(["no-equals-here"])
         with pytest.raises(ConfigError):
             _parse_overrides(["=value"])
+
+    @pytest.mark.parametrize("pair", ["seed = 7", "seed=7 ", " seed=7", "seed= 7"])
+    def test_spaces_around_key_or_value_rejected(self, pair):
+        with pytest.raises(ConfigError):
+            _parse_overrides([pair])
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError) as e:

@@ -1,13 +1,14 @@
 """Per-level accuracy by marginal decoding, and the report formats'
 round trips."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from hierssl.data import GenConfig, Samples, generate, labels_at_level
 from hierssl.errors import EmptySplit, ParseError
 from hierssl.evaluate import (
-    _BLOCK_ROWS,
     EvalReport,
     evaluate,
     read_report,
@@ -17,10 +18,11 @@ from hierssl.evaluate import (
     write_report,
     write_sweep,
 )
-from hierssl.model import make_model, predict_probs
-from hierssl.taxonomy import build_taxonomy, coarse_probs, semi_inat_taxonomy
+from hierssl.model import _BLOCK_ROWS, make_model, predict_probs
+from hierssl.taxonomy import build_taxonomy, semi_inat_taxonomy
 from hierssl.trainers import default_train_config, train
 
+from _reference import coarse_probs
 from _reference import evaluate as evaluate_whole
 
 TOY = GenConfig(level_counts=(1, 2, 8), dim=8, seed=0)
@@ -111,26 +113,31 @@ class TestAccuracy:
         assert report.top1 == report.levels[-1][2]
 
 
-    def test_evaluate_is_one_forward_pass(self, setup, monkeypatch):
-        import hierssl.evaluate as ev
+    def test_evaluate_scores_each_row_exactly_once(self, monkeypatch):
+        import hierssl.model as mod
 
-        g, model = setup
-        calls = []
-        real = ev.predict_probs
+        # three blocks, the last a partial one
+        tax = two_branch_taxonomy()
+        rng = np.random.default_rng(1)
+        n = 2 * _BLOCK_ROWS + 5
+        samples = replace(leaf_samples(rng.integers(0, tax.num_leaves, n)),
+                          X=rng.standard_normal((n, 3)))
+        model = make_model("linear", 3, tax.num_leaves, rng)
+        rows = []
+        real = mod.predict_probs
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def counted(model, X, taxonomy):
+            rows.append(len(X))
+            return real(model, X, taxonomy)
 
-        monkeypatch.setattr(ev, "predict_probs", counted)
-        report = evaluate(model, g.split.test, g.in_taxonomy)
-        assert len(calls) == 1
+        monkeypatch.setattr(mod, "predict_probs", counted)
+        report = evaluate(model, samples, tax)
+        assert len(rows) == 3 and sum(rows) == n
         monkeypatch.undo()
-        probs = predict_probs(model, g.split.test.X, g.in_taxonomy)
+        probs = predict_probs(model, samples.X, tax)
         for level, _, acc in report.levels:
-            pred = coarse_probs(g.in_taxonomy, probs, level).argmax(axis=-1)
-            labels = labels_at_level(g.split.test, g.in_taxonomy, level)
-            assert acc == float((pred == labels).mean())
+            pred = coarse_probs(tax, probs, level).argmax(axis=-1)
+            assert acc == float((pred == labels_at_level(samples, tax, level)).mean())
 
     def test_row_blocks_match_the_whole_matrix(self):
         # 2,500 rows: two full blocks and a partial one, on a taxonomy whose

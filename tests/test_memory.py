@@ -3,9 +3,11 @@ shape, and of reading an artifact.
 
 tracemalloc sees numpy's array buffers as well as Python objects, so the
 peak above the starting point is every transient a call makes. Scoring
-may hold one probability matrix plus a little; a save streams its lines
-and holds almost none of the file it writes; a read streams its lines
-too, so a load holds little more than the arrays it returns.
+runs one block of rows at a time, from the forward pass to the argmax, so
+it holds a few blocks of leaf probabilities whatever the row count; a save
+streams its lines and holds almost none of the file it writes; a read
+streams its lines too, so a load holds little more than the arrays it
+returns.
 """
 
 import tracemalloc
@@ -15,7 +17,7 @@ import pytest
 
 from hierssl.data import SPLIT_TAGS, DataSplit, Samples, load_dataset, save_dataset
 from hierssl.evaluate import evaluate
-from hierssl.model import make_model
+from hierssl.model import _BLOCK_ROWS, make_model
 from hierssl.ood import FilterConfig, keep_mask
 from hierssl.records import read_record, write_record
 from hierssl.taxonomy import semi_inat_taxonomy
@@ -25,14 +27,18 @@ N_LABELED = 2430  # 3 labeled rows for each
 DIM = 32
 
 
+def leaf_rows(tax, n: int, rng) -> Samples:
+    leaves = rng.integers(0, tax.num_leaves, n)
+    return Samples(X=rng.standard_normal((n, DIM)),
+                   label_level=np.full(n, tax.leaf_level), label=leaves,
+                   true_species=leaves)
+
+
 @pytest.fixture(scope="module")
 def inat():
     tax = semi_inat_taxonomy()
     rng = np.random.default_rng(0)
-    leaves = rng.integers(0, tax.num_leaves, N_TEST)
-    samples = Samples(X=rng.standard_normal((N_TEST, DIM)),
-                      label_level=np.full(N_TEST, tax.leaf_level), label=leaves,
-                      true_species=leaves)
+    samples = leaf_rows(tax, N_TEST, rng)
     return tax, samples, make_model("linear", DIM, tax.num_leaves, rng)
 
 
@@ -47,20 +53,24 @@ def peak_bytes(fn, *args) -> int:
         tracemalloc.stop()
 
 
-def probs_bytes(tax, samples) -> int:
-    return len(samples) * tax.num_leaves * 8
+def block_bytes(tax) -> int:
+    """One block of leaf probabilities."""
+    return _BLOCK_ROWS * tax.num_leaves * 8
 
 
-def test_evaluate_holds_one_probability_matrix(inat):
-    tax, samples, model = inat
-    assert peak_bytes(evaluate, model, samples, tax) <= 1.25 * probs_bytes(tax, samples)
+@pytest.mark.parametrize("n", [N_TEST, 4 * N_TEST])
+def test_evaluate_holds_a_few_probability_blocks(inat, n):
+    tax, _, model = inat
+    samples = leaf_rows(tax, n, np.random.default_rng(n))
+    assert peak_bytes(evaluate, model, samples, tax) <= 3 * block_bytes(tax)
 
 
-def test_keep_mask_holds_one_probability_matrix(inat):
-    tax, samples, model = inat
+@pytest.mark.parametrize("n", [N_TEST, 4 * N_TEST])
+def test_keep_mask_holds_a_few_probability_blocks(inat, n):
+    tax, _, model = inat
+    samples = leaf_rows(tax, n, np.random.default_rng(n))
     cfg = FilterConfig(tau=0.5, match_level=2)
-    assert peak_bytes(keep_mask, model, tax, samples, cfg) <= \
-        1.25 * probs_bytes(tax, samples)
+    assert peak_bytes(keep_mask, model, tax, samples, cfg) <= 3 * block_bytes(tax)
 
 
 def labeled_split(samples) -> DataSplit:

@@ -143,6 +143,15 @@ class TestErrors:
         with pytest.raises(ArchitectureMismatch):
             keep_mask(model, shaped_taxonomy([2, 5]), pool_of(g), FilterConfig())
 
+    def test_empty_pool_still_checks_the_model(self, setup):
+        from hierssl.errors import ArchitectureMismatch
+        from hierssl.taxonomy import shaped_taxonomy
+
+        # no row to score, but the model's class count is still checked
+        g, model = setup
+        with pytest.raises(ArchitectureMismatch):
+            keep_mask(model, shaped_taxonomy([2, 5]), pool_of(g).take([]), FilterConfig())
+
 
 class TestStats:
     def test_counts_add_up(self, setup):

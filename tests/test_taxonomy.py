@@ -22,7 +22,6 @@ from hierssl.taxonomy import (
     Taxonomy,
     _bounded_allocate,
     build_taxonomy,
-    coarse_probs,
     default_level_names,
     load_taxonomy,
     marginalize,
@@ -31,7 +30,7 @@ from hierssl.taxonomy import (
     shaped_taxonomy,
 )
 
-from _reference import dense, shape
+from _reference import coarse_probs, dense, shape
 
 # Three-level toy tree: two kingdoms, three genera, five species.
 TOY_PATHS = [
