@@ -22,7 +22,7 @@ from dataclasses import replace
 
 from .config import PipelineConfig, config_values, read_config, write_config
 from .data import DataSplit, generate, load_dataset, save_dataset
-from .errors import ConfigError, DataError, HiersslError, TrainError
+from .errors import ConfigError, DataError, EmptySplit, HiersslError, TrainError
 from .evaluate import EvalReport, evaluate, sweep_means, write_report, write_sweep
 from .model import load_checkpoint, save_checkpoint
 from .ood import filter_split, write_filter_report
@@ -120,6 +120,8 @@ def _train_cells(args, cells: list[TrainConfig], default_out: str) -> tuple[str,
              else _parse_list("--seeds", args.seeds, value_parser(int)))
     jobs = _check_jobs(args.jobs)
     split, taxonomy = _load_inputs(args)
+    if not split.test:
+        raise EmptySplit("the test split is empty: no trained model could be scored")
     tasks = [(split, taxonomy, cfg, chunk)
              for cfg in cells for chunk in _chunks(seeds, jobs, len(cells))]
     if jobs > 1 and len(tasks) > 1:

@@ -27,6 +27,7 @@ from .taxonomy import (
     Taxonomy,
     build_taxonomy,
     default_level_names,
+    is_name,
     shaped_taxonomy,
     _bounded_allocate,
 )
@@ -176,7 +177,7 @@ class GenConfig:
             if len(set(self.level_names)) != depth:
                 raise ConfigError("level_names: names must be distinct")
             for name in self.level_names:
-                if not name or "," in name or any(ch.isspace() for ch in name):
+                if not is_name(name):
                     raise ConfigError(f"level_names: {name!r} is empty or "
                                       "holds a comma or whitespace")
         if self.dim < 1:

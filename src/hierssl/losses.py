@@ -12,6 +12,9 @@ is active the loss is locally constant, so the gradient contribution of
 that sample (or term) is exactly zero. This keeps analytic gradients
 consistent with finite differences of the computed loss. The rule's one
 home is ``_nll``; only ``distill_loss`` floors its per-class terms itself.
+The cross entropy against one target class per row, with its
+``(p - onehot) / n`` gradient, is ``_target_ce``: the fine loss, and
+FixMatch's and self-labeling's loss on gated pseudo-labels.
 """
 
 from __future__ import annotations
@@ -62,29 +65,37 @@ def _nll(p: np.ndarray, gate=True):
     return _per_batch(loss), gate & (p >= PROB_FLOOR)
 
 
-def _check_labels(labels: np.ndarray, n_classes: int) -> np.ndarray:
+def _check_labels(labels: np.ndarray, logits: np.ndarray, n_classes: int) -> np.ndarray:
+    """``labels`` as int64, one in [0, ``n_classes``) per row of ``logits``."""
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
         raise OutOfRange(
             f"label outside [0, {n_classes}): "
             f"min {labels.min()}, max {labels.max()}"
         )
+    if labels.shape != logits.shape[:-1]:
+        raise DimensionMismatch(f"labels shape {labels.shape} for logits {logits.shape}")
     return labels
+
+
+def _target_ce(probs: np.ndarray, targets: np.ndarray, gate=True):
+    """The ``_nll`` of each row's ``targets`` entry of ``probs`` ``(..., n, c)``;
+    ``probs`` is overwritten with the gradient ``(p - onehot) / n`` of the
+    live rows, zero elsewhere."""
+    at = _at(targets)
+    loss, live = _nll(probs[at], gate)
+    probs[at] -= 1.0
+    probs[~live] = 0.0
+    np.divide(probs, probs.shape[-2], out=probs)
+    return loss
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray):
     """Mean -log p(label); gradient is (softmax - onehot) / n."""
     logits = _batches("logits", logits)
-    n, c = logits.shape[-2:]
-    labels = _check_labels(labels, c)
-    if labels.shape != logits.shape[:-1]:
-        raise DimensionMismatch(f"labels shape {labels.shape} for logits {logits.shape}")
+    labels = _check_labels(labels, logits, logits.shape[-1])
     grad = softmax(logits)
-    at = _at(labels)
-    loss, live = _nll(grad[at])
-    grad[at] -= 1.0
-    grad[~live] = 0.0
-    return loss, np.divide(grad, n, out=grad)
+    return _target_ce(grad, labels), grad
 
 
 def marginalized_cross_entropy(
@@ -101,11 +112,7 @@ def marginalized_cross_entropy(
         raise DimensionMismatch(
             f"{c} logits columns but marginalization maps {len(w.ancestor_map)} leaves"
         )
-    coarse_labels = _check_labels(coarse_labels, w.n_coarse)
-    if coarse_labels.shape != logits.shape[:-1]:
-        raise DimensionMismatch(
-            f"coarse_labels shape {coarse_labels.shape} for logits {logits.shape}"
-        )
+    coarse_labels = _check_labels(coarse_labels, logits, w.n_coarse)
     grad = softmax(logits)
     mass = marginalize(grad, w)[_at(coarse_labels)]
     loss, live = _nll(mass)
@@ -139,16 +146,10 @@ def fixmatch_loss(weak_logits: np.ndarray, strong_logits: np.ndarray, tau: float
         raise DimensionMismatch(
             f"weak {weak_logits.shape} vs strong {strong_logits.shape}"
         )
-    n = weak_logits.shape[-2]
     weak_probs = softmax(weak_logits)
-    targets = weak_probs.argmax(axis=-1)
     mask = weak_probs.max(axis=-1) >= tau
     grad = softmax(strong_logits)
-    at = _at(targets)
-    loss, live = _nll(grad[at], mask)
-    grad[at] -= 1.0
-    grad[~live] = 0.0
-    return loss, np.divide(grad, n, out=grad), mask
+    return _target_ce(grad, weak_probs.argmax(axis=-1), mask), grad, mask
 
 
 def distill_loss(
@@ -167,19 +168,17 @@ def distill_loss(
         raise DimensionMismatch(
             f"student {student_logits.shape} vs teacher {teacher_logits.shape}"
         )
-    *lead, n, c = student_logits.shape
-    if n == 0:
-        zero = _per_batch(np.zeros(lead))
-        return zero, np.zeros_like(student_logits), zero
+    *lead, n, _ = student_logits.shape
+    n = max(n, 1)  # an empty batch costs 0, as in _nll
     t = softmax(teacher_logits / temperature)
     s = softmax(student_logits / temperature)
     live = s >= PROB_FLOOR
     log_s = np.log(np.maximum(s, PROB_FLOOR))
     # each batch summed as one flat run of n * c values
-    loss = _per_batch(-(t * log_s).reshape(*lead, n * c).sum(axis=-1) / n)
+    loss = _per_batch(-(t * log_s).reshape(*lead, -1).sum(axis=-1) / n)
     # entropy of the teacher, with the same floor, for the KL diagnostic
     log_t = np.log(np.maximum(t, PROB_FLOOR))
-    kl = _per_batch((t * (log_t - log_s)).reshape(*lead, n * c).sum(axis=-1) / n)
+    kl = _per_batch((t * (log_t - log_s)).reshape(*lead, -1).sum(axis=-1) / n)
     t_live = (t * live).sum(axis=-1, keepdims=True)
     grad = (s * t_live - t * live) / (n * temperature)
     return loss, grad, kl

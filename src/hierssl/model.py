@@ -24,6 +24,7 @@ import numpy as np
 from .errors import (
     ArchitectureMismatch,
     ConfigError,
+    DataError,
     DimensionMismatch,
     NonFiniteGradient,
     ParseError,
@@ -55,19 +56,35 @@ def _affine_grads(grad_out: np.ndarray, X: np.ndarray) -> tuple:
     return grad_out.swapaxes(-1, -2) @ X, grad_out.sum(axis=-2)
 
 
-class LinearModel:
+def _uses_hidden(cls) -> bool:
+    """Whether some parameter of the architecture ``cls`` has a hidden dimension."""
+    return any("hidden" in dims for dims in cls.shapes.values())
+
+
+class _Classifier:
+    """Sizes and parameters of every architecture. Its ``shapes`` give each
+    parameter's dimensions as the checkpoint header names them, in the order
+    drawn: a matrix by ``_init_weight``, a bias as zeros. Without a hidden
+    dimension, ``hidden`` is 0 whatever it is given."""
+
+    def __init__(self, dim: int, n_classes: int, rng: np.random.Generator,
+                 hidden: int = 64):
+        if not _uses_hidden(type(self)):
+            hidden = 0
+        elif hidden < 1:
+            raise ConfigError("hidden: must be >= 1")
+        self.dim, self.n_classes, self.hidden = dim, n_classes, hidden
+        sizes = {"dim": dim, "hidden": hidden, "classes": n_classes}
+        self.params = {name: _init_weight(rng, *(sizes[k] for k in dims))
+                       if len(dims) == 2 else np.zeros(sizes[dims[0]])
+                       for name, dims in self.shapes.items()}
+
+
+class LinearModel(_Classifier):
     """Logits = X W^T + b; the representation is the raw input."""
 
     arch = "linear"
-
-    def __init__(self, dim: int, n_classes: int, rng: np.random.Generator):
-        self.dim = dim
-        self.n_classes = n_classes
-        self.hidden = 0
-        self.params = {
-            "W": _init_weight(rng, n_classes, dim),
-            "b": np.zeros(n_classes),
-        }
+    shapes = {"W": ("classes", "dim"), "b": ("classes",)}
 
     @property
     def rep_dim(self) -> int:
@@ -91,24 +108,12 @@ class LinearModel:
     rep_param_names: tuple[str, ...] = ()
 
 
-class Mlp1Model:
+class Mlp1Model(_Classifier):
     """One ReLU hidden layer; the hidden activation is the representation."""
 
     arch = "mlp1"
-
-    def __init__(self, dim: int, n_classes: int, rng: np.random.Generator,
-                 hidden: int = 64):
-        if hidden < 1:
-            raise ConfigError("hidden: must be >= 1")
-        self.dim = dim
-        self.n_classes = n_classes
-        self.hidden = hidden
-        self.params = {
-            "W1": _init_weight(rng, hidden, dim),
-            "b1": np.zeros(hidden),
-            "W2": _init_weight(rng, n_classes, hidden),
-            "b2": np.zeros(n_classes),
-        }
+    shapes = {"W1": ("hidden", "dim"), "b1": ("hidden",),
+              "W2": ("classes", "hidden"), "b2": ("classes",)}
 
     @property
     def rep_dim(self) -> int:
@@ -138,13 +143,14 @@ class Mlp1Model:
     rep_param_names: tuple[str, ...] = ("W1", "b1")
 
 
+ARCHS = {cls.arch: cls for cls in (LinearModel, Mlp1Model)}
+
+
 def make_model(arch: str, dim: int, n_classes: int,
                rng: np.random.Generator, hidden: int = 64):
-    if arch == "linear":
-        return LinearModel(dim, n_classes, rng)
-    if arch == "mlp1":
-        return Mlp1Model(dim, n_classes, rng, hidden=hidden)
-    raise ConfigError(f"arch: unknown architecture {arch!r}")
+    if arch not in ARCHS:
+        raise ConfigError(f"arch: unknown architecture {arch!r}")
+    return ARCHS[arch](dim, n_classes, rng, hidden=hidden)
 
 
 class ProjectionHead:
@@ -212,15 +218,6 @@ def momentum_update(key_params: dict, query_params: dict, m: float) -> None:
         arr += (1.0 - m) * query_params[name]
 
 
-def add_grads(acc: dict, extra: dict) -> dict:
-    for name, g in extra.items():
-        if name in acc:
-            acc[name] += g
-        else:
-            acc[name] = g
-    return acc
-
-
 class SgdMomentum:
     """v <- momentum * v + grad + weight_decay * theta; theta <- theta - lr * v.
 
@@ -282,12 +279,6 @@ def _prob_blocks(model, X: np.ndarray, taxonomy):
 # the header keys in file order, each with its parser
 _HEADER = {"arch": str,
            **dict.fromkeys(("dim", "hidden", "classes", "seed", "step"), value_parser(int))}
-# each architecture's parameter shapes, in the size fields of the header
-_PARAM_SHAPES = {
-    "linear": {"W": ("classes", "dim"), "b": ("classes",)},
-    "mlp1": {"W1": ("hidden", "dim"), "b1": ("hidden",),
-             "W2": ("classes", "hidden"), "b2": ("classes",)},
-}
 
 
 def _encode(arr: np.ndarray) -> str:
@@ -297,7 +288,11 @@ def _encode(arr: np.ndarray) -> str:
 def save_checkpoint(model, path, seed: int, step: int,
                     meta: dict[str, str] | None = None) -> None:
     """Textual format, byte-identical across reruns: header fields, then
-    each parameter as a shape line plus base64 little-endian float64 data."""
+    each parameter as a shape line plus base64 little-endian float64 data.
+    A non-finite parameter value is a DataError before anything is written."""
+    for name, arr in model.params.items():
+        if not np.isfinite(arr).all():
+            raise DataError(f"cannot write parameter {name}: non-finite value")
     header = (model.arch, model.dim, model.hidden, model.n_classes, seed, step)
     lines = [f"{key} {value}" for key, value in zip(_HEADER, header)]
     for key in sorted(meta or {}):
@@ -345,14 +340,13 @@ def load_checkpoint(path):
         for key in ("dim", "hidden", "classes"):
             if header[key] < 0:
                 raise ParseError(f"{key}: must be >= 0", line=at[key])
-        fields = _PARAM_SHAPES.get(arch)
-        if fields is None:
+        cls = ARCHS.get(arch)
+        if cls is None:
             raise ParseError(f"arch: unknown architecture {arch!r}",
                              line=at["arch"])
-        if arch == "mlp1" and hidden < 1:
-            raise ParseError("hidden: must be >= 1", line=at["hidden"])
-        if arch == "linear" and hidden != 0:
-            raise ParseError("hidden: must be 0 for arch linear",
+        fields = cls.shapes
+        if (hidden > 0) != _uses_hidden(cls):  # no size is negative here
+            raise ParseError(f"hidden: must be {'0' if hidden else '>= 1'} for arch {arch}",
                              line=at["hidden"])
         while line is not None:
             parts = line.split()
@@ -371,6 +365,8 @@ def load_checkpoint(path):
             data = np.frombuffer(base64.b64decode(line), dtype="<f8")
             if data.size != math.prod(shape):
                 raise ValueError(f"parameter {name}: {data.size} values for shape {shape}")
+            if not np.isfinite(data).all():
+                raise ValueError(f"parameter {name}: non-finite value")
             for size, key in zip(shape, fields[name]):
                 if size != header[key]:
                     raise ParseError(
@@ -381,6 +377,6 @@ def load_checkpoint(path):
         missing = set(fields) - set(params)
         if missing:
             raise ValueError(f"missing parameters: {sorted(missing)}")
-    model = make_model(arch, dim, classes, np.random.default_rng(0), hidden=hidden)
+    model = cls(dim, classes, np.random.default_rng(0), hidden=hidden)
     model.params.update(params)
     return model, {"seed": seed, "step": step, "meta": meta}

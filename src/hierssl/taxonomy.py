@@ -42,6 +42,12 @@ DEFAULT_LEVEL_NAMES = (
 _TAXONOMY_MAGIC = "hierssl-taxonomy v1"
 
 
+def is_name(name: str) -> bool:
+    """Whether ``name`` can name a class or a level: not empty, with no comma
+    and no whitespace, so that it stays one field of every file it is in."""
+    return name.split() == [name] and "," not in name
+
+
 class Taxonomy:
     """An L-level tree of named classes with per-level integer indexing.
 
@@ -135,6 +141,13 @@ class Taxonomy:
             raise DimensionMismatch("level_names does not match level count")
         if len(self._parents) != self.num_levels:
             raise DimensionMismatch("need one parent map per level below the first")
+        if len(set(self.level_names)) != self.num_levels:
+            raise DataError(f"level names {self.level_names} are not distinct")
+        if any(len(index) != len(ns) for index, ns in zip(self._index, self._names)):
+            raise DataError("a class name repeats within its level")
+        for name in (*self.level_names, *(n for ns in self._names for n in ns)):
+            if not is_name(name):
+                raise DataError(f"name {name!r} is empty or holds a comma or whitespace")
         counts = self.class_counts
         for l in range(2, self.num_levels + 1):
             p = self._parents[l - 1]
@@ -236,13 +249,6 @@ def build_taxonomy(
             raise InconsistentPath(
                 f"path {p} has {len(p)} levels, expected {depth}"
             )
-        for name in p:
-            if not name:
-                raise DataError(f"empty class name in path {p}")
-            if "," in name or any(ch.isspace() for ch in name):
-                raise DataError(
-                    f"class name {name!r} contains a comma or whitespace"
-                )
     if len(set(paths)) != len(paths):
         dupes = sorted({p for p in paths if paths.count(p) > 1})
         raise InconsistentPath(f"duplicate leaf path {dupes[0]}")
@@ -262,21 +268,9 @@ def build_taxonomy(
 
     names = [tuple(sorted({p[l] for p in paths})) for l in range(depth)]
     index = [{n: i for i, n in enumerate(ns)} for ns in names]
-    parents = []
-    for l in range(1, depth):
-        parents.append(
-            np.array(
-                [index[l - 1][parent_name[l][n]] for n in names[l]],
-                dtype=np.int64,
-            )
-        )
-    if level_names is None:
-        level_names = default_level_names(depth)
-    if len(level_names) != depth:
-        raise DimensionMismatch(
-            f"{len(level_names)} level names for {depth} levels"
-        )
-    return Taxonomy(level_names, names, parents)
+    parents = [[index[l - 1][parent_name[l][n]] for n in names[l]] for l in range(1, depth)]
+    return Taxonomy(default_level_names(depth) if level_names is None else level_names,
+                    names, parents)
 
 
 def default_level_names(depth: int) -> tuple[str, ...]:
@@ -297,10 +291,10 @@ def save_taxonomy(taxonomy: Taxonomy, path) -> None:
 
 
 def _names(line: str) -> list[str]:
-    """The comma-separated names of a taxonomy line, none of them padded."""
+    """The comma-separated names of a taxonomy line, each an ``is_name``."""
     names = line.split(",")
-    if any(n != n.strip() for n in names):
-        raise ValueError(f"padded name in {line!r}")
+    if bad := [n for n in names if not is_name(n)]:
+        raise ValueError(f"{bad[0]!r} in {line!r} is empty or holds whitespace")
     return names
 
 
@@ -310,8 +304,6 @@ def load_taxonomy(path) -> Taxonomy:
         if line is None:
             raise EmptyInput(f"{path} has no level-name line")
         level_names = _names(line)
-        if any(not n for n in level_names):
-            raise ParseError("empty level name", line=ln)
         paths = []
         for ln, line in body:
             parts = _names(line)
@@ -355,15 +347,9 @@ def shaped_taxonomy(
         [f"{name_prefixes[l]}{i:0{widths[l]}d}" for i in range(counts[l])]
         for l in range(depth)
     ]
-    paths = []
-    for leaf in range(counts[-1]):
-        idx = leaf
-        chain = [names[-1][leaf]]
-        for l in range(depth - 1, 0, -1):
-            idx = idx * counts[l - 1] // counts[l]
-            chain.append(names[l - 1][idx])
-        paths.append(tuple(reversed(chain)))
-    return build_taxonomy(paths, level_names or default_level_names(depth))
+    # zero-padded to one width per level, the names sort in index order
+    parents = [np.arange(counts[l]) * counts[l - 1] // counts[l] for l in range(1, depth)]
+    return Taxonomy(level_names or default_level_names(depth), names, parents)
 
 
 # Kingdom / Phylum / in-class species layout of the Semi-iNat benchmark,

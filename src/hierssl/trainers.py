@@ -4,9 +4,10 @@ All methods share the same supervised core: fine cross entropy on the
 labeled batch plus, when a supervision level is set, marginalized cross
 entropy on the coarse batch. ``PLANS`` is the one place that says what
 else a method does: whether a contrastive pretraining stage initializes
-the encoder, whether a baseline teacher is trained first, and which
-extra term (confidence-gated self-labeling, weak-to-strong consistency,
-teacher distillation) is added on the coarse batch.
+the encoder, and which extra term (confidence-gated self-labeling,
+weak-to-strong consistency, teacher distillation) is added on the coarse
+batch. Distillation is the one term with a teacher: a baseline trained
+first, on the same encoder.
 
 Randomness is split into independent streams per phase: model init,
 batch sampling, and augmentation never share a generator, so methods
@@ -43,10 +44,10 @@ from .losses import (
     pseudo_label_loss,
 )
 from .model import (
+    ARCHS,
     ContrastiveModel,
     ProjectionHead,
     SgdMomentum,
-    add_grads,
     make_model,
     momentum_update,
 )
@@ -56,17 +57,16 @@ from .taxonomy import MarginalizationMatrix, Taxonomy
 
 class Plan(NamedTuple):
     pretrain: bool  # contrastive pretraining initializes the encoder
-    teacher: bool  # a baseline teacher is trained first, on the same encoder
     extra: str | None  # the term added on the coarse batch
 
 
 PLANS = {
-    "baseline": Plan(False, False, None),
-    "pseudo_label": Plan(False, False, "pseudo_label"),
-    "fixmatch": Plan(False, False, "fixmatch"),
-    "self_training": Plan(False, True, "distill"),
-    "moco": Plan(True, False, None),
-    "moco_self_training": Plan(True, True, "distill"),
+    "baseline": Plan(False, None),
+    "pseudo_label": Plan(False, "pseudo_label"),
+    "fixmatch": Plan(False, "fixmatch"),
+    "self_training": Plan(False, "distill"),
+    "moco": Plan(True, None),
+    "moco_self_training": Plan(True, "distill"),
 }
 
 METHODS = tuple(PLANS)
@@ -136,12 +136,12 @@ class TrainConfig:
             raise ConfigError("temperatures must be > 0")
         if not 0 <= self.key_momentum < 1:
             raise ConfigError("key_momentum: must be in [0, 1)")
-        if self.arch not in ("linear", "mlp1"):
+        if self.arch not in ARCHS:
             raise ConfigError(f"arch: unknown architecture {self.arch!r}")
         if PLANS[self.method].pretrain:
-            if self.arch != "mlp1":
+            if not ARCHS[self.arch].rep_param_names:
                 raise ConfigError(
-                    "moco methods pretrain the encoder; arch=linear has no "
+                    f"moco methods pretrain the encoder; arch={self.arch} has no "
                     "encoder parameters, use arch=mlp1"
                 )
             if self.queue_size < 1:
@@ -332,7 +332,7 @@ def train_seeds(split: DataSplit, taxonomy: Taxonomy, cfg: TrainConfig,
     encoder = pretraces = teacher = None
     if plan.pretrain:
         encoder, pretraces = _pretrain_contrastive(packed, taxonomy, cfg, seeds)
-    if plan.teacher:
+    if plan.extra == "distill":
         teacher, _ = _train_classifier(packed, taxonomy, cfg, seeds, "teacher",
                                        None, encoder, None)
     model, traces = _train_classifier(packed, taxonomy, cfg, seeds, "main",
@@ -373,15 +373,13 @@ def _train_classifier(packed, taxonomy: Taxonomy, cfg: TrainConfig, seeds: tuple
             iu = _stack([r.integers(0, len(Xu), size=cfg.batch_coarse) for r in rng_batch])
             Xu_b = Xu[iu]
 
-        if extra == "fixmatch":
-            # the strong view takes the place of the plain coarse view
-            Xl_b = _per_seed(augment_weak, Xl_b, rng_aug, cfg.augment.sigma_weak)
-            Xu_weak = _per_seed(augment_weak, Xu_b, rng_aug, cfg.augment.sigma_weak)
-            Xu_b = _per_seed(augment_strong, Xu_b, rng_aug, cfg.augment)
-        elif cfg.augment_inputs:
+        if extra == "fixmatch" or cfg.augment_inputs:
             Xl_b = _per_seed(augment_weak, Xl_b, rng_aug, cfg.augment.sigma_weak)
             if use_pool:
-                Xu_b = _per_seed(augment_weak, Xu_b, rng_aug, cfg.augment.sigma_weak)
+                Xu_weak = _per_seed(augment_weak, Xu_b, rng_aug, cfg.augment.sigma_weak)
+                # fixmatch's strong view takes the place of the plain coarse view
+                Xu_b = (_per_seed(augment_strong, Xu_b, rng_aug, cfg.augment)
+                        if extra == "fixmatch" else Xu_weak)
 
         zl, cache_l = model.forward_cached(Xl_b)
         fine, g_fine = cross_entropy(zl, yl_b)
@@ -412,7 +410,8 @@ def _train_classifier(packed, taxonomy: Taxonomy, cfg: TrainConfig, seeds: tuple
                 g_x *= weight
                 g_u = g_x if g_u is None else g_u + g_x
                 total = total + weight * extra_loss
-            grads = add_grads(grads, model.backward(cache_u, g_u))
+            for name, g in model.backward(cache_u, g_u).items():
+                grads[name] += g
 
         opt.step(model.params, grads)
         rows.append((total, fine, coarse, extra_loss, mask_rate))

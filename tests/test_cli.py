@@ -427,6 +427,39 @@ class TestExitCodes:
                      "--out", str(tmp_path / "x")]) == 3
         assert "line 4: no species named" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_empty_test_split_is_3_before_training(self, tmp_path, capsys,
+                                                   monkeypatch, command):
+        import hierssl.cli as cli
+
+        def train_seeds(*args):
+            raise AssertionError("a cell was trained before the test split was checked")
+
+        monkeypatch.setattr(cli, "train_seeds", train_seeds)
+        data, out = tmp_path / "data", tmp_path / "x"
+        assert main(["gen-data", *GEN_ARGS, "--set", "test_per_species=0",
+                     "--out", str(data)]) == 0
+        levels = ["--levels", "2"] if command == "sweep" else []
+        assert main([command, "--data", str(data), *levels, "--out", str(out)]) == 3
+        assert "data error: the test split is empty" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("levels,why", [("L1,L1,L3", "are not distinct"),
+                                            ("L1,L 2,L3", "holds whitespace")],
+                             ids=["repeated", "space"])
+    def test_bad_level_names_in_a_taxonomy_file_are_3(self, data_dir, tmp_path,
+                                                      capsys, levels, why):
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        lines = (data_dir / "taxonomy.txt").read_text().splitlines()
+        lines[1] = levels
+        (bad / "taxonomy.txt").write_text("\n".join(lines) + "\n")
+        (bad / "dataset.txt").write_bytes((data_dir / "dataset.txt").read_bytes())
+        assert main(["train", "--data", str(bad), "--set", "steps=3",
+                     "--out", str(tmp_path / "x")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and why in err
+
 
 class TestReadsDatasetOnce:
     @pytest.fixture

@@ -623,6 +623,19 @@ def test_pseudo_label_is_fixmatch_with_one_view_bitwise(width, gate):
             "mixed": mask.any() and not mask.all()}[gate]
 
 
+@pytest.mark.parametrize("shape", [(32, 5), (32, 60), (3, 16, 60)])
+def test_fully_gated_fixmatch_is_cross_entropy_on_its_pseudo_labels_bitwise(shape):
+    # both are the one target cross entropy: FixMatch's targets are the weak
+    # view's argmax, and with every row gated nothing else differs
+    rng = np.random.default_rng(shape[-1])
+    weak, strong = (rng.standard_normal(shape) * 4.0 for _ in range(2))
+    loss, grad, mask = fixmatch_loss(weak, strong, 0.0)
+    assert mask.all()
+    want_loss, want_grad = cross_entropy(strong, weak.argmax(axis=-1))
+    assert np.asarray(loss).tobytes() == np.asarray(want_loss).tobytes()
+    assert grad.tobytes() == want_grad.tobytes()
+
+
 # -- a leading (seed) axis ------------------------------------------------------
 
 

@@ -13,6 +13,7 @@ from hierssl.errors import (
 )
 from hierssl.losses import cross_entropy, softmax
 from hierssl.model import (
+    ARCHS,
     ContrastiveModel,
     ProjectionHead,
     SgdMomentum,
@@ -187,17 +188,22 @@ class TestCompatibility:
 
 
 class TestCheckpoint:
-    @pytest.mark.parametrize("arch", ["linear", "mlp1"])
+    @pytest.mark.parametrize("arch", sorted(ARCHS))
     def test_round_trip_is_exact(self, arch, tmp_path):
         model = fresh(arch, 5)
+        # every parameter has its architecture's shape, in the header's sizes
+        sizes = {"dim": 6, "hidden": model.hidden, "classes": 4}
+        assert [(k, v.shape) for k, v in model.params.items()] == [
+            (k, tuple(sizes[d] for d in dims)) for k, dims in ARCHS[arch].shapes.items()]
         p = tmp_path / "model.ckpt"
         save_checkpoint(model, p, seed=3, step=17, meta={"method": "baseline"})
         back, info = load_checkpoint(p)
-        assert back.arch == model.arch
+        assert type(back) is type(model) is ARCHS[arch] and back.arch == arch
         assert (back.dim, back.n_classes, back.hidden) == (
             model.dim, model.n_classes, model.hidden)
+        assert list(back.params) == list(model.params)
         for k in model.params:
-            assert np.array_equal(back.params[k], model.params[k])
+            assert back.params[k].tobytes() == model.params[k].tobytes()
         assert info["seed"] == 3 and info["step"] == 17
         assert info["meta"]["method"] == "baseline"
 

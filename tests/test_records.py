@@ -3,6 +3,7 @@ byte corruption with a typed error, writes are atomic, and no other
 module opens files."""
 
 import ast
+import base64
 import os
 import random
 import re
@@ -177,6 +178,9 @@ def _strict_writers(tiny):
     }
 
 
+# the W1 data line (hidden 2 x dim 3) of the strict writers' checkpoint, with a NaN
+NAN_W1 = base64.b64encode(np.array([np.nan] + [0.0] * 5, "<f8").tobytes()).decode()
+
 _READERS = {"metrics": read_metrics, "eval": read_report, "sweep": read_sweep,
             "filter": read_filter_report, "checkpoint": load_checkpoint}
 
@@ -210,6 +214,7 @@ STRICT_CASES = {
     "checkpoint-unknown": ("checkpoint", 7, "bogus 12", True),
     "checkpoint-repeated": ("checkpoint", 7, "seed 7", True),
     "checkpoint-meta-repeated": ("checkpoint", 9, "meta method other", True),
+    "checkpoint-param-nonfinite": ("checkpoint", 10, NAN_W1, False),
 }
 
 
@@ -291,14 +296,18 @@ def test_only_canonical_spellings_parse(tiny, inputs, tmp_path, capsys, case):
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
-@pytest.mark.parametrize("fmt", ["eval", "sweep"])
+@pytest.mark.parametrize("fmt", ["eval", "sweep", "checkpoint"])
 def test_writers_refuse_nonfinite_floats(tmp_path, fmt, value):
     p = tmp_path / f"{fmt}.txt"
     with pytest.raises(DataError, match="non-finite"):
         if fmt == "eval":
             write_report(EvalReport(1, value, ((1, "A", value),)), p)
-        else:
+        elif fmt == "sweep":
             write_sweep([(None, 0, value)], p)
+        else:
+            model = make_model("mlp1", 3, 2, np.random.default_rng(0), hidden=2)
+            model.params["W2"][1, 0] = value
+            save_checkpoint(model, p, seed=0, step=0)
     assert list(tmp_path.iterdir()) == []
 
 

@@ -260,6 +260,22 @@ class TestBuildErrors:
         with pytest.raises(DataError):
             build_taxonomy([("A", "x", "s,1"), ("A", "x", "s2")])
 
+    @pytest.mark.parametrize("names", [("L1", "L1", "L3"), ("L1", "L 2", "L3"),
+                                       ("L1", "", "L3"), ("L1", "L,2", "L3"),
+                                       ("L1", "L2", "L3\u00a0")],
+                             ids=["repeated", "space", "empty", "comma", "nbsp"])
+    def test_bad_level_names(self, names):
+        # a dataset row names its level: a repeated level name would read
+        # back at the other level, a split one as two fields
+        with pytest.raises(DataError):
+            build_taxonomy(TOY_PATHS, names)
+
+    @pytest.mark.parametrize("leaves", [("x y",), ("x", "x")], ids=["space", "repeated"])
+    def test_bad_class_names_given_to_the_constructor(self, leaves):
+        # a repeated name would index as its last class only
+        with pytest.raises(DataError):
+            Taxonomy(("A", "B"), [("a",), leaves], [[0] * len(leaves)])
+
     def test_level_name_count_mismatch(self):
         with pytest.raises(DimensionMismatch):
             build_taxonomy(TOY_PATHS, ("L1", "L2"))
@@ -300,6 +316,12 @@ class TestShapedTaxonomy:
 
     def test_deterministic(self):
         assert shaped_taxonomy([2, 5, 9]) == shaped_taxonomy([2, 5, 9])
+
+    @pytest.mark.parametrize("counts", [[2, 4], [1, 1, 5], [2, 3, 7, 100],
+                                        [3, 8, 29, 123, 339, 729, 810]])
+    def test_equals_the_tree_built_from_its_leaf_paths(self, counts):
+        tax = shaped_taxonomy(counts, name_prefixes=[f"P{l}-" for l in range(len(counts))])
+        assert tax == build_taxonomy(tax.leaf_paths(), tax.level_names)
 
 
 class TestPersistence:
@@ -344,6 +366,16 @@ class TestPersistence:
         p = tmp_path / "bad.txt"
         p.write_text("hierssl-taxonomy v1\nL1,L2\n")
         with pytest.raises(EmptyInput):
+            load_taxonomy(p)
+
+    @pytest.mark.parametrize("header", ["L1,L1,L3", "L1,L 2,L3"], ids=["repeated", "space"])
+    def test_bad_level_names_fail(self, toy, tmp_path, header):
+        p = tmp_path / "toy.txt"
+        save_taxonomy(toy, p)
+        lines = p.read_text().splitlines()
+        lines[1] = header
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError):
             load_taxonomy(p)
 
     def test_blank_lines_tolerated(self, toy, tmp_path):
