@@ -210,7 +210,7 @@ def info_nce_loss(
     (query * key_pos).sum(axis=-1, out=buf[..., 0])
     np.matmul(query, queue.swapaxes(-1, -2), out=buf[..., 1:])
     buf /= temperature
-    _softmax_inplace(buf)
+    _softmax_inplace(_batches("scaled similarities", buf))
     loss, live = _nll(buf[..., 0])
     buf[..., 0] -= 1.0
     buf[~live] = 0.0

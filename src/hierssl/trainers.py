@@ -2,12 +2,12 @@
 
 All methods share the same supervised core: fine cross entropy on the
 labeled batch plus, when a supervision level is set, marginalized cross
-entropy on the coarse batch. ``PLANS`` is the one place that says what
-else a method does: whether a contrastive pretraining stage initializes
-the encoder, and which extra term (confidence-gated self-labeling,
-weak-to-strong consistency, teacher distillation) is added on the coarse
-batch. Distillation is the one term with a teacher: a baseline trained
-first, on the same encoder.
+entropy on the coarse batch. A method is its ``PLANS`` row: whether a
+contrastive stage pretrains the encoder, the term added on the coarse
+batch (confidence-gated self-labeling, weak-to-strong consistency or
+teacher distillation), whether the coarse batch trains on a strong view,
+and the method's config defaults. Distillation is the one term with a
+teacher: a baseline trained first, on the same encoder.
 
 Randomness is split into independent streams per phase: model init,
 batch sampling, and augmentation never share a generator, so methods
@@ -48,6 +48,7 @@ from .model import (
     ContrastiveModel,
     ProjectionHead,
     SgdMomentum,
+    _uses_hidden,
     make_model,
     momentum_update,
 )
@@ -55,18 +56,37 @@ from .records import field_keys, field_texts, parse_fields, read_record, write_r
 from .taxonomy import MarginalizationMatrix, Taxonomy
 
 
+def _pseudo_label(z, x_weak, model, teacher, cfg: TrainConfig):
+    loss, grad, mask = pseudo_label_loss(z, cfg.tau)
+    return loss, grad, mask.mean(axis=-1), cfg.consistency_weight
+
+
+def _fixmatch(z, x_weak, model, teacher, cfg: TrainConfig):
+    loss, grad, mask = fixmatch_loss(model.forward(x_weak), z, cfg.tau)
+    return loss, grad, mask.mean(axis=-1), cfg.consistency_weight
+
+
+def _distill(z, x_weak, model, teacher, cfg: TrainConfig):
+    loss, grad, _ = distill_loss(z, teacher.forward(x_weak), cfg.distill_temperature)
+    return loss, grad, np.zeros(np.shape(loss)), cfg.distill_weight
+
+
 class Plan(NamedTuple):
     pretrain: bool  # contrastive pretraining initializes the encoder
-    extra: str | None  # the term added on the coarse batch
+    # coarse-batch term(z, x_weak, model, teacher, cfg) -> (loss, gradient wrt z, gate
+    # rate shaped as the loss, weight); it calls its loss by the global name a tracer rebinds
+    term: object | None
+    strong: bool  # the coarse batch trains on a strong view; the term reads the weak one
+    defaults: dict  # the method's config defaults
 
 
 PLANS = {
-    "baseline": Plan(False, None),
-    "pseudo_label": Plan(False, "pseudo_label"),
-    "fixmatch": Plan(False, "fixmatch"),
-    "self_training": Plan(False, "distill"),
-    "moco": Plan(True, None),
-    "moco_self_training": Plan(True, "distill"),
+    "baseline": Plan(False, None, False, {}),
+    "pseudo_label": Plan(False, _pseudo_label, False, {}),
+    "fixmatch": Plan(False, _fixmatch, True, dict(batch_labeled=32, batch_coarse=160)),
+    "self_training": Plan(False, _distill, False, {}),
+    "moco": Plan(True, None, False, dict(arch="mlp1")),
+    "moco_self_training": Plan(True, _distill, False, dict(arch="mlp1")),
 }
 
 METHODS = tuple(PLANS)
@@ -103,8 +123,8 @@ class TrainConfig:
     arch: str = "linear"
     hidden: int = 64
     augment: AugmentParams = field(default_factory=AugmentParams)
-    # apply weak noise to the supervised inputs of non-fixmatch methods
-    # (fixmatch has its own weak/strong scheme and ignores this)
+    # apply weak noise to the supervised inputs (a plan with a strong view
+    # always does, and ignores this)
     augment_inputs: bool = False
     seed: int = 0
 
@@ -123,11 +143,11 @@ class TrainConfig:
         if not 0 <= self.momentum < 1:
             raise ConfigError("momentum: must be in [0, 1)")
         for name in ("steps", "batch_labeled", "batch_coarse", "batch_pretrain",
-                     "pretrain_steps", "emb_dim", "hidden"):
+                     "pretrain_steps", "emb_dim"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name}: must be >= 1")
         for name in ("weight_decay", "unsup_weight", "consistency_weight",
-                     "distill_weight", "queue_size", "seed"):
+                     "distill_weight", "queue_size", "hidden", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name}: must be >= 0")
         if self.tau <= 0:
@@ -138,6 +158,8 @@ class TrainConfig:
             raise ConfigError("key_momentum: must be in [0, 1)")
         if self.arch not in ARCHS:
             raise ConfigError(f"arch: unknown architecture {self.arch!r}")
+        if self.hidden < 1 and _uses_hidden(ARCHS[self.arch]):
+            raise ConfigError(f"hidden: must be >= 1 for arch {self.arch}")
         if PLANS[self.method].pretrain:
             if not ARCHS[self.arch].rep_param_names:
                 raise ConfigError(
@@ -150,17 +172,10 @@ class TrainConfig:
 
 
 def default_train_config(method: str = "baseline", **overrides) -> TrainConfig:
-    """Per-method batch-size and architecture defaults."""
-    cfg = TrainConfig(method=method)
+    """The method's ``PLANS`` defaults, then ``overrides``."""
     # an unknown method gets the baseline defaults; validate() rejects it
     plan = PLANS.get(method, PLANS["baseline"])
-    if plan.extra == "fixmatch":
-        cfg = replace(cfg, batch_labeled=32, batch_coarse=160)
-    if plan.pretrain:
-        cfg = replace(cfg, arch="mlp1")
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    return cfg
+    return TrainConfig(method=method, **{**plan.defaults, **overrides})
 
 
 @dataclass
@@ -328,24 +343,24 @@ def train_seeds(split: DataSplit, taxonomy: Taxonomy, cfg: TrainConfig,
     for seed in seeds:
         replace(cfg, seed=seed).validate()
     plan = PLANS[cfg.method]
-    packed = _pack(split, taxonomy, cfg, need_pool=plan.extra is not None)
+    packed = _pack(split, taxonomy, cfg, need_pool=plan.term is not None)
     encoder = pretraces = teacher = None
     if plan.pretrain:
         encoder, pretraces = _pretrain_contrastive(packed, taxonomy, cfg, seeds)
-    if plan.extra == "distill":
+    if plan.term is _distill:
         teacher, _ = _train_classifier(packed, taxonomy, cfg, seeds, "teacher",
-                                       None, encoder, None)
+                                       PLANS["baseline"], encoder, None)
     model, traces = _train_classifier(packed, taxonomy, cfg, seeds, "main",
-                                      plan.extra, encoder, teacher)
+                                      plan, encoder, teacher)
     n = len(seeds)
     return [TrainResult(*r) for r in zip(_unstacked(model, n), traces,
                                          _unstacked(teacher, n), pretraces or [None] * n)]
 
 
 def _train_classifier(packed, taxonomy: Taxonomy, cfg: TrainConfig, seeds: tuple,
-                      phase: str, extra: str | None, pretrained, teacher):
-    """The shared supervised loop, with one optional extra term; returns
-    the trained (stacked) model and one per-step trace per seed.
+                      phase: str, plan: Plan, pretrained, teacher):
+    """The shared supervised loop, with the plan's extra term if it has one;
+    returns the trained (stacked) model and one per-step trace per seed.
 
     The hierarchical part is computed identically for every method so
     that, with its extra term switched off (tau above 1, zero weight),
@@ -362,7 +377,7 @@ def _train_classifier(packed, taxonomy: Taxonomy, cfg: TrainConfig, seeds: tuple
             model.params[name] = pretrained.params[name].copy()
     opt = SgdMomentum(cfg.lr, cfg.momentum, cfg.weight_decay)
 
-    use_pool = yu is not None or extra is not None
+    use_pool = yu is not None or plan.term is not None
     zero = np.zeros(len(seeds)) if len(seeds) > 1 else 0.0
     rows = []  # per step: total, fine, coarse, extra and mask rate
 
@@ -371,21 +386,20 @@ def _train_classifier(packed, taxonomy: Taxonomy, cfg: TrainConfig, seeds: tuple
         Xl_b, yl_b = Xl[il], yl[il]
         if use_pool:
             iu = _stack([r.integers(0, len(Xu), size=cfg.batch_coarse) for r in rng_batch])
-            Xu_b = Xu[iu]
+            Xu_b = Xu_weak = Xu[iu]
 
-        if extra == "fixmatch" or cfg.augment_inputs:
+        if plan.strong or cfg.augment_inputs:
             Xl_b = _per_seed(augment_weak, Xl_b, rng_aug, cfg.augment.sigma_weak)
             if use_pool:
                 Xu_weak = _per_seed(augment_weak, Xu_b, rng_aug, cfg.augment.sigma_weak)
-                # fixmatch's strong view takes the place of the plain coarse view
                 Xu_b = (_per_seed(augment_strong, Xu_b, rng_aug, cfg.augment)
-                        if extra == "fixmatch" else Xu_weak)
+                        if plan.strong else Xu_weak)
 
         zl, cache_l = model.forward_cached(Xl_b)
         fine, g_fine = cross_entropy(zl, yl_b)
         grads = model.backward(cache_l, g_fine)
         total = fine
-        coarse = extra_loss = mask_rate = zero
+        coarse = extra = mask_rate = zero
 
         if use_pool:
             z_u, cache_u = model.forward_cached(Xu_b)
@@ -394,27 +408,16 @@ def _train_classifier(packed, taxonomy: Taxonomy, cfg: TrainConfig, seeds: tuple
                 coarse, g_u = marginalized_cross_entropy(z_u, yu[iu], w)
                 g_u *= cfg.unsup_weight
                 total = total + cfg.unsup_weight * coarse
-            if extra == "distill":
-                extra_loss, g_x, _ = distill_loss(
-                    z_u, teacher.forward(Xu_b), cfg.distill_temperature)
-                weight = cfg.distill_weight
-            elif extra is not None:
-                if extra == "pseudo_label":
-                    extra_loss, g_x, mask = pseudo_label_loss(z_u, cfg.tau)
-                else:
-                    extra_loss, g_x, mask = fixmatch_loss(
-                        model.forward(Xu_weak), z_u, cfg.tau)
-                mask_rate = mask.mean(axis=-1)
-                weight = cfg.consistency_weight
-            if extra is not None:
+            if plan.term is not None:
+                extra, g_x, mask_rate, weight = plan.term(z_u, Xu_weak, model, teacher, cfg)
                 g_x *= weight
                 g_u = g_x if g_u is None else g_u + g_x
-                total = total + weight * extra_loss
+                total = total + weight * extra
             for name, g in model.backward(cache_u, g_u).items():
                 grads[name] += g
 
         opt.step(model.params, grads)
-        rows.append((total, fine, coarse, extra_loss, mask_rate))
+        rows.append((total, fine, coarse, extra, mask_rate))
 
     return model, [[StepStats(step, *row) for step, row in enumerate(seed_rows)]
                    for seed_rows in _by_seed(rows, len(seeds))]

@@ -204,6 +204,18 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_contrastive_similarities_are_4(self, data_dir, tmp_path,
+                                                        capsys):
+        # a temperature this small scales a similarity to infinity, which the
+        # InfoNCE softmax would turn into a NaN loss and a zero gradient
+        out = tmp_path / "x"
+        assert main(["train", "--data", str(data_dir), "--set", "method=moco",
+                     "--set", "pretrain_steps=3", "--set", "steps=3",
+                     "--set", "nce_temperature=1e-320", "--out", str(out)]) == 4
+        assert "non-finite values in scaled similarities" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_features_are_3(self, tmp_path, capsys):
         out = tmp_path / "x"
         assert main(["gen-data", *GEN_ARGS, "--set", "sigma_x=1e308",
@@ -332,6 +344,20 @@ class TestExitCodes:
         assert main([*argv, "--out", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_hidden_0_is_valid_only_without_a_hidden_layer(self, data_dir, tmp_path,
+                                                           capsys):
+        # linear has no hidden dimension and ignores the value; mlp1 needs one
+        out = tmp_path / "linear"
+        assert main(["train", "--data", str(data_dir), "--set", "steps=3",
+                     "--set", "hidden=0", "--out", str(out)]) == 0
+        assert "hidden 0" in (out / "seed0" / "checkpoint.txt").read_text()
+        assert main(["train", "--data", str(data_dir), "--set", "steps=3",
+                     "--set", "hidden=0", "--set", "arch=mlp1",
+                     "--out", str(tmp_path / "mlp1")]) == 2
+        assert "config error: hidden: must be >= 1 for arch mlp1" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "mlp1").exists()
 
     @pytest.mark.parametrize("command", ["eval", "filter"])
     def test_bad_filter_tau_names_its_key(self, data_dir, trained, tmp_path,

@@ -456,6 +456,13 @@ class TestErrors:
         with pytest.raises(NonFiniteGradient):
             info_nce_loss(bad, good, np.zeros((2, 2)), 0.07)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_info_nce_overflowing_similarities_raise(self):
+        # q . k / T is infinite, so the softmax would give a NaN loss and,
+        # with the row masked out, a zero gradient
+        with pytest.raises(NonFiniteGradient, match="scaled similarities"):
+            info_nce_loss(NCE_QUERY, NCE_KEY, NCE_QUEUE, 1e-320)
+
     def test_shape_mismatches_raise(self):
         with pytest.raises(DimensionMismatch):
             cross_entropy(CE_LOGITS, np.array([0]))

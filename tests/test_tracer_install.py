@@ -5,6 +5,9 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from hierssl.data import GenConfig, generate
+from hierssl.trainers import default_train_config, train
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
@@ -42,3 +45,23 @@ def test_tracer_installs_and_uninstalls_cleanly():
     assert after.keys() == before.keys()
     changed = [key for key in before if after[key] is not before[key]]
     assert changed == []
+
+
+def test_tracer_sees_every_terms_loss():
+    # each extra term calls its loss by the module-global name the tracer
+    # rebinds; a loss reached another way would record no span of its own
+    gen = generate(GenConfig(level_counts=(1, 2, 8), dim=8, seed=0))
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for it, method in enumerate(("pseudo_label", "fixmatch", "self_training")):
+            with tracer.iteration(it):
+                train(gen.split, gen.in_taxonomy, default_train_config(method, steps=2))
+    finally:
+        tracer.uninstall()
+    seen = {it: {tracer.keys[tracer.name[i]] for i in range(lo, hi)}
+            for it, (lo, hi, _) in tracer.iterations.items()}
+    assert "losses.pseudo_label_loss" in seen[0]
+    assert "losses.fixmatch_loss" in seen[1]
+    assert "losses.distill_loss" in seen[2]

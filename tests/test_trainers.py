@@ -391,6 +391,7 @@ class TestDefaults:
         dict(seed=-1),
         dict(method="moco", arch="linear"),
         dict(method="moco", arch="mlp1", queue_size=0),
+        dict(arch="mlp1", hidden=0),
     ])
     def test_validation_rejects(self, bad):
         with pytest.raises(ConfigError):
