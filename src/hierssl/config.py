@@ -3,11 +3,11 @@
 One config file drives a whole pipeline: generator, trainer, and filter
 keys live in a single flat namespace, and every command parses every key
 and validates every section, so a value that any command would reject
-fails the first command it reaches. The keys are the fields of
-GenConfig, TrainConfig (its nested AugmentParams flattened into it) and
-FilterConfig, whose ``tau`` is the key ``filter_tau``; each value is
-parsed by its field's type, spelled as ``hierssl.records`` spells every
-typed value. A file line and a --set override share one form,
+fails the first command it reaches. Each key is one field of one
+section, GenConfig, TrainConfig or FilterConfig, named as the field is,
+except that FilterConfig's ``tau`` is the key ``filter_tau``; each value
+is parsed by its field's type, spelled as ``hierssl.records`` spells
+every typed value. A file line and a --set override share one form,
 ``key=value`` with no spaces around the key or the value. Resolution
 order is built-in defaults, then the config file, then --set overrides.
 """
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .data import AugmentParams, GenConfig
+from .data import GenConfig
 from .errors import ConfigError
 from .ood import FilterConfig
 from .records import field_keys, field_texts, read_record, write_record
@@ -24,11 +24,10 @@ from .trainers import TrainConfig, default_train_config
 
 CONFIG_MAGIC = "hierssl-config v1"
 
-# each section's keys; AugmentParams's keys belong to the train section
+# each section's keys
 _KEYS = {
     GenConfig: field_keys(GenConfig),
     TrainConfig: field_keys(TrainConfig),
-    AugmentParams: field_keys(AugmentParams),
     FilterConfig: field_keys(FilterConfig, tau="filter_tau"),
 }
 
@@ -79,6 +78,8 @@ def _parse_overrides(pairs) -> dict[str, str]:
             key, value = _key_value(pair)
         except ValueError as exc:
             raise ConfigError(f"override: {exc}") from None
+        if key in out:
+            raise ConfigError(f"override: duplicate key {key!r}")
         out[key] = value
     return out
 
@@ -105,10 +106,11 @@ def read_config(path=None, overrides=()) -> PipelineConfig:
     if unknown := sorted(set(values) - KNOWN_KEYS):
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     typed = {cls: _parse(keys, values) for cls, keys in _KEYS.items()}
+    if None not in (typed[GenConfig].get("level_counts"), typed[GenConfig].get("branching")):
+        raise ConfigError("branching: level_counts is set too; set one of them")
     cfg = PipelineConfig(
         gen=GenConfig(**typed[GenConfig]),
-        train=default_train_config(**typed[TrainConfig],
-                                   augment=AugmentParams(**typed[AugmentParams])),
+        train=default_train_config(**typed[TrainConfig]),
         filter=FilterConfig(**typed[FilterConfig]),
     )
     for section in (cfg.gen, cfg.train, cfg.filter):
@@ -118,7 +120,4 @@ def read_config(path=None, overrides=()) -> PipelineConfig:
 
 def config_values(section) -> dict[str, str]:
     """A section's keys as canonical strings, the inverse of ``read_config``."""
-    values = field_texts(_KEYS[type(section)], section)
-    if isinstance(section, TrainConfig):
-        values.update(field_texts(_KEYS[AugmentParams], section.augment))
-    return values
+    return field_texts(_KEYS[type(section)], section)

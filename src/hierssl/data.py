@@ -203,6 +203,8 @@ class GenConfig:
             raise ConfigError("out_attach_level: must be between 1 and the leaf level - 1")
         if self.out_offset_scale <= 0:
             raise ConfigError("out_offset_scale: must be > 0")
+        if self.long_tail_exponent < 0:
+            raise ConfigError("long_tail_exponent: must be >= 0")
         if not 1 <= self.coarse_level <= depth:
             raise ConfigError("coarse_level: out of range")
         if self.out_fraction > 0 and self.coarse_level > attach:
@@ -354,47 +356,24 @@ def _draw_centers(taxonomy, config, rng, novel):
 # -- feature-space augmentations ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class AugmentParams:
-    """Weak/strong perturbation strengths for consistency training.
-
-    Weak is additive Gaussian noise; strong drops coordinates (with
-    inverse-keep rescaling), jitters the overall scale, and adds larger
-    noise. The asymmetry, not the specific transforms, is what matters.
-    """
-
-    sigma_weak: float = 0.1
-    sigma_strong: float = 0.6
-    p_drop: float = 0.1
-    jitter: tuple[float, float] = (0.9, 1.1)
-
-    def validate(self) -> None:
-        if self.sigma_weak < 0:
-            raise ConfigError("sigma_weak: must be >= 0")
-        if self.sigma_strong < self.sigma_weak:
-            raise ConfigError("sigma_strong: must be >= sigma_weak")
-        if not 0 <= self.p_drop < 1:
-            raise ConfigError("p_drop: must be in [0, 1)")
-        lo, hi = self.jitter
-        if not 0 < lo <= hi:
-            raise ConfigError("jitter: need 0 < lo <= hi")
-
-
 def augment_weak(x: np.ndarray, sigma_weak: float, rng: np.random.Generator) -> np.ndarray:
+    """The weak view for consistency training: additive Gaussian noise."""
     x = np.asarray(x, dtype=np.float64)
     return x + sigma_weak * rng.standard_normal(x.shape)
 
 
-def augment_strong(
-    x: np.ndarray, params: AugmentParams, rng: np.random.Generator
-) -> np.ndarray:
+def augment_strong(x: np.ndarray, sigma_strong: float, p_drop: float,
+                   jitter: tuple[float, float], rng: np.random.Generator) -> np.ndarray:
+    """The strong view: drops coordinates (with inverse-keep rescaling),
+    jitters each row's scale, and adds larger noise. The asymmetry with the
+    weak view, not the specific transforms, is what matters."""
     x = np.asarray(x, dtype=np.float64)
-    keep = rng.random(x.shape) >= params.p_drop
-    out = x * keep / (1.0 - params.p_drop)
-    lo, hi = params.jitter
+    keep = rng.random(x.shape) >= p_drop
+    out = x * keep / (1.0 - p_drop)
+    lo, hi = jitter
     scale_shape = x.shape[:-1] + (1,) if x.ndim > 1 else ()
     out = out * rng.uniform(lo, hi, size=scale_shape)
-    return out + params.sigma_strong * rng.standard_normal(x.shape)
+    return out + sigma_strong * rng.standard_normal(x.shape)
 
 
 # -- persistence ----------------------------------------------------------------

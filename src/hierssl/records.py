@@ -26,7 +26,7 @@ import types
 import typing
 from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import fields, is_dataclass
+from dataclasses import fields
 
 from .errors import DataError, EmptyInput, ParseError
 
@@ -147,11 +147,10 @@ def value_text(value) -> str:
 
 
 def field_keys(cls, **renames: str) -> dict:
-    """Key -> (field name, parser) for each field of a dataclass, leaving
-    out a nested dataclass, whose fields are keys of their own."""
+    """Key -> (field name, parser) for each field of a dataclass."""
     hints = typing.get_type_hints(cls)
     return {renames.get(f.name, f.name): (f.name, value_parser(hints[f.name]))
-            for f in fields(cls) if not is_dataclass(hints[f.name])}
+            for f in fields(cls)}
 
 
 def field_texts(keys: dict, obj) -> dict[str, str]:

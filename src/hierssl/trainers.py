@@ -20,21 +20,20 @@ own generators, so each result is bitwise the one ``train`` gives alone.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .data import (
     COARSE_SOURCES,
-    AugmentParams,
     DataSplit,
     augment_strong,
     augment_weak,
     features_of,
     labels_at_level,
 )
-from .errors import ConfigError, DataError, EmptyQueue, EmptySplit
+from .errors import ConfigError, DataError, EmptyQueue, EmptySplit, NonFiniteGradient
 from .losses import (
     cross_entropy,
     distill_loss,
@@ -122,7 +121,11 @@ class TrainConfig:
     emb_dim: int = 32
     arch: str = "linear"
     hidden: int = 64
-    augment: AugmentParams = field(default_factory=AugmentParams)
+    # weak and strong view strengths for consistency training
+    sigma_weak: float = 0.1
+    sigma_strong: float = 0.6
+    p_drop: float = 0.1
+    jitter: tuple[float, float] = (0.9, 1.1)
     # apply weak noise to the supervised inputs (a plan with a strong view
     # always does, and ignores this)
     augment_inputs: bool = False
@@ -168,7 +171,15 @@ class TrainConfig:
                 )
             if self.queue_size < 1:
                 raise ConfigError("queue_size: must be >= 1 for moco methods")
-        self.augment.validate()
+        if self.sigma_weak < 0:
+            raise ConfigError("sigma_weak: must be >= 0")
+        if self.sigma_strong < self.sigma_weak:
+            raise ConfigError("sigma_strong: must be >= sigma_weak")
+        if not 0 <= self.p_drop < 1:
+            raise ConfigError("p_drop: must be in [0, 1)")
+        lo, hi = self.jitter
+        if not 0 < lo <= hi:
+            raise ConfigError("jitter: need 0 < lo <= hi")
 
 
 def default_train_config(method: str = "baseline", **overrides) -> TrainConfig:
@@ -389,10 +400,11 @@ def _train_classifier(packed, taxonomy: Taxonomy, cfg: TrainConfig, seeds: tuple
             Xu_b = Xu_weak = Xu[iu]
 
         if plan.strong or cfg.augment_inputs:
-            Xl_b = _per_seed(augment_weak, Xl_b, rng_aug, cfg.augment.sigma_weak)
+            Xl_b = _per_seed(augment_weak, Xl_b, rng_aug, cfg.sigma_weak)
             if use_pool:
-                Xu_weak = _per_seed(augment_weak, Xu_b, rng_aug, cfg.augment.sigma_weak)
-                Xu_b = (_per_seed(augment_strong, Xu_b, rng_aug, cfg.augment)
+                Xu_weak = _per_seed(augment_weak, Xu_b, rng_aug, cfg.sigma_weak)
+                Xu_b = (_per_seed(augment_strong, Xu_b, rng_aug, cfg.sigma_strong,
+                                  cfg.p_drop, cfg.jitter)
                         if plan.strong else Xu_weak)
 
         zl, cache_l = model.forward_cached(Xl_b)
@@ -415,6 +427,8 @@ def _train_classifier(packed, taxonomy: Taxonomy, cfg: TrainConfig, seeds: tuple
                 total = total + weight * extra
             for name, g in model.backward(cache_u, g_u).items():
                 grads[name] += g
+        if not np.isfinite(total).all():  # a weighted loss may overflow, its gradient not
+            raise NonFiniteGradient(f"non-finite training loss at step {step}")
 
         opt.step(model.params, grads)
         rows.append((total, fine, coarse, extra, mask_rate))
@@ -451,8 +465,8 @@ def _pretrain_contrastive(packed, taxonomy: Taxonomy, cfg: TrainConfig,
 
     for step in range(cfg.pretrain_steps):
         Xb = X[_stack([r.integers(0, len(X), size=cfg.batch_pretrain) for r in rng_batch])]
-        v_q = _per_seed(augment_strong, Xb, rng_aug, cfg.augment)
-        v_k = _per_seed(augment_strong, Xb, rng_aug, cfg.augment)
+        v_q = _per_seed(augment_strong, Xb, rng_aug, cfg.sigma_strong, cfg.p_drop, cfg.jitter)
+        v_k = _per_seed(augment_strong, Xb, rng_aug, cfg.sigma_strong, cfg.p_drop, cfg.jitter)
         q, cache = query.embed_cached(v_q)
         k = key.embed(v_k)
         loss, g_q = info_nce_loss(q, k, queue.array, cfg.nce_temperature)

@@ -216,6 +216,30 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_loss_weight_is_4(self, data_dir, tmp_path, capsys):
+        # the weighted consistency loss overflows in the logged total while
+        # every gradient stays finite; the run fails before anything is written
+        out = tmp_path / "x"
+        assert main(["train", "--data", str(data_dir), "--set", "method=fixmatch",
+                     "--set", "consistency_weight=1e308", "--set", "steps=20",
+                     "--out", str(out)]) == 4
+        assert "non-finite training loss" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sets, message", [
+        (["long_tail_exponent=-1000"], "long_tail_exponent: must be >= 0"),
+        (["level_counts=3,9,27", "branching=2,3,3", "coarse_level=1"],
+         "branching: level_counts is set too"),
+        (["seed=1", "seed=2"], "override: duplicate key 'seed'"),
+    ], ids=["negative-long-tail", "counts-and-branching", "repeated-set"])
+    def test_gen_data_bad_input_is_2(self, tmp_path, capsys, sets, message):
+        out = tmp_path / "x"
+        argv = [arg for pair in sets for arg in ("--set", pair)]
+        assert main(["gen-data", *argv, "--out", str(out)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_features_are_3(self, tmp_path, capsys):
         out = tmp_path / "x"
         assert main(["gen-data", *GEN_ARGS, "--set", "sigma_x=1e308",

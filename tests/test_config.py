@@ -1,9 +1,12 @@
 """Flat key=value config files: parsing, typed coercion, canonical
 serialization, and overrides."""
 
+from dataclasses import fields, replace
+
 import pytest
 
 from hierssl.config import (
+    _KEYS,
     CONFIG_MAGIC,
     KNOWN_KEYS,
     _parse_overrides,
@@ -139,10 +142,10 @@ class TestTrainCoercion:
         with pytest.raises(ConfigError):
             read({"augment_inputs": "1"})
 
-    def test_augment_keys_reach_the_nested_params(self):
+    def test_augment_keys_reach_their_train_fields(self):
         cfg = read({"sigma_weak": "0.25", "jitter": "0.8,1.2"}).train
-        assert cfg.augment.sigma_weak == 0.25
-        assert cfg.augment.jitter == (0.8, 1.2)
+        assert cfg.sigma_weak == 0.25
+        assert cfg.jitter == (0.8, 1.2)
 
     def test_jitter_needs_exactly_two_values(self):
         with pytest.raises(ConfigError):
@@ -199,6 +202,15 @@ class TestGenCoercion:
         assert values["level_counts"] == "none"
         assert read(values).gen == cfg
 
+    def test_level_counts_with_branching_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="level_counts is set too"):
+            read({"level_counts": "3,9,27", "branching": "2,3,3"})
+        p = tmp_path / "cfg.txt"
+        write_config({"level_counts": "3,9,27"}, p)
+        with pytest.raises(ConfigError, match="level_counts is set too"):
+            read_config(p, ["branching=2,3,3"])
+        assert read_config(p, ["branching=2,3,3", "level_counts=none"]).gen.branching
+
     def test_validation_still_runs(self):
         with pytest.raises(ConfigError):
             read({"level_counts": "8,4"})
@@ -248,3 +260,25 @@ class TestFullConfigSharing:
         assert gen.seed == 1 and tr.seed == 1
         assert tr.tau == 0.9 and fl.tau == 0.4
         assert gen.level_counts == (1, 2, 8)
+
+
+class TestEveryKeyIsOneField:
+    """A key names one field of one flat section, so setting the key is
+    ``dataclasses.replace`` of that field."""
+
+    SECTIONS = {GenConfig: "gen", TrainConfig: "train", FilterConfig: "filter"}
+
+    def test_keys_name_exactly_the_fields(self):
+        for cls in self.SECTIONS:
+            assert sorted(name for name, _ in _KEYS[cls].values()) == \
+                sorted(f.name for f in fields(cls)), cls.__name__
+        assert set().union(*(_KEYS[cls] for cls in self.SECTIONS)) == KNOWN_KEYS
+
+    def test_setting_a_key_replaces_its_field(self):
+        config = read({})
+        for cls, attr in self.SECTIONS.items():
+            default = getattr(config, attr)
+            for key, text in config_values(default).items():
+                name = _KEYS[cls][key][0]
+                assert getattr(read({key: text}), attr) == \
+                    replace(default, **{name: getattr(default, name)}), key

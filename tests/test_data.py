@@ -11,7 +11,6 @@ from numpy.testing import assert_allclose
 from hierssl.data import (
     COARSE_SOURCES,
     SPLIT_TAGS,
-    AugmentParams,
     DataSplit,
     GenConfig,
     augment_strong,
@@ -23,6 +22,7 @@ from hierssl.data import (
     save_dataset,
 )
 from hierssl.errors import ConfigError, OutOfRange, ParseError, UnknownClass
+from hierssl.trainers import TrainConfig
 
 TOY = GenConfig(level_counts=(1, 2, 8), dim=8, seed=0)
 
@@ -264,6 +264,7 @@ class TestGenConfigValidation:
         dict(sigma_levels=(1.0, 0.5)),    # too few scales for 7 levels
         dict(level_counts=None),          # and no branching either
         dict(seed=-1),
+        dict(long_tail_exponent=-1.0),    # a head-heavy tail only
     ])
     def test_rejected(self, bad):
         with pytest.raises(ConfigError):
@@ -293,24 +294,19 @@ class TestAugment:
         assert np.all(out != 0.0)
 
     def test_strong_identity_when_all_knobs_off(self):
-        params = AugmentParams(sigma_weak=0.0, sigma_strong=0.0, p_drop=0.0,
-                               jitter=(1.0, 1.0))
         x = np.random.default_rng(2).standard_normal((3, 6))
-        out = augment_strong(x, params, np.random.default_rng(3))
+        out = augment_strong(x, 0.0, 0.0, (1.0, 1.0), np.random.default_rng(3))
         assert_allclose(out, x, rtol=1e-15)
 
     def test_strong_is_deterministic_given_generator_state(self):
-        params = AugmentParams()
         x = np.random.default_rng(4).standard_normal((3, 6))
-        a = augment_strong(x, params, np.random.default_rng(5))
-        b = augment_strong(x, params, np.random.default_rng(5))
+        a = augment_strong(x, 0.6, 0.1, (0.9, 1.1), np.random.default_rng(5))
+        b = augment_strong(x, 0.6, 0.1, (0.9, 1.1), np.random.default_rng(5))
         assert np.array_equal(a, b)
 
     def test_strong_drop_zeroes_coordinates(self):
-        params = AugmentParams(sigma_weak=0.0, sigma_strong=0.0, p_drop=0.5,
-                               jitter=(1.0, 1.0))
         x = np.ones((20, 10))
-        out = augment_strong(x, params, np.random.default_rng(6))
+        out = augment_strong(x, 0.0, 0.5, (1.0, 1.0), np.random.default_rng(6))
         assert np.all(np.isin(out, (0.0, 2.0)))  # kept coords rescaled by 1/(1-p)
         assert 0.0 < (out == 0.0).mean() < 1.0
 
@@ -324,7 +320,7 @@ class TestAugment:
     ])
     def test_param_validation(self, bad):
         with pytest.raises(ConfigError):
-            AugmentParams(**bad).validate()
+            TrainConfig(**bad).validate()
 
 
 class TestPersistence:

@@ -181,13 +181,9 @@ class TestSharedSupervisedCore:
             train(replace(split, labeled=labeled), tax, quick("baseline", steps=5))
 
     def test_augment_inputs_with_zero_sigma_changes_nothing(self, toy_gen):
-        from dataclasses import replace
-        from hierssl.data import AugmentParams
-
         split, tax = toy_gen.split, toy_gen.in_taxonomy
         plain = train(split, tax, quick("baseline", steps=40))
-        noiseless = quick("baseline", steps=40, augment_inputs=True)
-        noiseless = replace(noiseless, augment=AugmentParams(sigma_weak=0.0))
+        noiseless = quick("baseline", steps=40, augment_inputs=True, sigma_weak=0.0)
         assert params_equal(plain.model, train(split, tax, noiseless).model)
 
     def test_augment_inputs_with_noise_changes_the_run(self, toy_gen):
