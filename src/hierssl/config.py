@@ -22,7 +22,8 @@ from .ood import FilterConfig
 from .records import field_keys, field_texts, read_record, write_record
 from .trainers import TrainConfig, default_train_config
 
-CONFIG_MAGIC = "hierssl-config v1"
+_CONFIG_FORMAT = "hierssl-config"
+CONFIG_MAGIC = f"{_CONFIG_FORMAT} v1"
 
 # each section's keys
 _KEYS = {
@@ -54,7 +55,7 @@ def _key_value(text: str) -> tuple[str, str]:
 
 def load_config(path) -> dict[str, str]:
     out: dict[str, str] = {}
-    with read_record(path, CONFIG_MAGIC) as body:
+    with read_record(path, _CONFIG_FORMAT, (1,)) as body:
         for _, line in body:
             if line.lstrip().startswith("#"):
                 continue

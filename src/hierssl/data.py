@@ -14,7 +14,7 @@ given the config seed.
 
 from __future__ import annotations
 
-import math
+import struct
 from array import array
 from dataclasses import dataclass
 from typing import Sequence
@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, ParseError, UnknownClass
-from .records import read_record, value_parser, write_record
+from .records import float64_bytes, float64_text, read_record, value_parser, write_record
 from .taxonomy import (
     Taxonomy,
     build_taxonomy,
@@ -32,7 +32,7 @@ from .taxonomy import (
     _bounded_allocate,
 )
 
-_DATASET_MAGIC = "hierssl-dataset v1"
+_DATASET_FORMAT = "hierssl-dataset"
 
 SPLIT_TAGS = ("labeled", "coarse_in", "coarse_out", "test")
 
@@ -388,9 +388,10 @@ def _check_finite(split: DataSplit) -> None:
 
 def save_dataset(split: DataSplit, taxonomy: Taxonomy, path) -> None:
     """One sample per line: split tag, level name, class name, species name
-    or '-', then the feature floats (shortest round-trip formatting); a
-    non-finite feature is a DataError before anything is written. Lines
-    are streamed to the file as they are formatted."""
+    or '-', then the features as one field, the base64 of the row's
+    little-endian float64 bytes (``records.float64_text``), which reads
+    back bit for bit. A non-finite feature is a DataError before anything
+    is written. Lines are streamed to the file as they are formatted."""
     _check_finite(split)
     parts = [(tag, getattr(split, tag)) for tag in SPLIT_TAGS]
     dim = next((s.X.shape[1] for _, s in parts if len(s)), 0)
@@ -408,13 +409,27 @@ def save_dataset(split: DataSplit, taxonomy: Taxonomy, path) -> None:
                     taxonomy.class_name(taxonomy.leaf_level, species)
                     if species >= 0 else "-"
                 )
-                feats = " ".join(map(repr, x.tolist()))
-                yield f"{tag} {level_name} {label_name} {species_name} {feats}"
-    write_record(path, _DATASET_MAGIC, lines())
+                yield f"{tag} {level_name} {label_name} {species_name} {float64_text(x)}"
+    write_record(path, f"{_DATASET_FORMAT} v2", lines())
+
+
+def _v1_features(text: str, dim: int) -> bytes:
+    """The features of a v1 row, ``dim`` floats in text, as ``float64_bytes``
+    returns a v2 row's."""
+    # one check per row, not per value: float() also reads "٣" and "1_0"
+    if not text.isascii() or "_" in text:
+        raise ValueError("feature values must be ASCII without '_'")
+    feats = text.split()
+    if len(feats) != dim:
+        raise ValueError(f"expected {4 + dim} fields, got {4 + len(feats)}")
+    return struct.pack(f"<{dim}d", *map(float, feats))
 
 
 def load_dataset(path, taxonomy: Taxonomy) -> DataSplit:
-    with read_record(path, _DATASET_MAGIC) as body:
+    """Read a dataset that ``save_dataset`` wrote, in its format (v2) or in
+    v1, whose rows spell each feature as a float in text."""
+    with read_record(path, _DATASET_FORMAT, (1, 2)) as body:
+        features = {1: _v1_features, 2: float64_bytes}[body.version]
         ln, line = next(body, (2, ""))
         key, _, dim = line.partition(" ")
         if key != "d" or (dim := value_parser(int)(dim)) < 0:
@@ -432,8 +447,8 @@ def load_dataset(path, taxonomy: Taxonomy) -> DataSplit:
                 f"{taxonomy.level_names}", line=ln,
             )
         level_index = {n: i + 1 for i, n in enumerate(level_names)}
-        # each split's features, and its (level, label, species) per row
-        rows = {tag: (array("d"), array("q")) for tag in SPLIT_TAGS}
+        # each split's feature bytes, and its (level, label, species, line) per row
+        rows = {tag: (bytearray(), array("q")) for tag in SPLIT_TAGS}
 
         def lookup(ln: int, kind: str, level: int, name: str) -> int:
             try:
@@ -446,13 +461,10 @@ def load_dataset(path, taxonomy: Taxonomy) -> DataSplit:
 
         for ln, line in body:
             parts = line.split(None, 4)
-            text = parts.pop() if len(parts) == 5 else ""
-            feats = text.split()
-            if len(parts) + len(feats) != 4 + dim:
-                raise ParseError(
-                    f"expected {4 + dim} fields, got {len(parts) + len(feats)}", line=ln
-                )
-            tag, level_name, label_name, species_name = parts
+            if len(parts) < 4:
+                raise ParseError("expected a split tag, level, class and species "
+                                 f"before the features, got {line!r}", line=ln)
+            tag, level_name, label_name, species_name = parts[:4]
             if tag not in rows:
                 raise ParseError(f"unknown split tag {tag!r}", line=ln)
             level = level_index.get(level_name)
@@ -461,18 +473,16 @@ def load_dataset(path, taxonomy: Taxonomy) -> DataSplit:
             label = lookup(ln, "class", level, label_name)
             species = (-1 if species_name == "-" else
                        lookup(ln, "species", taxonomy.leaf_level, species_name))
-            # one check per row, not per value: float() also reads "٣" and "1_0"
-            if not text.isascii() or "_" in text:
-                raise ParseError("feature values must be ASCII without '_'", line=ln)
-            feats = [float(v) for v in feats]
-            if not all(map(math.isfinite, feats)):
-                raise ParseError("non-finite feature value", line=ln)
             X, labels = rows[tag]
-            X.extend(feats)
-            labels.extend((level, label, species))
-    split = {}
+            X += features(parts[4] if len(parts) == 5 else "", dim)
+            labels.extend((level, label, species, ln))
+    split, bad_lines = {}, []
     for tag, (X, labels) in rows.items():
-        level, label, species = np.frombuffer(labels, np.int64).reshape(-1, 3).T.copy()
-        split[tag] = Samples(X=np.frombuffer(X, np.float64).reshape(len(level), dim),
-                             label_level=level, label=label, true_species=species)
+        level, label, species, lines = np.frombuffer(labels, np.int64).reshape(-1, 4).T.copy()
+        X = np.frombuffer(X, "<f8").reshape(len(level), dim)
+        if not (finite := np.isfinite(X).all(axis=1)).all():
+            bad_lines.append(lines[finite.argmin()])
+        split[tag] = Samples(X=X, label_level=level, label=label, true_species=species)
+    if bad_lines:
+        raise ParseError("non-finite feature value", line=int(min(bad_lines)))
     return DataSplit(**split)

@@ -28,8 +28,8 @@ from .records import (
 )
 from .taxonomy import MarginalizationMatrix, Taxonomy, marginalize
 
-_EVAL_MAGIC = "hierssl-eval v1"
-_SWEEP_MAGIC = "hierssl-sweep v1"
+_EVAL_FORMAT = "hierssl-eval"
+_SWEEP_FORMAT = "hierssl-sweep"
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ _ACCURACY = value_parser(float)
 
 
 def write_report(report: EvalReport, path) -> None:
-    write_record(path, _EVAL_MAGIC, [
+    write_record(path, f"{_EVAL_FORMAT} v1", [
         *(f"{key} {text}" for key, text in field_texts(_REPORT_KEYS, report).items()),
         *(f"level {level} {name} {value_text(acc)}" for level, name, acc in report.levels),
     ])
@@ -89,7 +89,7 @@ def read_report(path) -> EvalReport:
             else:
                 yield from parts
 
-    with read_record(path, _EVAL_MAGIC) as body:
+    with read_record(path, _EVAL_FORMAT, (1,)) as body:
         n_samples, top = parse_fields(_REPORT_KEYS, key_tokens(body))
         if not levels:
             raise ValueError("no level lines")
@@ -102,7 +102,7 @@ _SWEEP_KEYS = {key: (key, value_parser(hint)) for key, hint in
 
 def write_sweep(rows: Sequence[tuple[int | None, int, float]], path) -> None:
     """Rows of (supervision level or None, seed, top1)."""
-    write_record(path, _SWEEP_MAGIC, [
+    write_record(path, f"{_SWEEP_FORMAT} v1", [
         " ".join(f"{key} {value_text(value)}" for key, value in zip(_SWEEP_KEYS, row))
         for row in rows
     ])
@@ -110,7 +110,7 @@ def write_sweep(rows: Sequence[tuple[int | None, int, float]], path) -> None:
 
 def read_sweep(path) -> list[tuple[int | None, int, float]]:
     rows = {}
-    with read_record(path, _SWEEP_MAGIC) as body:
+    with read_record(path, _SWEEP_FORMAT, (1,)) as body:
         for _, line in body:
             level, seed, top = parse_fields(_SWEEP_KEYS, line.split())
             if (level, seed) in rows:

@@ -16,7 +16,6 @@ component starts with "b" are biases and are exempt from weight decay.
 
 from __future__ import annotations
 
-import base64
 import math
 
 import numpy as np
@@ -30,9 +29,9 @@ from .errors import (
     ParseError,
 )
 from .losses import _batches, _softmax_inplace
-from .records import read_record, value_parser, write_record
+from .records import float64_bytes, float64_text, read_record, value_parser, write_record
 
-_CKPT_MAGIC = "hierssl-checkpoint v1"
+_CKPT_FORMAT = "hierssl-checkpoint"
 # rows scored at once, so scoring never holds a whole probability matrix. A
 # row's softmax, marginals and argmax are its own, but BLAS may order the
 # sums of a product by its shape, so a row's probabilities can differ from
@@ -281,10 +280,6 @@ _HEADER = {"arch": str,
            **dict.fromkeys(("dim", "hidden", "classes", "seed", "step"), value_parser(int))}
 
 
-def _encode(arr: np.ndarray) -> str:
-    return base64.b64encode(np.ascontiguousarray(arr, dtype="<f8").tobytes()).decode()
-
-
 def save_checkpoint(model, path, seed: int, step: int,
                     meta: dict[str, str] | None = None) -> None:
     """Textual format, byte-identical across reruns: header fields, then
@@ -305,8 +300,8 @@ def save_checkpoint(model, path, seed: int, step: int,
     for name, arr in model.params.items():
         shape = " ".join(str(s) for s in arr.shape)
         lines.append(f"param {name} {shape}")
-        lines.append(_encode(arr))
-    write_record(path, _CKPT_MAGIC, lines)
+        lines.append(float64_text(arr))
+    write_record(path, f"{_CKPT_FORMAT} v1", lines)
 
 
 def load_checkpoint(path):
@@ -318,7 +313,7 @@ def load_checkpoint(path):
     at: dict[str, int] = {}
     meta: dict[str, str] = {}
     params: dict[str, np.ndarray] = {}
-    with read_record(path, _CKPT_MAGIC) as body:
+    with read_record(path, _CKPT_FORMAT, (1,)) as body:
         for ln, line in body:
             if line.startswith("param "):
                 break
@@ -362,9 +357,7 @@ def load_checkpoint(path):
             ln, line = next(body, (ln, None))
             if line is None:
                 raise ValueError(f"missing data for parameter {name}")
-            data = np.frombuffer(base64.b64decode(line), dtype="<f8")
-            if data.size != math.prod(shape):
-                raise ValueError(f"parameter {name}: {data.size} values for shape {shape}")
+            data = np.frombuffer(float64_bytes(line, math.prod(shape)), dtype="<f8")
             if not np.isfinite(data).all():
                 raise ValueError(f"parameter {name}: non-finite value")
             for size, key in zip(shape, fields[name]):

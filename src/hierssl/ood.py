@@ -20,7 +20,7 @@ from .model import _prob_blocks
 from .records import field_keys, field_texts, parse_fields, read_record, write_record
 from .taxonomy import Taxonomy
 
-_FILTER_MAGIC = "hierssl-filter v1"
+_FILTER_FORMAT = "hierssl-filter"
 
 
 @dataclass(frozen=True)
@@ -121,11 +121,12 @@ _STATS_KEYS = field_keys(FilterStats)
 
 def write_filter_report(stats: FilterStats, cfg: FilterConfig, path) -> None:
     texts = {**field_texts(_CONFIG_KEYS, cfg), **field_texts(_STATS_KEYS, stats)}
-    write_record(path, _FILTER_MAGIC, [f"{key} {text}" for key, text in texts.items()])
+    write_record(path, f"{_FILTER_FORMAT} v1",
+                 [f"{key} {text}" for key, text in texts.items()])
 
 
 def read_filter_report(path) -> tuple[FilterStats, FilterConfig]:
-    with read_record(path, _FILTER_MAGIC) as body:
+    with read_record(path, _FILTER_FORMAT, (1,)) as body:
         values = parse_fields({**_CONFIG_KEYS, **_STATS_KEYS},
                               (tok for _, line in body for tok in line.split()))
     n = len(_CONFIG_KEYS)

@@ -1,5 +1,5 @@
-"""The envelope shared by every ``hierssl-* v1`` text artifact, and the
-one spelling of a typed value inside it.
+"""The envelope shared by every ``hierssl-*`` text artifact, and the one
+spelling of a typed value inside it.
 
 An artifact is UTF-8 text: a magic line naming the format and its
 version, then one record per line, each line newline-terminated. This is
@@ -16,10 +16,16 @@ decimal form, and floats are finite, in shortest-exact form. A reader
 accepts only these spellings, except that a float may also take any
 other ASCII form without underscores that Python reads, such as "2" or
 "1e160". A writer refuses a non-finite float.
+
+Float64 arrays (a checkpoint's parameters, a dataset row's features) are
+one field each: the base64 of their little-endian float64 bytes, which
+round-trips every value bit for bit.
 """
 
 from __future__ import annotations
 
+import base64
+import binascii
 import math
 import os
 import types
@@ -27,6 +33,8 @@ import typing
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import fields
+
+import numpy as np
 
 from .errors import DataError, EmptyInput, ParseError
 
@@ -50,10 +58,11 @@ class _Body(Iterator):
     """The non-blank lines after the magic line as (line number, line), read
     once from the binary file ``fh``: each line is decoded as it is read and
     split as ``str.splitlines`` splits text. ``line`` is the number of the
-    line read last."""
+    line read last; ``version`` the format version the magic line names."""
 
     def __init__(self, fh):
         self.line = 0
+        self.version = None
         self.lines = self._decode(fh)  # every line, the magic line first
         self.texts = filter(str.strip, self.lines)
 
@@ -72,8 +81,10 @@ class _Body(Iterator):
 
 
 @contextmanager
-def read_record(path, magic: str):
-    """Yield the body of the artifact at ``path`` after checking its magic line.
+def read_record(path, name: str, versions: tuple[int, ...]):
+    """Yield the body of the artifact at ``path`` after checking that its
+    magic line is ``"{name} v{version}"`` for one of ``versions``; the
+    body's ``version`` is the one it names.
 
     A ValueError, IndexError or KeyError raised while the body is parsed
     becomes a ParseError at the line read last.
@@ -83,13 +94,40 @@ def read_record(path, magic: str):
         first = next(body.lines, None)
         if first is None:
             raise EmptyInput(f"{path} is empty")
-        if first.strip() != magic:
-            raise ParseError(f"expected header {magic!r}", line=1)
+        magics = {f"{name} v{version}": version for version in versions}
+        body.version = magics.get(first.strip())
+        if body.version is None:
+            raise ParseError(f"expected header {' or '.join(map(repr, magics))}",
+                             line=1)
         try:
             yield body
         except (ValueError, IndexError, KeyError) as exc:
             why = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
             raise ParseError(why, line=body.line) from None
+
+
+def float64_text(values) -> str:
+    """The base64 of ``values`` as little-endian float64 bytes: the one
+    spelling of a float64 array."""
+    return base64.b64encode(np.ascontiguousarray(values, dtype="<f8").tobytes()).decode()
+
+
+def float64_bytes(text: str, count: int) -> bytes:
+    """The little-endian bytes of the ``count`` float64 values that
+    ``float64_text`` spells as ``text``. Any other text is a ValueError:
+    a character outside the base64 alphabet, a wrong byte count, or an
+    encoding of the right bytes that the writer would not produce. The
+    caller checks that the values are finite, a whole array at once."""
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except binascii.Error as exc:
+        raise ValueError(f"not base64: {exc}") from None
+    if len(raw) != 8 * count:
+        raise ValueError(f"expected {count} float64 values ({8 * count} bytes), "
+                         f"got {len(raw)} bytes")
+    if base64.b64encode(raw).decode() != text:
+        raise ValueError("not the canonical base64 of its bytes")
+    return raw
 
 
 def _int(s: str) -> int:

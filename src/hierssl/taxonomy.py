@@ -39,7 +39,7 @@ DEFAULT_LEVEL_NAMES = (
     "Kingdom", "Phylum", "Class", "Order", "Family", "Genus", "Species",
 )
 
-_TAXONOMY_MAGIC = "hierssl-taxonomy v1"
+_TAXONOMY_FORMAT = "hierssl-taxonomy"
 
 
 def is_name(name: str) -> bool:
@@ -284,7 +284,7 @@ def default_level_names(depth: int) -> tuple[str, ...]:
 
 def save_taxonomy(taxonomy: Taxonomy, path) -> None:
     """Write one leaf path per line, names comma-joined, sorted; header names the levels."""
-    write_record(path, _TAXONOMY_MAGIC, [
+    write_record(path, f"{_TAXONOMY_FORMAT} v1", [
         ",".join(taxonomy.level_names),
         *(",".join(p) for p in sorted(taxonomy.leaf_paths())),
     ])
@@ -299,7 +299,7 @@ def _names(line: str) -> list[str]:
 
 
 def load_taxonomy(path) -> Taxonomy:
-    with read_record(path, _TAXONOMY_MAGIC) as body:
+    with read_record(path, _TAXONOMY_FORMAT, (1,)) as body:
         ln, line = next(body, (None, None))
         if line is None:
             raise EmptyInput(f"{path} has no level-name line")

@@ -92,7 +92,7 @@ METHODS = tuple(PLANS)
 
 _PHASES = {"main": 0, "pretrain": 1, "teacher": 2}
 
-_METRICS_MAGIC = "hierssl-metrics v1"
+_METRICS_FORMAT = "hierssl-metrics"
 
 
 @dataclass
@@ -221,7 +221,7 @@ _PRETRAIN_KEYS = field_keys(PretrainStats, step="pretrain", queue_len="queue")
 def write_metrics(trace: list[StepStats], path,
                   pretrain_trace: list[PretrainStats] | None = None) -> None:
     """One ``key value ...`` line per step, pretraining steps first."""
-    write_record(path, _METRICS_MAGIC, [
+    write_record(path, f"{_METRICS_FORMAT} v1", [
         " ".join(f"{key} {text}" for key, text in field_texts(keys, s).items())
         for keys, stats in ((_PRETRAIN_KEYS, pretrain_trace or ()), (_STEP_KEYS, trace))
         for s in stats
@@ -233,7 +233,7 @@ def read_metrics(path):
     trace, pretrain = [], []
     kinds = {"step": (StepStats, _STEP_KEYS, trace),
              "pretrain": (PretrainStats, _PRETRAIN_KEYS, pretrain)}
-    with read_record(path, _METRICS_MAGIC) as body:
+    with read_record(path, _METRICS_FORMAT, (1,)) as body:
         for _, line in body:
             tokens = line.split()
             if tokens[0] not in kinds:

@@ -1,9 +1,12 @@
 """Slow, literal reference implementations that the acceptance criteria
-and the loss tests check the fast paths against."""
+and the loss tests check the fast paths against, and the content digest
+that pins what a dataset file holds."""
+
+import hashlib
 
 import numpy as np
 
-from hierssl.data import labels_at_level
+from hierssl.data import SPLIT_TAGS, labels_at_level
 from hierssl.evaluate import EvalReport
 from hierssl.losses import cross_entropy, marginalized_cross_entropy, softmax
 from hierssl.taxonomy import MarginalizationMatrix, marginalize
@@ -56,3 +59,16 @@ def evaluate(model, samples, taxonomy) -> EvalReport:
         acc = float((pred == labels_at_level(samples, taxonomy, level)).mean())
         rows.append((level, taxonomy.level_names[level - 1], acc))
     return EvalReport(n_samples=len(samples), top1=rows[-1][2], levels=tuple(rows))
+
+
+def content_digest(split) -> str:
+    """sha256 over each split's ``X`` as ``<f8`` bytes, then its
+    ``label_level``, ``label`` and ``true_species`` as ``<i8`` bytes, in
+    ``SPLIT_TAGS`` order: what a dataset file holds, whatever its format."""
+    h = hashlib.sha256()
+    for tag in SPLIT_TAGS:
+        s = getattr(split, tag)
+        h.update(np.ascontiguousarray(s.X, "<f8").tobytes())
+        for col in (s.label_level, s.label, s.true_species):
+            h.update(np.ascontiguousarray(col, "<i8").tobytes())
+    return h.hexdigest()

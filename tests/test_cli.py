@@ -15,6 +15,8 @@ from hierssl.ood import FilterConfig, filter_split, read_filter_report
 from hierssl.taxonomy import load_taxonomy
 from hierssl.trainers import TrainConfig, default_train_config, read_metrics, train
 
+from _reference import content_digest
+
 GEN_ARGS = ["--set", "level_counts=1,2,8", "--set", "dim=8", "--set", "seed=0"]
 
 
@@ -873,7 +875,7 @@ GOLDEN_BLOCKED = {
     "filtered/filter_report.txt":
         "d3c9da4686e24407e5c522bf87fc06876b5973a55220fcff2c76c59be1cd2d53",
     "filtered/dataset.txt":
-        "853f485165b372e61cfd20307952a89dad4c8f0853ce37018f559bd383f17873",
+        "5c63da2dfae10e5d677f15b0b63dd8e6a3fc7f227a3b1dae8fbacb8960bc717d",
 }
 
 
@@ -895,3 +897,10 @@ def blocked_chain(tmp_path_factory) -> Path:
 @pytest.mark.parametrize("name", sorted(GOLDEN_BLOCKED))
 def test_many_block_chain_bytes_are_pinned(blocked_chain, name):
     assert _sha256(blocked_chain / name) == GOLDEN_BLOCKED[name]
+
+
+def test_many_block_filtered_content_is_pinned(blocked_chain):
+    taxonomy = load_taxonomy(blocked_chain / "data" / "taxonomy.txt")
+    split = load_dataset(blocked_chain / "filtered" / "dataset.txt", taxonomy)
+    assert content_digest(split) == (
+        "e2b53913ffa43443f35eac599ea28f573909e2b6282ebcee99e518813d51e39f")

@@ -1,8 +1,10 @@
 """Synthetic dataset generation: split shapes, determinism, label
 relabeling, augmentations, and the dataset text round trip."""
 
+import base64
 import hashlib
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +26,12 @@ from hierssl.data import (
 from hierssl.errors import ConfigError, OutOfRange, ParseError, UnknownClass
 from hierssl.trainers import TrainConfig
 
+from _reference import content_digest
+
 TOY = GenConfig(level_counts=(1, 2, 8), dim=8, seed=0)
+# save_dataset(generate(TOY)...) as written by the v1 writer, whose rows
+# spell each feature as a shortest round-trip float
+V1_TOY = Path(__file__).parent / "data" / "dataset_v1_toy.txt"
 
 
 @pytest.fixture(scope="module")
@@ -323,6 +330,28 @@ class TestAugment:
             TrainConfig(**bad).validate()
 
 
+def _noncanonical(field: str) -> str:
+    """``field`` with a padding bit of its last base64 digit set: the same
+    bytes, but not the writer's spelling of them."""
+    alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+    body = field.rstrip("=")
+    return body[:-1] + alphabet[alphabet.index(body[-1]) ^ 1] + field[len(body):]
+
+
+def _b64(values) -> str:
+    return base64.b64encode(np.array(values, "<f8").tobytes()).decode()
+
+
+# (line, new feature field given the old) of a v2 row the writer never writes;
+# an 8-wide row's 64 bytes leave four padding bits in its last digit
+V2_FEATURE_CASES = {
+    "not-base64": (4, lambda f: f[:5] + "*" + f[6:]),
+    "noncanonical": (30, _noncanonical),
+    "short": (300, lambda f: _b64([0.5] * 7)),
+    "nan": (700, lambda f: _b64([0.5] * 7 + [float("nan")])),
+}
+
+
 class TestPersistence:
     def test_round_trip_preserves_everything(self, default_gen, tmp_path):
         s = default_gen.split
@@ -392,8 +421,7 @@ class TestPersistence:
     def test_non_finite_feature_rejected(self, tmp_path):
         g = generate(TOY)
         p = tmp_path / "bad.txt"
-        save_dataset(g.split, g.in_taxonomy, p)
-        lines = p.read_text().splitlines()
+        lines = V1_TOY.read_text().splitlines()
         parts = lines[3].split()
         parts[4] = "nan"
         lines[3] = " ".join(parts)
@@ -404,11 +432,10 @@ class TestPersistence:
 
     @pytest.mark.parametrize("token", ["٣", "1_0", "１", "1_000.5"])
     def test_only_ascii_feature_spellings_load(self, tmp_path, token):
-        # float() reads each of these; save_dataset never writes them
+        # float() reads each of these; the v1 writer never wrote them
         g = generate(TOY)
         p = tmp_path / "bad.txt"
-        save_dataset(g.split, g.in_taxonomy, p)
-        lines = p.read_text().splitlines()
+        lines = V1_TOY.read_text().splitlines()
         parts = lines[3].split()
         parts[-1] = token
         lines[3] = " ".join(parts)
@@ -416,6 +443,27 @@ class TestPersistence:
         with pytest.raises(ParseError, match="ASCII") as e:
             load_dataset(p, g.in_taxonomy)
         assert e.value.line == 4
+
+    def test_v1_file_loads_bit_for_bit(self):
+        assert hashlib.sha256(V1_TOY.read_bytes()).hexdigest() == (
+            "27d5ec8cb1de2dc21746c889c8f9e2e6741ace54cbdf359521a1ac585d040bdd")
+        g = generate(TOY)
+        assert content_digest(load_dataset(V1_TOY, g.in_taxonomy)) == content_digest(g.split)
+
+    @pytest.mark.parametrize("case", sorted(V2_FEATURE_CASES))
+    def test_only_the_writers_feature_field_loads(self, tmp_path, case):
+        line, edit = V2_FEATURE_CASES[case]
+        g = generate(TOY)
+        p = tmp_path / "bad.txt"
+        save_dataset(g.split, g.in_taxonomy, p)
+        lines = p.read_text().splitlines()
+        parts = lines[line - 1].split()
+        parts[4] = edit(parts[4])
+        lines[line - 1] = " ".join(parts)
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as e:
+            load_dataset(p, g.in_taxonomy)
+        assert e.value.line == line
 
     def test_unknown_class_name_rejected(self, tmp_path):
         g = generate(TOY)
@@ -432,9 +480,10 @@ class TestPersistence:
 
     def test_negative_dimension_reports_line_2(self, tmp_path):
         tax = generate(TOY).in_taxonomy
-        levels = ",".join(tax.level_names)
         p = tmp_path / "bad.txt"
-        p.write_text(f"hierssl-dataset v1\nd -2\nlevels {levels}\ntest x\n")
+        lines = V1_TOY.read_text().splitlines()
+        lines[1] = "d -2"
+        p.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError) as e:
             load_dataset(p, tax)
         assert e.value.line == 2
@@ -502,21 +551,21 @@ def test_features_of_empty_is_empty_matrix():
 
 
 # sha256 of save_dataset(generate(config).split, ...), pinned so that any
-# change in the draw order of the generator or in the float formatting of
+# change in the draw order of the generator or in the feature encoding of
 # the writer shows
 GOLDEN = {
     "toy": (GenConfig(level_counts=(1, 2, 8), dim=8),
-            "27d5ec8cb1de2dc21746c889c8f9e2e6741ace54cbdf359521a1ac585d040bdd"),
+            "383529aebafed71f0cb388e60ad17716cc47f18f160dd55f85c196e8ddf22b10"),
     "long-tail": (
         GenConfig(level_counts=(1, 2, 8), dim=8, long_tail_exponent=1.0),
-        "34473e288482c621b13cb4ceec0be27f96160457a8099167a647d3f9035a7cf2"),
+        "058de0a7722321cdf1138a7b5a57fb3096c61ab44ae038f98ad637b65893c449"),
     "no-out": (
         GenConfig(level_counts=(1, 2, 8), dim=8, out_fraction=0.0),
-        "9cd3193c0e4933f929697fc4adc8beb1f943093fc65bc5f544a1d6466a64c929"),
+        "98f9e2a550e7a0960e1286ad62920312988d6d835332fa0d8474ad6e183c36de"),
     "attach-2": (
         GenConfig(level_counts=(2, 4, 8, 16), dim=8, out_attach_level=2,
                   out_offset_scale=1.5),
-        "e7fa9ffacfa15cce6f84a51bf34a156211b1f2a9a12f6466c1e3601f7596caad"),
+        "8c48d39233ae29aae95aef3e03e08794629f7baa0e0643b4a0144212d3002361"),
 }
 
 
@@ -527,3 +576,21 @@ def test_generated_dataset_bytes_are_pinned(name, tmp_path):
     p = tmp_path / "dataset.txt"
     save_dataset(g.split, g.in_taxonomy, p)
     assert hashlib.sha256(p.read_bytes()).hexdigest() == digest
+
+
+# content_digest of each GOLDEN dataset as load_dataset reads it back from
+# the file save_dataset writes: the arrays, whatever the file's format
+GOLDEN_CONTENT = {
+    "toy": "2c961004d7146c4f784d368a80ca92f2fd85dea88586f4f762e8f03730477d59",
+    "long-tail": "d505fde1abc2b549c70b582dcc0503974c8236ab76ec119383ca9c70a49be316",
+    "no-out": "02b4230294f6f669b3c56f80b3db0e7bd37623e1666c38fb42833f3b9a657cfa",
+    "attach-2": "b8a7c54ab84a67766c2265faf7b039cf13892def140c3ecf63320651f987aa8e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_generated_dataset_content_is_pinned(name, tmp_path):
+    g = generate(GOLDEN[name][0])
+    p = tmp_path / "dataset.txt"
+    save_dataset(g.split, g.in_taxonomy, p)
+    assert content_digest(load_dataset(p, g.in_taxonomy)) == GOLDEN_CONTENT[name]

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import hierssl
 from hierssl import records
@@ -180,6 +181,12 @@ def _strict_writers(tiny):
 
 # the W1 data line (hidden 2 x dim 3) of the strict writers' checkpoint, with a NaN
 NAN_W1 = base64.b64encode(np.array([np.nan] + [0.0] * 5, "<f8").tobytes()).decode()
+# the strict writers' W1 data line with "!!*" inserted: characters outside the
+# base64 alphabet, which a lax decoder skips to return the original values
+W1 = base64.b64encode(make_model("mlp1", TINY.dim, TINY.level_counts[-1],
+                                 np.random.default_rng(0), hidden=2).params["W1"]
+                      .astype("<f8").tobytes()).decode()
+SPLICED_W1 = W1[:8] + "!!*" + W1[8:]
 
 _READERS = {"metrics": read_metrics, "eval": read_report, "sweep": read_sweep,
             "filter": read_filter_report, "checkpoint": load_checkpoint}
@@ -215,6 +222,7 @@ STRICT_CASES = {
     "checkpoint-repeated": ("checkpoint", 7, "seed 7", True),
     "checkpoint-meta-repeated": ("checkpoint", 9, "meta method other", True),
     "checkpoint-param-nonfinite": ("checkpoint", 10, NAN_W1, False),
+    "checkpoint-param-not-base64": ("checkpoint", 10, SPLICED_W1, False),
 }
 
 
@@ -309,6 +317,17 @@ def test_writers_refuse_nonfinite_floats(tmp_path, fmt, value):
             model.params["W2"][1, 0] = value
             save_checkpoint(model, p, seed=0, step=0)
     assert list(tmp_path.iterdir()) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
+@example([-0.0, 5e-324, -1e-310, 1.7976931348623157e308, -1.7976931348623157e308])
+def test_float64_codec_round_trips_bit_for_bit(values):
+    x = np.array(values, dtype=np.float64)
+    text = records.float64_text(x)
+    raw = records.float64_bytes(text, len(x))
+    assert raw == x.astype("<f8").tobytes()
+    assert records.float64_text(np.frombuffer(raw, "<f8")) == text
 
 
 class TestAtomicWrite:
