@@ -8,8 +8,8 @@ the test split, and sweep reruns training across supervision levels.
 Every artifact is deterministic text: rerunning a command with the same
 inputs reproduces the output files byte for byte. Output paths resolve
 against the HIERSSL_OUT environment variable when given a relative
---out. Exit codes: 2 for config problems, 3 for data problems, 4 for
-training failures.
+--out. Exit codes: 2 for config problems, 3 for data problems and
+refused allocations, 4 for training failures.
 """
 
 from __future__ import annotations
@@ -258,6 +258,9 @@ def main(argv=None) -> int:
         return 3
     except HiersslError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 3
 
 

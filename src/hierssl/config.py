@@ -23,7 +23,6 @@ from .records import field_keys, field_texts, read_record, write_record
 from .trainers import TrainConfig, default_train_config
 
 _CONFIG_FORMAT = "hierssl-config"
-CONFIG_MAGIC = f"{_CONFIG_FORMAT} v1"
 
 # each section's keys
 _KEYS = {
@@ -67,7 +66,7 @@ def load_config(path) -> dict[str, str]:
 
 
 def write_config(values: dict[str, str], path) -> None:
-    write_record(path, CONFIG_MAGIC,
+    write_record(path, f"{_CONFIG_FORMAT} v1",
                  [f"{key}={values[key]}" for key in sorted(values)])
 
 

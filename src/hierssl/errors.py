@@ -71,10 +71,6 @@ class ArchitectureMismatch(HiersslError):
     """Two models that must share an architecture do not."""
 
 
-class EmptyQueue(HiersslError):
-    """A contrastive loss was requested with zero queue capacity."""
-
-
 # -- training errors ----------------------------------------------------
 
 

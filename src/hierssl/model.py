@@ -70,8 +70,6 @@ class _Classifier:
                  hidden: int = 64):
         if not _uses_hidden(type(self)):
             hidden = 0
-        elif hidden < 1:
-            raise ConfigError("hidden: must be >= 1")
         self.dim, self.n_classes, self.hidden = dim, n_classes, hidden
         sizes = {"dim": dim, "hidden": hidden, "classes": n_classes}
         self.params = {name: _init_weight(rng, *(sizes[k] for k in dims))
@@ -143,13 +141,6 @@ class Mlp1Model(_Classifier):
 
 
 ARCHS = {cls.arch: cls for cls in (LinearModel, Mlp1Model)}
-
-
-def make_model(arch: str, dim: int, n_classes: int,
-               rng: np.random.Generator, hidden: int = 64):
-    if arch not in ARCHS:
-        raise ConfigError(f"arch: unknown architecture {arch!r}")
-    return ARCHS[arch](dim, n_classes, rng, hidden=hidden)
 
 
 class ProjectionHead:

@@ -33,7 +33,7 @@ from .data import (
     features_of,
     labels_at_level,
 )
-from .errors import ConfigError, DataError, EmptyQueue, EmptySplit, NonFiniteGradient
+from .errors import ConfigError, DataError, EmptySplit, NonFiniteGradient
 from .losses import (
     cross_entropy,
     distill_loss,
@@ -48,7 +48,6 @@ from .model import (
     ProjectionHead,
     SgdMomentum,
     _uses_hidden,
-    make_model,
     momentum_update,
 )
 from .records import field_keys, field_texts, parse_fields, read_record, write_record
@@ -252,8 +251,6 @@ class NegativeQueue:
     """
 
     def __init__(self, capacity: int, emb_dim: int, lead: tuple[int, ...] = ()):
-        if capacity < 1:
-            raise EmptyQueue("queue_size must be >= 1 for contrastive training")
         self.capacity = capacity
         self._buf = np.zeros((*lead, 0, emb_dim))
 
@@ -381,8 +378,8 @@ def _train_classifier(packed, taxonomy: Taxonomy, cfg: TrainConfig, seeds: tuple
     Xl, yl, Xu, yu, w = packed
     rng_init, rng_batch, rng_aug = zip(*(_phase_rngs(seed, phase) for seed in seeds))
 
-    model = _stacked([make_model(cfg.arch, Xl.shape[1], taxonomy.num_leaves,
-                                 rng, hidden=cfg.hidden) for rng in rng_init])
+    model = _stacked([ARCHS[cfg.arch](Xl.shape[1], taxonomy.num_leaves, rng,
+                                      hidden=cfg.hidden) for rng in rng_init])
     if pretrained is not None:
         for name in pretrained.rep_param_names:
             model.params[name] = pretrained.params[name].copy()
@@ -451,8 +448,8 @@ def _pretrain_contrastive(packed, taxonomy: Taxonomy, cfg: TrainConfig,
     rng_init, rng_batch, rng_aug = zip(*(_phase_rngs(seed, "pretrain") for seed in seeds))
 
     # each seed's rng_init draws its encoder, then its head
-    encoders = [make_model(cfg.arch, X.shape[1], taxonomy.num_leaves, rng,
-                           hidden=cfg.hidden) for rng in rng_init]
+    encoders = [ARCHS[cfg.arch](X.shape[1], taxonomy.num_leaves, rng, hidden=cfg.hidden)
+                for rng in rng_init]
     heads = [ProjectionHead(e.rep_dim, cfg.emb_dim, r) for e, r in zip(encoders, rng_init)]
     encoder = _stacked(encoders)
     query = ContrastiveModel(encoder, _stacked(heads))

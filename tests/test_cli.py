@@ -385,6 +385,17 @@ class TestExitCodes:
             capsys.readouterr().err
         assert not (tmp_path / "mlp1").exists()
 
+    def test_refused_allocation_is_3(self, data_dir, tmp_path, capsys):
+        # a 10**16 x 8 float64 weight is 568 PiB, more than any 64-bit
+        # user address space (64 PiB with 5-level paging), so the
+        # allocation fails at once and nothing is touched
+        out = tmp_path / "x"
+        assert main(["train", "--data", str(data_dir), "--set", "steps=1",
+                     "--set", "arch=mlp1", "--set", f"hidden={10**16}",
+                     "--out", str(out)]) == 3
+        assert "error: out of memory: Unable to allocate" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["eval", "filter"])
     def test_bad_filter_tau_names_its_key(self, data_dir, trained, tmp_path,
                                           capsys, command):

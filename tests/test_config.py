@@ -7,7 +7,6 @@ import pytest
 
 from hierssl.config import (
     _KEYS,
-    CONFIG_MAGIC,
     KNOWN_KEYS,
     _parse_overrides,
     config_values,
@@ -42,7 +41,7 @@ class TestFileFormat:
 
     def test_comments_and_blank_lines_skipped(self, tmp_path):
         p = tmp_path / "cfg.txt"
-        p.write_text(f"{CONFIG_MAGIC}\n\n# a comment\nsteps=5\n")
+        p.write_text("hierssl-config v1\n\n# a comment\nsteps=5\n")
         assert load_config(p) == {"steps": "5"}
 
     def test_missing_header(self, tmp_path):
@@ -54,14 +53,14 @@ class TestFileFormat:
 
     def test_duplicate_key_reports_line(self, tmp_path):
         p = tmp_path / "cfg.txt"
-        p.write_text(f"{CONFIG_MAGIC}\nsteps=5\nsteps=6\n")
+        p.write_text("hierssl-config v1\nsteps=5\nsteps=6\n")
         with pytest.raises(ParseError) as e:
             load_config(p)
         assert e.value.line == 3
 
     def test_line_without_equals(self, tmp_path):
         p = tmp_path / "cfg.txt"
-        p.write_text(f"{CONFIG_MAGIC}\nsteps\n")
+        p.write_text("hierssl-config v1\nsteps\n")
         with pytest.raises(ParseError) as e:
             load_config(p)
         assert e.value.line == 2
@@ -69,14 +68,14 @@ class TestFileFormat:
     @pytest.mark.parametrize("line", ["seed = 7", "seed=7 ", " seed=7", "seed= 7"])
     def test_spaces_around_key_or_value_fail_at_their_line(self, tmp_path, line):
         p = tmp_path / "cfg.txt"
-        p.write_text(f"{CONFIG_MAGIC}\nsteps=5\n{line}\n")
+        p.write_text(f"hierssl-config v1\nsteps=5\n{line}\n")
         with pytest.raises(ParseError) as e:
             load_config(p)
         assert e.value.line == 3
 
     def test_values_may_contain_equals(self, tmp_path):
         p = tmp_path / "cfg.txt"
-        p.write_text(f"{CONFIG_MAGIC}\nmethod=base=line\n")
+        p.write_text("hierssl-config v1\nmethod=base=line\n")
         assert load_config(p) == {"method": "base=line"}
 
 

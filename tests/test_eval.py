@@ -18,7 +18,7 @@ from hierssl.evaluate import (
     write_report,
     write_sweep,
 )
-from hierssl.model import _BLOCK_ROWS, make_model, predict_probs
+from hierssl.model import _BLOCK_ROWS, ARCHS, predict_probs
 from hierssl.taxonomy import build_taxonomy, semi_inat_taxonomy
 from hierssl.trainers import default_train_config, train
 
@@ -122,7 +122,7 @@ class TestAccuracy:
         n = 2 * _BLOCK_ROWS + 5
         samples = replace(leaf_samples(rng.integers(0, tax.num_leaves, n)),
                           X=rng.standard_normal((n, 3)))
-        model = make_model("linear", 3, tax.num_leaves, rng)
+        model = ARCHS["linear"](3, tax.num_leaves, rng)
         rows = []
         real = mod.predict_probs
 
@@ -146,7 +146,7 @@ class TestAccuracy:
         rng = np.random.default_rng(5)
         n = 2500
         assert n > _BLOCK_ROWS and n % _BLOCK_ROWS
-        model = make_model("linear", 8, tax.num_leaves, rng)
+        model = ARCHS["linear"](8, tax.num_leaves, rng)
         X = rng.standard_normal((n, 8))
         # label each row with its own leaf argmax, so any row out of place
         # in the concatenated blocks lowers top1 below 1

@@ -17,7 +17,7 @@ import pytest
 
 from hierssl.data import SPLIT_TAGS, DataSplit, Samples, load_dataset, save_dataset
 from hierssl.evaluate import evaluate
-from hierssl.model import _BLOCK_ROWS, make_model
+from hierssl.model import _BLOCK_ROWS, ARCHS
 from hierssl.ood import FilterConfig, keep_mask
 from hierssl.records import read_record, write_record
 from hierssl.taxonomy import semi_inat_taxonomy
@@ -39,7 +39,7 @@ def inat():
     tax = semi_inat_taxonomy()
     rng = np.random.default_rng(0)
     samples = leaf_rows(tax, N_TEST, rng)
-    return tax, samples, make_model("linear", DIM, tax.num_leaves, rng)
+    return tax, samples, ARCHS["linear"](DIM, tax.num_leaves, rng)
 
 
 def peak_bytes(fn, *args) -> int:

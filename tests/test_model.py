@@ -18,7 +18,6 @@ from hierssl.model import (
     ProjectionHead,
     SgdMomentum,
     load_checkpoint,
-    make_model,
     momentum_update,
     predict_probs,
     save_checkpoint,
@@ -29,7 +28,7 @@ from _gradcheck import grad_check
 
 
 def fresh(arch: str, seed: int = 0, dim: int = 6, classes: int = 4):
-    return make_model(arch, dim, classes, np.random.default_rng(seed), hidden=8)
+    return ARCHS[arch](dim, classes, np.random.default_rng(seed), hidden=8)
 
 
 class TestBackward:
@@ -170,14 +169,6 @@ class TestMomentumEncoder:
         assert_allclose(ref, [0.5, 0.5])
 
 
-class TestCloneAndReset:
-    def test_unknown_arch_rejected(self):
-        with pytest.raises(ConfigError):
-            make_model("transformer", 4, 3, np.random.default_rng(0))
-        with pytest.raises(ConfigError):
-            make_model("mlp1", 4, 3, np.random.default_rng(0), hidden=0)
-
-
 class TestCompatibility:
     def test_class_count_must_match_taxonomy(self):
         tax = shaped_taxonomy([2, 5])
@@ -308,11 +299,11 @@ class TestCheckpoint:
 def test_stacked_passes_give_each_model_bitwise(arch):
     # the shape of a lockstep step: three seeds, 30 rows of width 32, 60 classes
     rng = np.random.default_rng(5)
-    lone = [make_model(arch, 32, 60, np.random.default_rng(s), hidden=64)
+    lone = [ARCHS[arch](32, 60, np.random.default_rng(s), hidden=64)
             for s in range(3)]
     heads = [ProjectionHead(m.rep_dim, 16, np.random.default_rng(10 + s))
              for s, m in enumerate(lone)]
-    stacked = make_model(arch, 32, 60, np.random.default_rng(0), hidden=64)
+    stacked = ARCHS[arch](32, 60, np.random.default_rng(0), hidden=64)
     stacked.params = {k: np.stack([m.params[k] for m in lone]) for k in stacked.params}
     head = ProjectionHead(stacked.rep_dim, 16, np.random.default_rng(0))
     head.params = {k: np.stack([h.params[k] for h in heads]) for k in head.params}

@@ -26,7 +26,7 @@ from hierssl.evaluate import (
     write_report,
     write_sweep,
 )
-from hierssl.model import load_checkpoint, make_model, save_checkpoint
+from hierssl.model import ARCHS, load_checkpoint, save_checkpoint
 from hierssl.ood import (
     FilterConfig,
     FilterStats,
@@ -51,8 +51,8 @@ def tiny():
 
 
 def _model(tiny):
-    return make_model("mlp1", TINY.dim, tiny.in_taxonomy.num_leaves,
-                      np.random.default_rng(0), hidden=2)
+    return ARCHS["mlp1"](TINY.dim, tiny.in_taxonomy.num_leaves,
+                         np.random.default_rng(0), hidden=2)
 
 
 def _formats(tiny):
@@ -183,8 +183,8 @@ def _strict_writers(tiny):
 NAN_W1 = base64.b64encode(np.array([np.nan] + [0.0] * 5, "<f8").tobytes()).decode()
 # the strict writers' W1 data line with "!!*" inserted: characters outside the
 # base64 alphabet, which a lax decoder skips to return the original values
-W1 = base64.b64encode(make_model("mlp1", TINY.dim, TINY.level_counts[-1],
-                                 np.random.default_rng(0), hidden=2).params["W1"]
+W1 = base64.b64encode(ARCHS["mlp1"](TINY.dim, TINY.level_counts[-1],
+                                    np.random.default_rng(0), hidden=2).params["W1"]
                       .astype("<f8").tobytes()).decode()
 SPLICED_W1 = W1[:8] + "!!*" + W1[8:]
 
@@ -313,7 +313,7 @@ def test_writers_refuse_nonfinite_floats(tmp_path, fmt, value):
         elif fmt == "sweep":
             write_sweep([(None, 0, value)], p)
         else:
-            model = make_model("mlp1", 3, 2, np.random.default_rng(0), hidden=2)
+            model = ARCHS["mlp1"](3, 2, np.random.default_rng(0), hidden=2)
             model.params["W2"][1, 0] = value
             save_checkpoint(model, p, seed=0, step=0)
     assert list(tmp_path.iterdir()) == []

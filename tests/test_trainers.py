@@ -12,7 +12,6 @@ from hierssl.data import GenConfig, generate, labels_at_level
 from hierssl.errors import (
     ConfigError,
     DataError,
-    EmptyQueue,
     EmptySplit,
     NonFiniteGradient,
     ParseError,
@@ -212,7 +211,7 @@ class TestStages:
         assert not params_equal(r.teacher, r.model)
 
     def test_moco_keeps_pretrained_representation_and_fresh_classifier(self, toy_gen):
-        from hierssl.model import make_model
+        from hierssl.model import ARCHS
 
         split, tax = toy_gen.split, toy_gen.in_taxonomy
         cfg = quick("moco", steps=1, lr=1e-12)
@@ -222,17 +221,17 @@ class TestStages:
         assert_allclose(r.model.params["W1"], encoder.params["W1"],
                         rtol=0, atol=1e-9)
         assert not np.allclose(r.model.params["W1"],
-                               make_model("mlp1", 8, 8, _phase_rngs(0, "main")[0],
-                                          hidden=cfg.hidden).params["W1"])
+                               ARCHS["mlp1"](8, 8, _phase_rngs(0, "main")[0],
+                                             hidden=cfg.hidden).params["W1"])
         # classifier does not: it restarts from the main-phase init
-        fresh = make_model("mlp1", 8, 8, _phase_rngs(0, "main")[0],
-                           hidden=cfg.hidden)
+        fresh = ARCHS["mlp1"](8, 8, _phase_rngs(0, "main")[0],
+                              hidden=cfg.hidden)
         assert_allclose(r.model.params["W2"], fresh.params["W2"],
                         rtol=0, atol=1e-9)
 
     def test_key_network_starts_as_an_independent_copy(self, toy_gen, monkeypatch):
         import hierssl.trainers as trainers
-        from hierssl.model import ContrastiveModel, ProjectionHead, make_model
+        from hierssl.model import ARCHS, ContrastiveModel, ProjectionHead
 
         seen, real = [], trainers.momentum_update
 
@@ -247,7 +246,7 @@ class TestStages:
         cfg = quick("moco", pretrain_steps=1)
         pretrain_alone(toy_gen.split, toy_gen.in_taxonomy, cfg)
         rng_init = _phase_rngs(0, "pretrain")[0]
-        encoder = make_model("mlp1", 8, 8, rng_init, hidden=cfg.hidden)
+        encoder = ARCHS["mlp1"](8, 8, rng_init, hidden=cfg.hidden)
         query = ContrastiveModel(
             encoder, ProjectionHead(encoder.rep_dim, cfg.emb_dim, rng_init))
         assert seen[0].keys() == query.params.keys()
@@ -296,10 +295,6 @@ class TestNegativeQueue:
         q.push(np.array([[4.0, 4], [5, 5]]))
         assert np.array_equal(q.array[:, 0], [3, 4, 5])
         assert len(q) == 3
-
-    def test_zero_capacity_rejected(self):
-        with pytest.raises(EmptyQueue):
-            NegativeQueue(0, 4)
 
     def test_leading_axis_holds_one_fifo_per_seed(self):
         q = NegativeQueue(3, 2, (2,))
