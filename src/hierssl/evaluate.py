@@ -53,6 +53,7 @@ def evaluate(model, samples: Samples, taxonomy: Taxonomy) -> EvalReport:
         for w, level_pred in zip(maps, pred):
             level_pred[block] = marginalize(probs, w).argmax(axis=-1)
         pred[-1, block] = probs.argmax(axis=-1)
+        del probs  # or it lives on while the next block is scored
     rows = []
     for level in range(1, taxonomy.num_levels + 1):
         acc = float((pred[level - 1] == labels_at_level(samples, taxonomy, level)).mean())

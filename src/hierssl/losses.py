@@ -107,11 +107,7 @@ def marginalized_cross_entropy(
     the gradient at leaf j is p_j - p_j * [j in class] / M.
     """
     logits = _batches("logits", logits)
-    n, c = logits.shape[-2:]
-    if c != len(w.ancestor_map):
-        raise DimensionMismatch(
-            f"{c} logits columns but marginalization maps {len(w.ancestor_map)} leaves"
-        )
+    n = logits.shape[-2]
     coarse_labels = _check_labels(coarse_labels, logits, w.n_coarse)
     grad = softmax(logits)
     mass = marginalize(grad, w)[_at(coarse_labels)]

@@ -40,6 +40,8 @@ _BLOCK_ROWS = 1024
 
 
 def _init_weight(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    if rows * cols * 8 > np.iinfo(np.intp).max:  # numpy raises ValueError here
+        raise MemoryError(f"Unable to allocate a {rows} x {cols} float64 array")
     return rng.standard_normal((rows, cols)) / np.sqrt(cols)
 
 

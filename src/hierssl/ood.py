@@ -86,6 +86,7 @@ def keep_mask(model, taxonomy: Taxonomy, samples: Samples,
     for block, probs in _prob_blocks(model, features_of(samples), taxonomy):
         conf[block] = probs.max(axis=-1)
         pred_leaf[block] = probs.argmax(axis=-1)
+        del probs  # or it lives on while the next block is scored
     pred_match = taxonomy.ancestor_map(taxonomy.leaf_level, cfg.match_level)[pred_leaf]
     return (conf >= cfg.tau) & (pred_match == provided)
 

@@ -115,11 +115,11 @@ def float64_text(values) -> str:
 def float64_bytes(text: str, count: int) -> bytes:
     """The little-endian bytes of the ``count`` float64 values that
     ``float64_text`` spells as ``text``. Any other text is a ValueError:
-    a character outside the base64 alphabet, a wrong byte count, or an
-    encoding of the right bytes that the writer would not produce. The
-    caller checks that the values are finite, a whole array at once."""
+    bad padding, a wrong byte count, or an encoding of the bytes that the
+    writer would not produce, a stray character included. The caller
+    checks that the values are finite, a whole array at once."""
     try:
-        raw = base64.b64decode(text, validate=True)
+        raw = base64.b64decode(text)
     except binascii.Error as exc:
         raise ValueError(f"not base64: {exc}") from None
     if len(raw) != 8 * count:

@@ -149,11 +149,13 @@ class Taxonomy:
             if not is_name(name):
                 raise DataError(f"name {name!r} is empty or holds a comma or whitespace")
         counts = self.class_counts
+        if 0 in counts:
+            raise DataError(f"level {counts.index(0) + 1} has no class")
         for l in range(2, self.num_levels + 1):
             p = self._parents[l - 1]
             if len(p) != counts[l - 1]:
                 raise DimensionMismatch(f"parent map at level {l} has wrong length")
-            if counts[l - 1] and (p.min() < 0 or p.max() >= counts[l - 2]):
+            if p.min() < 0 or p.max() >= counts[l - 2]:
                 raise OutOfRange(f"parent index out of range at level {l}")
             if len(np.unique(p)) != counts[l - 2]:
                 raise DataError(
@@ -242,8 +244,6 @@ def build_taxonomy(
     if not paths:
         raise EmptyInput("no leaf paths given")
     depth = len(paths[0])
-    if depth < 2:
-        raise DataError("leaf paths must cover at least 2 levels")
     for p in paths:
         if len(p) != depth:
             raise InconsistentPath(
@@ -329,16 +329,10 @@ def shaped_taxonomy(
 
     Children are spread proportionally: class ``i`` at level ``l+1`` hangs
     under class ``floor(i * n_l / n_{l+1})`` at level ``l``. Counts must be
-    nondecreasing so every class keeps at least one child.
+    positive and nondecreasing so every class keeps at least one child;
+    ``Taxonomy`` refuses any other counts with a ``DataError``.
     """
     counts = [int(c) for c in level_counts]
-    if len(counts) < 2:
-        raise DataError("need at least 2 levels")
-    if counts[0] < 1:
-        raise DataError("level 1 needs at least one class")
-    for a, b in zip(counts, counts[1:]):
-        if b < a:
-            raise DataError(f"class counts must be nondecreasing, got {a} then {b}")
     depth = len(counts)
     if name_prefixes is None:
         name_prefixes = [f"L{l}" for l in range(1, depth + 1)]

@@ -388,13 +388,18 @@ class TestExitCodes:
     def test_refused_allocation_is_3(self, data_dir, tmp_path, capsys):
         # a 10**16 x 8 float64 weight is 568 PiB, more than any 64-bit
         # user address space (64 PiB with 5-level paging), so the
-        # allocation fails at once and nothing is touched
-        out = tmp_path / "x"
-        assert main(["train", "--data", str(data_dir), "--set", "steps=1",
-                     "--set", "arch=mlp1", "--set", f"hidden={10**16}",
-                     "--out", str(out)]) == 3
-        assert "error: out of memory: Unable to allocate" in capsys.readouterr().err
-        assert not out.exists()
+        # allocation fails at once and nothing is touched; past 2**63
+        # bytes numpy refuses the size itself, and that is out of memory too
+        for i, sizes in enumerate([["arch=mlp1", f"hidden={10**16}"],
+                                   ["arch=mlp1", f"hidden={10**18}"],
+                                   ["method=moco", f"emb_dim={10**17}"]]):
+            out = tmp_path / f"x{i}"
+            assert main(["train", "--data", str(data_dir), "--set", "steps=1",
+                         *(arg for size in sizes for arg in ("--set", size)),
+                         "--out", str(out)]) == 3, sizes
+            assert "error: out of memory: Unable to allocate" in \
+                capsys.readouterr().err, sizes
+            assert not out.exists(), sizes
 
     @pytest.mark.parametrize("command", ["eval", "filter"])
     def test_bad_filter_tau_names_its_key(self, data_dir, trained, tmp_path,

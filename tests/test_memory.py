@@ -73,6 +73,15 @@ def test_keep_mask_holds_a_few_probability_blocks(inat, n):
     assert peak_bytes(keep_mask, model, tax, samples, cfg) <= 3 * block_bytes(tax)
 
 
+@pytest.mark.parametrize("n", [N_TEST, 4 * N_TEST])
+def test_keep_mask_holds_one_probability_block_at_a_time(inat, n):
+    # a block's probabilities are released before the next block is scored
+    tax, _, model = inat
+    samples = leaf_rows(tax, n, np.random.default_rng(n))
+    cfg = FilterConfig(tau=0.5, match_level=2)
+    assert peak_bytes(keep_mask, model, tax, samples, cfg) <= 1.5 * block_bytes(tax)
+
+
 def labeled_split(samples) -> DataSplit:
     empty = samples.take([])
     return DataSplit(labeled=samples.take(slice(N_LABELED)), coarse_in=empty,

@@ -7,6 +7,7 @@ import base64
 import os
 import random
 import re
+import string
 from pathlib import Path
 
 import numpy as np
@@ -328,6 +329,38 @@ def test_float64_codec_round_trips_bit_for_bit(values):
     raw = records.float64_bytes(text, len(x))
     assert raw == x.astype("<f8").tobytes()
     assert records.float64_text(np.frombuffer(raw, "<f8")) == text
+
+
+BASE64 = string.ascii_uppercase + string.ascii_lowercase + string.digits + "+/"
+NOT_BASE64 = [c for c in map(chr, range(128)) if c not in BASE64 + "="]
+
+
+@st.composite
+def corrupted_float64_fields(draw):
+    """The ``float64_text`` of a random row with one corruption: a character
+    replaced by, or one inserted that is, an ASCII character outside the
+    base64 alphabet, or a padding bit set. Returns it with the row length."""
+    count = draw(st.integers(1, 40))
+    values = draw(st.lists(st.floats(), min_size=count, max_size=count))
+    text = records.float64_text(values)
+    pad = text.count("=")  # 2 padding bits per "="
+    how = draw(st.sampled_from(["replace", "insert", "padding"][:3 if pad else 2]))
+    if how == "padding":
+        at = len(text) - pad - 1
+        bit = 1 << draw(st.integers(0, 2 * pad - 1))
+        char = BASE64[BASE64.index(text[at]) | bit]
+        return text[:at] + char + text[at + 1:], count
+    at = draw(st.integers(0, len(text) - (how == "replace")))
+    char = draw(st.sampled_from(NOT_BASE64))
+    return text[:at] + char + text[at + (how == "replace"):], count
+
+
+@settings(max_examples=300, deadline=None)
+@given(corrupted_float64_fields())
+def test_float64_codec_refuses_a_corrupted_field(case):
+    text, count = case
+    with pytest.raises(ValueError):
+        records.float64_bytes(text, count)
 
 
 class TestAtomicWrite:

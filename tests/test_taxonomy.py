@@ -313,6 +313,10 @@ class TestShapedTaxonomy:
             shaped_taxonomy([4])
         with pytest.raises(DataError):
             shaped_taxonomy([0, 2])
+        with pytest.raises(DataError):
+            shaped_taxonomy([0, 0])
+        with pytest.raises(DataError):
+            shaped_taxonomy([2, 0, 3])
 
     def test_deterministic(self):
         assert shaped_taxonomy([2, 5, 9]) == shaped_taxonomy([2, 5, 9])
