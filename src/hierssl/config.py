@@ -106,8 +106,6 @@ def read_config(path=None, overrides=()) -> PipelineConfig:
     if unknown := sorted(set(values) - KNOWN_KEYS):
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     typed = {cls: _parse(keys, values) for cls, keys in _KEYS.items()}
-    if None not in (typed[GenConfig].get("level_counts"), typed[GenConfig].get("branching")):
-        raise ConfigError("branching: level_counts is set too; set one of them")
     cfg = PipelineConfig(
         gen=GenConfig(**typed[GenConfig]),
         train=default_train_config(**typed[TrainConfig]),

@@ -118,21 +118,18 @@ def labels_at_level(samples: Samples, taxonomy: Taxonomy, level: int) -> np.ndar
 # -- generator config --------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class GenConfig:
     """Shape and noise parameters for the synthetic generator.
 
-    ``level_counts`` gives explicit per-level class counts for the
-    in-class tree; ``branching`` (children per node per level, coarsest
-    first) is the multiplicative alternative and, when set, clears
-    ``level_counts``. ``out_fraction`` is the fraction of all species held
+    ``level_counts`` gives the in-class tree's class count at each level,
+    coarsest first. ``out_fraction`` is the fraction of all species held
     out as novel classes; they attach under existing ``out_attach_level``
     nodes, with center offsets scaled by ``out_offset_scale`` to control
     the severity of the domain shift.
     """
 
-    level_counts: tuple[int, ...] | None = (3, 8, 12, 18, 27, 40, 60)
-    branching: tuple[int, ...] | None = None
+    level_counts: tuple[int, ...] = (3, 8, 12, 18, 27, 40, 60)
     dim: int = 32
     sigma_levels: tuple[float, ...] = (2.0, 1.4, 1.0, 0.8, 0.65, 0.5, 0.4)
     sigma_x: float = 2.4
@@ -148,22 +145,8 @@ class GenConfig:
     level_names: tuple[str, ...] | None = None
     seed: int = 0
 
-    def __post_init__(self) -> None:
-        if self.branching is not None:
-            self.level_counts = None
-
-    def resolved_counts(self) -> tuple[int, ...]:
-        if self.branching is not None:
-            counts = [int(self.branching[0])]
-            for b in self.branching[1:]:
-                counts.append(counts[-1] * int(b))
-            return tuple(counts)
-        if self.level_counts is None:
-            raise ConfigError("one of level_counts or branching must be set")
-        return tuple(int(c) for c in self.level_counts)
-
     def validate(self) -> None:
-        counts = self.resolved_counts()
+        counts = self.level_counts
         depth = len(counts)
         if depth < 2:
             raise ConfigError("level_counts: need at least 2 levels")
@@ -198,7 +181,7 @@ class GenConfig:
                 raise ConfigError(f"{name}: must be >= 0")
         if not 0 <= self.out_fraction < 1:
             raise ConfigError("out_fraction: must be in [0, 1)")
-        attach = self.attach_level(depth)
+        attach = self.attach_level()
         if not 1 <= attach <= depth - 1:
             raise ConfigError("out_attach_level: must be between 1 and the leaf level - 1")
         if self.out_offset_scale <= 0:
@@ -213,8 +196,10 @@ class GenConfig:
                 "otherwise out-of-class samples have no shared coarse label"
             )
 
-    def attach_level(self, depth: int) -> int:
-        return depth - 1 if self.out_attach_level is None else self.out_attach_level
+    def attach_level(self) -> int:
+        if self.out_attach_level is None:
+            return len(self.level_counts) - 1
+        return self.out_attach_level
 
 
 @dataclass
@@ -241,7 +226,7 @@ def generate(config: GenConfig) -> GenResult:
     """Build the taxonomy, class centers, and all four splits; a feature
     that overflows (a huge ``sigma_x``) is a DataError."""
     config.validate()
-    counts = config.resolved_counts()
+    counts = config.level_counts
     depth = len(counts)
     level_names = tuple(config.level_names or default_level_names(depth))
     prefixes = _level_prefixes(level_names)
@@ -249,7 +234,7 @@ def generate(config: GenConfig) -> GenResult:
     in_tax = shaped_taxonomy(counts, level_names, name_prefixes=prefixes)
 
     # graft novel species (plus singleton chains below the attach level)
-    attach = config.attach_level(depth)
+    attach = config.attach_level()
     n_in = counts[-1]
     n_out = int(round(n_in * config.out_fraction / (1.0 - config.out_fraction)))
     paths = in_tax.leaf_paths()
@@ -476,13 +461,22 @@ def load_dataset(path, taxonomy: Taxonomy) -> DataSplit:
             X, labels = rows[tag]
             X += features(parts[4] if len(parts) == 5 else "", dim)
             labels.extend((level, label, species, ln))
-    split, bad_lines = {}, []
+    split, bad_lines, off_tree = {}, [], []
     for tag, (X, labels) in rows.items():
         level, label, species, lines = np.frombuffer(labels, np.int64).reshape(-1, 4).T.copy()
         X = np.frombuffer(X, "<f8").reshape(len(level), dim)
         if not (finite := np.isfinite(X).all(axis=1)).all():
             bad_lines.append(lines[finite.argmin()])
+        # a row's species must sit under its class
+        for lvl in np.unique(level):
+            rows_here = (level == lvl) & (species >= 0)
+            wrong = (taxonomy.ancestor_map(taxonomy.leaf_level, int(lvl))[species[rows_here]]
+                     != label[rows_here])
+            if wrong.any():
+                off_tree.append(lines[rows_here][wrong.argmax()])
         split[tag] = Samples(X=X, label_level=level, label=label, true_species=species)
     if bad_lines:
         raise ParseError("non-finite feature value", line=int(min(bad_lines)))
+    if off_tree:
+        raise ParseError("the row's species is not under its class", line=int(min(off_tree)))
     return DataSplit(**split)

@@ -230,15 +230,23 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("sets, message", [
         (["long_tail_exponent=-1000"], "long_tail_exponent: must be >= 0"),
-        (["level_counts=3,9,27", "branching=2,3,3", "coarse_level=1"],
-         "branching: level_counts is set too"),
+        (["branching=2,3,3"], "unknown config keys: branching"),
         (["seed=1", "seed=2"], "override: duplicate key 'seed'"),
-    ], ids=["negative-long-tail", "counts-and-branching", "repeated-set"])
+    ], ids=["negative-long-tail", "branching", "repeated-set"])
     def test_gen_data_bad_input_is_2(self, tmp_path, capsys, sets, message):
         out = tmp_path / "x"
         argv = [arg for pair in sets for arg in ("--set", pair)]
         assert main(["gen-data", *argv, "--out", str(out)]) == 2
         assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_file_with_branching_is_2(self, tmp_path, capsys):
+        # a gen-data config.txt written while `branching` was a key
+        config = tmp_path / "config.txt"
+        write_config({**config_values(GenConfig()), "branching": "none"}, config)
+        out = tmp_path / "x"
+        assert main(["gen-data", "--config", str(config), "--out", str(out)]) == 2
+        assert "config error: unknown config keys: branching" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -808,13 +816,14 @@ def test_out_of_class_recipe_matches_the_library(tmp_path):
 
 # sha256 of the config.txt each command writes; computed before the config
 # keys were derived from the dataclass fields, so they pin that every key and
-# every written value survived the derivation
+# every written value survived the derivation (the gen-data ones re-pinned
+# when the `branching` key, an alternative to `level_counts`, was deleted)
 CONFIG_CASES = {
     "gen-default": ["gen-data"],
-    "gen-branching": ["gen-data", "--set", "branching=2,2,3", "--set",
-                      "level_names=kingdom,genus,species", "--set",
-                      "out_attach_level=1", "--set", "coarse_level=1",
-                      "--set", "dim=8"],
+    "gen-counts": ["gen-data", "--set", "level_counts=2,4,12", "--set",
+                   "level_names=kingdom,genus,species", "--set",
+                   "out_attach_level=1", "--set", "coarse_level=1",
+                   "--set", "dim=8"],
     "train-fixmatch": ["train", "--set", "method=fixmatch", "--set",
                        "supervision_level=none", "--set", "jitter=0.8,1.25",
                        "--set", "sigma_weak=0.2", "--set", "steps=3"],
@@ -823,9 +832,9 @@ CONFIG_CASES = {
 
 GOLDEN_CONFIGS = {
     "gen-default":
-        "3f34b8c91cbbe1423e87429f94836f8c5dc6277a720a6ea4786d8d95f6ad99c2",
-    "gen-branching":
-        "4a6b494654fe62968767097dd8caf00cb3b6c9f7e80a298ffce2d8d788ffc780",
+        "c02af45f5288e12581caf34ba11cbfa96548417ef7e29c1fcc1b501e41b83793",
+    "gen-counts":
+        "792243efe4d9cee31b2f23054daf6387d6c797cc6c8435747e44999486f252bf",
     "train-fixmatch":
         "1815faca0e4323d2b92b2757ee5872a92bc73d809fbc77634e085cfef0767968",
     "filter":

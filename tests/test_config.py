@@ -104,7 +104,7 @@ class TestOverrides:
     def test_known_keys_are_pinned(self):
         assert sorted(KNOWN_KEYS) == [
             "arch", "augment_inputs", "batch_coarse", "batch_labeled",
-            "batch_pretrain", "branching", "coarse_in_per_species",
+            "batch_pretrain", "coarse_in_per_species",
             "coarse_level", "coarse_out_per_species", "coarse_source",
             "consistency_weight", "dim", "distill_temperature",
             "distill_weight", "emb_dim", "filter_tau", "hidden", "jitter",
@@ -184,31 +184,14 @@ class TestGenCoercion:
         assert cfg.dim == 8
         assert cfg.out_attach_level is None
 
-    def test_branching_replaces_level_counts(self):
-        cfg = read({"branching": "1,2,4"}).gen
-        assert cfg.branching == (1, 2, 4)
-        assert cfg.level_counts is None
-        assert cfg.resolved_counts() == (1, 2, 8)
-
     def test_round_trip_through_strings(self):
         cfg = GenConfig(level_counts=(1, 2, 8), dim=8, sigma_x=0.75, seed=3)
         back = read(config_values(cfg)).gen
         assert back == cfg
 
-    def test_round_trip_with_branching(self):
-        cfg = GenConfig(branching=(2, 2, 3), level_counts=None, dim=8)
-        values = config_values(cfg)
-        assert values["level_counts"] == "none"
-        assert read(values).gen == cfg
-
-    def test_level_counts_with_branching_rejected(self, tmp_path):
-        with pytest.raises(ConfigError, match="level_counts is set too"):
-            read({"level_counts": "3,9,27", "branching": "2,3,3"})
-        p = tmp_path / "cfg.txt"
-        write_config({"level_counts": "3,9,27"}, p)
-        with pytest.raises(ConfigError, match="level_counts is set too"):
-            read_config(p, ["branching=2,3,3"])
-        assert read_config(p, ["branching=2,3,3", "level_counts=none"]).gen.branching
+    def test_level_counts_is_required(self):
+        with pytest.raises(ConfigError, match="level_counts: cannot parse value 'none'"):
+            read({"level_counts": "none"})
 
     def test_validation_still_runs(self):
         with pytest.raises(ConfigError):

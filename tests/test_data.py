@@ -3,7 +3,7 @@ relabeling, augmentations, and the dataset text round trip."""
 
 import base64
 import hashlib
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -269,7 +269,6 @@ class TestGenConfigValidation:
         dict(coarse_level=8),
         dict(coarse_level=7),             # finer than the attach level
         dict(sigma_levels=(1.0, 0.5)),    # too few scales for 7 levels
-        dict(level_counts=None),          # and no branching either
         dict(seed=-1),
         dict(long_tail_exponent=-1.0),    # a head-heavy tail only
     ])
@@ -277,11 +276,10 @@ class TestGenConfigValidation:
         with pytest.raises(ConfigError):
             GenConfig(**bad).validate()
 
-    def test_branching_resolves_multiplicatively(self):
-        cfg = GenConfig(branching=(2, 3, 2), level_counts=None)
-        assert cfg.resolved_counts() == (2, 6, 12)
-        g = generate(GenConfig(branching=(1, 2, 4), level_counts=None, dim=8))
-        assert g.in_taxonomy.class_counts == (1, 2, 8)
+    def test_frozen(self):
+        # a validated config stays valid
+        with pytest.raises(FrozenInstanceError):
+            GenConfig().level_counts = (2, 4)
 
     def test_coarse_level_at_attach_is_allowed(self):
         GenConfig(level_counts=(1, 2, 8), out_attach_level=2,
@@ -523,6 +521,23 @@ class TestPersistence:
         p.write_text("\n".join(lines) + "\n")
         with pytest.raises(UnknownClass, match="line 4: no species named"):
             load_dataset(p, g.in_taxonomy)
+
+    @pytest.mark.parametrize("tag, row", [
+        ("coarse_in", "Phylum P01 S00"),  # S00 sits under P00
+        ("test", "Species S00 S59"),
+    ])
+    def test_species_off_its_class_reports_line(self, default_gen, tmp_path, tag, row):
+        p = tmp_path / "bad.txt"
+        save_dataset(default_gen.split, default_gen.in_taxonomy, p)
+        lines = p.read_text().splitlines()
+        i = next(i for i, line in enumerate(lines) if line.startswith(f"{tag} "))
+        parts = lines[i].split()
+        parts[1:4] = row.split()
+        lines[i] = " ".join(parts)
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="species is not under its class") as e:
+            load_dataset(p, default_gen.in_taxonomy)
+        assert e.value.line == i + 1
 
 
 class TestReplaceCoarse:
