@@ -269,6 +269,7 @@ class TestGenConfigValidation:
         dict(coarse_level=8),
         dict(coarse_level=7),             # finer than the attach level
         dict(sigma_levels=(1.0, 0.5)),    # too few scales for 7 levels
+        dict(sigma_levels=(1.0,) * 6 + (0.0,)),  # a scale that is not > 0
         dict(seed=-1),
         dict(long_tail_exponent=-1.0),    # a head-heavy tail only
     ])
