@@ -21,8 +21,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ParseError, UnknownClass
-from .records import float64_bytes, float64_text, read_record, value_parser, write_record
+from .errors import ConfigError, DataError, OutOfRange, ParseError, UnknownClass
+from .records import (float64_bytes, float64_bytes_joined, float64_texts, read_record,
+                      value_parser, write_record)
 from .taxonomy import (
     Taxonomy,
     build_taxonomy,
@@ -371,30 +372,57 @@ def _check_finite(split: DataSplit) -> None:
             raise DataError(f"non-finite feature value in the {tag} split")
 
 
+# a save codes this many bytes of features in one base64 call, a load this much text
+_BLOCK_BYTES = 24 << 10
+
+
+def _off_tree(tag: str, s: Samples, taxonomy: Taxonomy) -> np.ndarray:
+    """The row rules of ``save_dataset`` and ``load_dataset``: an index out of
+    range is OutOfRange, and the mask of rows whose species is not under
+    their class is returned. A species is a leaf, or -1 for none."""
+    level, label, species = s.label_level, s.label, s.true_species
+    off = np.zeros(len(s), dtype=bool)
+    for lvl in np.unique(level):
+        above = taxonomy.ancestor_map(taxonomy.leaf_level, int(lvl))  # checks lvl
+        rows = level == lvl
+        bad = rows & ((label < 0) | (label >= taxonomy.class_counts[lvl - 1])
+                      | (species < -1) | (species >= taxonomy.num_leaves))
+        if bad.any():
+            raise OutOfRange(f"the {tag} split's row {bad.argmax()}: "
+                             "class or species index out of range")
+        rows &= species >= 0
+        off[rows] = above[species[rows]] != label[rows]
+    return off
+
+
 def save_dataset(split: DataSplit, taxonomy: Taxonomy, path) -> None:
     """One sample per line: split tag, level name, class name, species name
     or '-', then the features as one field, the base64 of the row's
-    little-endian float64 bytes (``records.float64_text``), which reads
-    back bit for bit. A non-finite feature is a DataError before anything
-    is written. Lines are streamed to the file as they are formatted."""
+    little-endian float64 bytes (``records.float64_text``), which reads back
+    bit for bit. A non-finite feature or a row against ``_off_tree``'s rules
+    is an error before anything is written; then rows stream a block at a time."""
     _check_finite(split)
     parts = [(tag, getattr(split, tag)) for tag in SPLIT_TAGS]
+    for tag, s in parts:
+        if (off := _off_tree(tag, s, taxonomy)).any():
+            raise DataError(f"the {tag} split's row {off.argmax()}: "
+                            "its species is not under its class")
     dim = next((s.X.shape[1] for _, s in parts if len(s)), 0)
+    names = [taxonomy.class_names(level) for level in range(1, taxonomy.num_levels + 1)]
+    species_names = names[-1] + ("-",)  # species -1 is the last
+    step = max(1, _BLOCK_BYTES // (8 * dim + 1))
 
     def lines():
         yield f"d {dim}"
         yield "levels " + ",".join(taxonomy.level_names)
         for tag, s in parts:
-            for level, label, species, x in zip(
-                    s.label_level.tolist(), s.label.tolist(),
-                    s.true_species.tolist(), s.X):
-                level_name = taxonomy.level_names[level - 1]
-                label_name = taxonomy.class_name(level, label)
-                species_name = (
-                    taxonomy.class_name(taxonomy.leaf_level, species)
-                    if species >= 0 else "-"
-                )
-                yield f"{tag} {level_name} {label_name} {species_name} {float64_text(x)}"
+            for at in range(0, len(s), step):
+                rows = slice(at, at + step)
+                yield "\n".join([f"{tag} {taxonomy.level_names[level - 1]} "
+                                 f"{names[level - 1][label]} {species_names[species]} {field}"
+                                 for level, label, species, field in zip(
+                                     s.label_level[rows].tolist(), s.label[rows].tolist(),
+                                     s.true_species[rows].tolist(), float64_texts(s.X[rows]))])
     write_record(path, f"{_DATASET_FORMAT} v2", lines())
 
 
@@ -411,10 +439,13 @@ def _v1_features(text: str, dim: int) -> bytes:
 
 
 def load_dataset(path, taxonomy: Taxonomy) -> DataSplit:
-    """Read a dataset that ``save_dataset`` wrote, in its format (v2) or in
-    v1, whose rows spell each feature as a float in text."""
+    """Read a dataset that ``save_dataset`` wrote, in v2 or in v1, whose rows
+    spell each feature as a float in text. A block of rows that fails a check
+    is read again row by row, so the file's first fault is raised at its line."""
     with read_record(path, _DATASET_FORMAT, (1, 2)) as body:
         features = {1: _v1_features, 2: float64_bytes}[body.version]
+        joined = float64_bytes_joined if body.version == 2 else (
+            lambda texts, dim: b"".join(features(text, dim) for text in texts))
         ln, line = next(body, (2, ""))
         key, _, dim = line.partition(" ")
         if key != "d" or (dim := value_parser(int)(dim)) < 0:
@@ -431,20 +462,14 @@ def load_dataset(path, taxonomy: Taxonomy) -> DataSplit:
                 f"level names {level_names} do not match taxonomy "
                 f"{taxonomy.level_names}", line=ln,
             )
-        level_index = {n: i + 1 for i, n in enumerate(level_names)}
+        # level name -> (level, class name -> index at that level)
+        classes = {name: (level, {c: i for i, c in enumerate(taxonomy.class_names(level))})
+                   for level, name in enumerate(level_names, 1)}
+        species_index = {**classes[level_names[-1]][1], "-": -1}
         # each split's feature bytes, and its (level, label, species, line) per row
         rows = {tag: (bytearray(), array("q")) for tag in SPLIT_TAGS}
 
-        def lookup(ln: int, kind: str, level: int, name: str) -> int:
-            try:
-                return taxonomy.class_index(level, name)
-            except UnknownClass:
-                raise UnknownClass(
-                    f"line {ln}: no {kind} named {name!r} at level "
-                    f"{level_names[level - 1]} ({taxonomy.class_counts[level - 1]} classes)"
-                ) from None
-
-        for ln, line in body:
+        def read_row(ln: int, line: str) -> None:  # the one place a row's fault is spelled
             parts = line.split(None, 4)
             if len(parts) < 4:
                 raise ParseError("expected a split tag, level, class and species "
@@ -452,29 +477,51 @@ def load_dataset(path, taxonomy: Taxonomy) -> DataSplit:
             tag, level_name, label_name, species_name = parts[:4]
             if tag not in rows:
                 raise ParseError(f"unknown split tag {tag!r}", line=ln)
-            level = level_index.get(level_name)
-            if level is None:
+            if level_name not in classes:
                 raise ParseError(f"unknown level {level_name!r}", line=ln)
-            label = lookup(ln, "class", level, label_name)
-            species = (-1 if species_name == "-" else
-                       lookup(ln, "species", taxonomy.leaf_level, species_name))
+            level, index = classes[level_name]
+            for kind, at, known, name in (("class", level, index, label_name), (
+                    "species", taxonomy.leaf_level, species_index, species_name)):
+                if name not in known:
+                    where = f"{level_names[at - 1]} ({taxonomy.class_counts[at - 1]} classes)"
+                    raise UnknownClass(f"no {kind} named {name!r} at level {where}", line=ln)
             X, labels = rows[tag]
-            X += features(parts[4] if len(parts) == 5 else "", dim)
-            labels.extend((level, label, species, ln))
+            try:
+                X += features(parts[4] if len(parts) == 5 else "", dim)
+            except ValueError as exc:
+                raise ParseError(str(exc), line=ln) from None
+            labels.extend((level, index[label_name], species_index[species_name], ln))
+
+        def read_block(block: list) -> None:
+            got = {tag: ([], array("q")) for tag in SPLIT_TAGS}
+            try:
+                for ln, line in block:
+                    tag, level_name, label_name, species_name, *field = line.split(None, 4)
+                    texts, labels = got[tag]
+                    level, index = classes[level_name]
+                    labels.extend((level, index[label_name], species_index[species_name], ln))
+                    texts.append(field[0] if field else "")
+                done = [(rows[tag], joined(texts, dim), labels)
+                        for tag, (texts, labels) in got.items() if labels]
+            except (KeyError, ValueError):
+                for ln, line in block:
+                    read_row(ln, line)
+                return
+            for (X, labels), raw, new in done:
+                X += raw
+                labels.extend(new)
+
+        for piece in body.pieces(_BLOCK_BYTES):
+            read_block([(ln, line) for ln, line in piece if line.strip()])
     split, bad_lines, off_tree = {}, [], []
     for tag, (X, labels) in rows.items():
         level, label, species, lines = np.frombuffer(labels, np.int64).reshape(-1, 4).T.copy()
         X = np.frombuffer(X, "<f8").reshape(len(level), dim)
         if not (finite := np.isfinite(X).all(axis=1)).all():
             bad_lines.append(lines[finite.argmin()])
-        # a row's species must sit under its class
-        for lvl in np.unique(level):
-            rows_here = (level == lvl) & (species >= 0)
-            wrong = (taxonomy.ancestor_map(taxonomy.leaf_level, int(lvl))[species[rows_here]]
-                     != label[rows_here])
-            if wrong.any():
-                off_tree.append(lines[rows_here][wrong.argmax()])
         split[tag] = Samples(X=X, label_level=level, label=label, true_species=species)
+        if (off := _off_tree(tag, split[tag], taxonomy)).any():
+            off_tree.append(lines[off.argmax()])
     if bad_lines:
         raise ParseError("non-finite feature value", line=int(min(bad_lines)))
     if off_tree:

@@ -16,7 +16,13 @@ class ConfigError(HiersslError):
 
 
 class DataError(HiersslError):
-    """Problem with input data (files, splits, labels)."""
+    """Problem with input data (files, splits, labels), at its file's line where known."""
+
+    def __init__(self, message, line=None):
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
+        self.line = line
 
 
 class TrainError(HiersslError):
@@ -27,13 +33,7 @@ class TrainError(HiersslError):
 
 
 class ParseError(DataError):
-    """Malformed file; carries the 1-based line number where known."""
-
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+    """Malformed file."""
 
 
 class InconsistentPath(DataError):

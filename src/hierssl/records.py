@@ -5,9 +5,9 @@ An artifact is UTF-8 text: a magic line naming the format and its
 version, then one record per line, each line newline-terminated. This is
 the only module that opens files. A write goes to a sibling temporary
 file that is renamed over the target, so a reader never sees half an
-artifact. A read checks the magic line, decodes the file one line at a
-time as it is parsed, and reports every parse failure as a ``ParseError``
-carrying the line number.
+artifact. A read checks the magic line, decodes the file 4 KiB of whole
+lines at a time as it is parsed, and reports every parse failure as a
+``ParseError`` carrying the line number.
 
 Config files, reports and checkpoint headers spell a value by the type
 of the dataclass field that holds it: "none" is None, booleans are
@@ -19,7 +19,7 @@ other ASCII form without underscores that Python reads, such as "2" or
 
 Float64 arrays (a checkpoint's parameters, a dataset row's features) are
 one field each: the base64 of their little-endian float64 bytes, which
-round-trips every value bit for bit.
+round-trips every value bit for bit; a block of rows codes in one call.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ from .errors import DataError, EmptyInput, ParseError
 
 def write_record(path, magic: str, lines) -> None:
     """Write ``magic`` and ``lines`` to ``path``, or leave ``path`` untouched.
-    Each line is written as ``lines`` yields it, so a generator of lines is
-    never held whole."""
+    Each item, a line or lines joined by newlines, is written as ``lines``
+    yields it, so a generator of lines is never held whole."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
@@ -56,24 +56,42 @@ def write_record(path, magic: str, lines) -> None:
 
 class _Body(Iterator):
     """The non-blank lines after the magic line as (line number, line), read
-    once from the binary file ``fh``: each line is decoded as it is read and
-    split as ``str.splitlines`` splits text. ``line`` is the number of the
-    line read last; ``version`` the format version the magic line names."""
+    once from the binary file ``fh`` and split as ``str.splitlines`` splits
+    text, ``chunk`` bytes of whole lines at a time; ``pieces`` gives the rest
+    a list at a time. ``line`` is the number of the line iterated last;
+    ``version`` the format version the magic line names."""
+
+    chunk = 4096  # a read holds a few chunks
 
     def __init__(self, fh):
-        self.line = 0
-        self.version = None
-        self.lines = self._decode(fh)  # every line, the magic line first
+        self.fh, self.version = fh, None
+        self.line = self.read = 0  # the numbers of the lines iterated and read last
+        self.fault = None  # why the line after ``read`` is not UTF-8
+        self.rest = iter(())  # the (number, line) pairs read but not yet iterated
+        self.lines = self._lines()  # every line, the magic line first
         self.texts = filter(str.strip, self.lines)
 
-    def _decode(self, fh):
-        for raw in fh:
+    def _lines(self):
+        for piece in self.pieces(self.chunk):
+            self.rest = iter(piece)
+            for self.line, text in self.rest:
+                yield text
+
+    def pieces(self, size: int):
+        """Every line not yet iterated, blank or not, as lists of (line number,
+        line): the rest of the piece read last, then about ``size`` bytes of
+        whole lines at a time. A line not UTF-8 raises after those before it."""
+        yield list(self.rest)
+        while self.fault is None and (raw := b"".join(self.fh.readlines(size))):
             try:
                 texts = raw.decode("utf-8").splitlines()
             except UnicodeDecodeError as exc:
-                raise ParseError(f"not UTF-8: {exc.reason}", line=self.line + 1) from None
-            for self.line, text in enumerate(texts, start=self.line + 1):
-                yield text
+                texts = raw[:raw.rfind(b"\n", 0, exc.start) + 1].decode("utf-8").splitlines()
+                self.fault = f"not UTF-8: {exc.reason}"
+            first, self.read = self.read + 1, self.read + len(texts)
+            yield list(enumerate(texts, first))
+        if self.fault is not None:
+            raise ParseError(self.fault, line=self.read + 1)
 
     def __next__(self):
         text = next(self.texts)
@@ -109,7 +127,7 @@ def read_record(path, name: str, versions: tuple[int, ...]):
 def float64_text(values) -> str:
     """The base64 of ``values`` as little-endian float64 bytes: the one
     spelling of a float64 array."""
-    return base64.b64encode(np.ascontiguousarray(values, dtype="<f8").tobytes()).decode()
+    return float64_texts(np.reshape(values, (1, -1)))[0]
 
 
 def float64_bytes(text: str, count: int) -> bytes:
@@ -128,6 +146,39 @@ def float64_bytes(text: str, count: int) -> bytes:
     if base64.b64encode(raw).decode() != text:
         raise ValueError("not the canonical base64 of its bytes")
     return raw
+
+
+def float64_texts(rows) -> list[str]:
+    """The ``float64_text`` of each row of a 2-D array, in one call: each row
+    is zero-padded to whole 3-byte groups, whose pad digits become '='."""
+    rows = np.ascontiguousarray(rows, dtype="<f8")
+    n, size = len(rows), 8 * rows.shape[1]
+    pad = -size % 3
+    raw = np.zeros((n, size + pad), np.uint8)
+    raw[:, :size] = rows.view(np.uint8)
+    text = binascii.b2a_base64(raw, newline=False).decode()
+    width = 4 * (size + pad) // 3
+    return [text[i * width:(i + 1) * width - pad] + "=" * pad for i in range(n)]
+
+
+def float64_bytes_joined(texts: list[str], count: int) -> bytes:
+    """``float64_bytes`` of each of ``texts``, joined, in one call: a ValueError,
+    which ``float64_bytes`` explains, unless each has the writer's width, is
+    ASCII, has '=' at its pad digits alone and decodes with zero pad bits."""
+    size, pad = 8 * count, -8 * count % 3
+    width = 4 * (size + pad) // 3
+    if any(len(text) != width for text in texts):
+        raise ValueError(f"a field is not {width} characters long")
+    chars = bytearray("".join(texts), "ascii")
+    digits = np.frombuffer(chars, np.uint8).reshape(len(texts), width)
+    if chars.count(b"=") != pad * len(texts) or (digits[:, width - pad:] != ord("=")).any():
+        raise ValueError("'=' is not the padding of a field")
+    digits[:, width - pad:] = ord("A")  # zero digits: the pad bytes
+    # a skipped character shortens the bytes, and the reshape is a ValueError
+    raw = np.frombuffer(binascii.a2b_base64(chars), np.uint8).reshape(len(texts), size + pad)
+    if raw[:, size:].any():
+        raise ValueError("a field's pad bits are set")
+    return raw[:, :size].tobytes()
 
 
 def _int(s: str) -> int:

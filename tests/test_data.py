@@ -23,7 +23,7 @@ from hierssl.data import (
     load_dataset,
     save_dataset,
 )
-from hierssl.errors import ConfigError, OutOfRange, ParseError, UnknownClass
+from hierssl.errors import ConfigError, DataError, OutOfRange, ParseError, UnknownClass
 from hierssl.trainers import TrainConfig
 
 from _reference import content_digest
@@ -351,6 +351,36 @@ V2_FEATURE_CASES = {
 }
 
 
+def _off_class(parts, tax) -> str:
+    """A species name that does not sit under the row's class."""
+    level = tax.level_names.index(parts[1]) + 1
+    off = tax.ancestor_map(tax.leaf_level, level) != tax.class_index(level, parts[2])
+    return tax.class_names(tax.leaf_level)[int(np.argmax(off))]
+
+
+# name -> (field index, its new text given the row's fields, the error) of a
+# fault in one row; the "nan" and "off-class" faults are found only after
+# every row has been read
+ROW_FAULTS = {
+    "base64": (4, lambda parts, tax: parts[4][:5] + "*" + parts[4][6:], ParseError),
+    "class": (2, lambda parts, tax: "no-such-class", UnknownClass),
+    "nan": (4, lambda parts, tax: _b64([0.5] * 7 + [float("nan")]), ParseError),
+    "short": (4, lambda parts, tax: _b64([0.5] * 7), ParseError),
+    "tag": (0, lambda parts, tax: "no-such-split", ParseError),
+    "utf8": (0, lambda parts, tax: "\udcff" + parts[0], ParseError),  # a 0xff byte
+    "off-class": (3, _off_class, ParseError),
+}
+
+# (fault at line 30, fault at a later line, which of the two is raised)
+FIRST_FAULT_CASES = [
+    ("base64", "class", "first"), ("class", "base64", "first"),
+    ("nan", "class", "second"), ("short", "tag", "first"), ("tag", "short", "first"),
+    ("base64", "nan", "first"), ("base64", "utf8", "first"), ("utf8", "base64", "first"),
+    ("nan", "utf8", "second"), ("off-class", "class", "second"),
+    ("off-class", "nan", "second"),
+]
+
+
 class TestPersistence:
     def test_round_trip_preserves_everything(self, default_gen, tmp_path):
         s = default_gen.split
@@ -401,19 +431,24 @@ class TestPersistence:
         with pytest.raises(ParseError):
             load_dataset(p, other.in_taxonomy)
 
-    def test_failed_save_leaves_the_old_file(self, tmp_path):
+    @pytest.mark.parametrize("tag, column, value, error", [
+        ("test", "label", 8, OutOfRange),  # TOY has 8 species
+        ("test", "true_species", -2, OutOfRange),
+        ("coarse_in", "true_species", 0, DataError),  # L3_00 is not under L2_01
+    ], ids=["label-out-of-range", "species-below-minus-1", "species-off-its-class"])
+    def test_failed_save_leaves_the_old_file(self, tmp_path, tag, column, value, error):
         g = generate(TOY)
         p = tmp_path / "dataset.txt"
         save_dataset(g.split, g.in_taxonomy, p)
         before = p.read_bytes()
-        # the last test row's label is out of range: every row before it has
-        # been streamed to the temporary file when save_dataset raises
-        label = g.split.test.label.copy()
-        label[-1] = g.in_taxonomy.num_leaves
-        bad = DataSplit(g.split.labeled, g.split.coarse_in, g.split.coarse_out,
-                        replace(g.split.test, label=label))
-        with pytest.raises(OutOfRange):
-            save_dataset(bad, g.in_taxonomy, p)
+        # the split's last row breaks a row rule: a save that streamed the
+        # rows before it would have written them when it raised
+        s = getattr(g.split, tag)
+        col = getattr(s, column).copy()
+        col[-1] = value
+        with pytest.raises(error):
+            save_dataset(replace(g.split, **{tag: replace(s, **{column: col})}),
+                         g.in_taxonomy, p)
         assert p.read_bytes() == before
         assert list(tmp_path.iterdir()) == [p]
 
@@ -473,8 +508,9 @@ class TestPersistence:
         parts[2] = "no-such-class"
         lines[3] = " ".join(parts)
         p.write_text("\n".join(lines) + "\n")
-        with pytest.raises(UnknownClass):
+        with pytest.raises(UnknownClass, match="line 4: no class named") as e:
             load_dataset(p, g.in_taxonomy)
+        assert e.value.line == 4
 
 
     def test_negative_dimension_reports_line_2(self, tmp_path):
@@ -520,8 +556,9 @@ class TestPersistence:
         parts[3] = "NoSuchSpecies"
         lines[3] = " ".join(parts)
         p.write_text("\n".join(lines) + "\n")
-        with pytest.raises(UnknownClass, match="line 4: no species named"):
+        with pytest.raises(UnknownClass, match="line 4: no species named") as e:
             load_dataset(p, g.in_taxonomy)
+        assert e.value.line == 4
 
     @pytest.mark.parametrize("tag, row", [
         ("coarse_in", "Phylum P01 S00"),  # S00 sits under P00
@@ -539,6 +576,27 @@ class TestPersistence:
         with pytest.raises(ParseError, match="species is not under its class") as e:
             load_dataset(p, default_gen.in_taxonomy)
         assert e.value.line == i + 1
+
+    # TOY's file has 723 lines: line 30 is a coarse_in row, 35 one read in the
+    # same block, and 300 a coarse_out row in a later block
+    @pytest.mark.parametrize("later", [35, 300])
+    @pytest.mark.parametrize("first, second, raised", FIRST_FAULT_CASES)
+    def test_the_first_fault_in_the_file_wins(self, tmp_path, first, second, raised,
+                                               later):
+        g = generate(TOY)
+        p = tmp_path / "bad.txt"
+        save_dataset(g.split, g.in_taxonomy, p)
+        lines = p.read_text().splitlines()
+        assert len(lines) == 723
+        for line, fault in [(30, first), (later, second)]:
+            parts = lines[line - 1].split()
+            at, edit, _ = ROW_FAULTS[fault]
+            parts[at] = edit(parts, g.in_taxonomy)
+            lines[line - 1] = " ".join(parts)
+        p.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape") + b"\n")
+        error = ROW_FAULTS[first if raised == "first" else second][2]
+        with pytest.raises(error, match=f"^line {30 if raised == 'first' else later}: "):
+            load_dataset(p, g.in_taxonomy)
 
 
 class TestReplaceCoarse:

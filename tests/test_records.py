@@ -4,6 +4,8 @@ module opens files."""
 
 import ast
 import base64
+import io
+import itertools
 import os
 import random
 import re
@@ -361,6 +363,134 @@ def test_float64_codec_refuses_a_corrupted_field(case):
     text, count = case
     with pytest.raises(ValueError):
         records.float64_bytes(text, count)
+
+
+WIDTHS = [0, 1, 2, 3, 8, 32]  # 8 * d % 3 is 0, 2, 1, 0, 1 and 1
+
+
+@st.composite
+def float64_blocks(draw):
+    """A row width and the ``float64_text`` of a few rows of it, each but the
+    first perhaps with one corruption, so a block is often all valid."""
+    count = draw(st.sampled_from(WIDTHS))
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.floats(), min_size=count, max_size=count),
+                         min_size=n, max_size=n))
+    texts = [records.float64_text(row) for row in rows]
+    for i in range(1, n):
+        text = texts[i]
+        how = draw(st.sampled_from(["none", "stray", "insert", "move-pad", "non-ascii",
+                                    "space", "fill-pad", "pad-bit", "short", "extra"]))
+        at = draw(st.integers(0, max(len(text) - 1, 0)))
+        if how == "stray" and text:
+            text = text[:at] + draw(st.sampled_from(NOT_BASE64 + list(BASE64))) + text[at + 1:]
+        elif how == "insert":
+            text = text[:at] + draw(st.sampled_from(NOT_BASE64 + ["="])) + text[at:]
+        elif how == "move-pad" and "=" in text:
+            body = text.rstrip("=")
+            text = body[:at] + "=" + body[at:] + "=" * (len(text) - len(body) - 1)
+        elif how == "non-ascii" and text:
+            text = text[:at] + draw(st.sampled_from("é\u0663\udcff")) + text[at + 1:]
+        elif how == "space" and text:
+            text = text[:at] + draw(st.sampled_from(" \t\x0b\x0c")) + text[at + 1:]
+        elif how == "fill-pad" and "=" in text:
+            text = text[:-1] + draw(st.sampled_from(BASE64))
+        elif how == "pad-bit" and "=" in text:
+            pad = text.count("=")
+            digit = len(text) - pad - 1
+            bit = 1 << draw(st.integers(0, 2 * pad - 1))
+            text = text[:digit] + BASE64[BASE64.index(text[digit]) | bit] + text[digit + 1:]
+        elif how == "short" and text:
+            text = text[:at]
+        elif how == "extra":
+            text = text + records.float64_text([1.0])
+        texts[i] = text
+    return texts, count
+
+
+def _one_at_a_time(texts, count):
+    try:
+        return b"".join(records.float64_bytes(text, count) for text in texts)
+    except ValueError:
+        return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(float64_blocks())
+def test_block_decoder_accepts_what_the_row_decoder_accepts(case):
+    texts, count = case
+    try:
+        joined = records.float64_bytes_joined(texts, count)
+    except ValueError:
+        joined = None
+    assert joined == _one_at_a_time(texts, count)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(WIDTHS).flatmap(lambda d: st.lists(
+    st.lists(st.floats(), min_size=d, max_size=d), max_size=5).map(
+        lambda rows: np.array(rows, dtype=np.float64).reshape(len(rows), d))))
+def test_block_encoder_is_base64_row_by_row(rows):
+    assert records.float64_texts(rows) == [base64.b64encode(row.astype("<f8").tobytes()).decode()
+                                           for row in rows]
+
+
+def _per_line_reader(data: bytes):
+    """The reader that decodes one line per readline, as a reference: every
+    (line number, text), then the (line, message) of a UTF-8 fault or None."""
+    out, line = [], 0
+    for raw in io.BytesIO(data):
+        try:
+            texts = raw.decode("utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            return out, (line + 1, f"line {line + 1}: not UTF-8: {exc.reason}")
+        for line, text in enumerate(texts, start=line + 1):
+            out.append((line, text))
+    return out, None
+
+
+def _chunked_reader(data: bytes, how: str):
+    """``_Body``'s lines of ``data`` as ``_per_line_reader`` returns them: all
+    of them, line by line or a few lines and then the rest by ``pieces``, or
+    only the non-blank pairs that iterating the body gives."""
+    body = records._Body(io.BytesIO(data))
+    out = []
+    try:
+        if how == "non-blank":
+            out.extend(body)
+        else:
+            for text in itertools.islice(body.lines, None if how == "all" else 3):
+                out.append((body.line, text))
+            for piece in body.pieces(7):  # nothing left after "all"
+                out.extend(piece)
+    except ParseError as exc:
+        return out, (exc.line, str(exc))
+    return out, None
+
+
+# every str.splitlines boundary, characters that are not one, and bytes that
+# are not UTF-8
+LINE_PIECES = [b"a", b"bc", b" ", b"\t", b"\x1f", "\u00e9".encode(), "\u20ac".encode(),
+               "\U0001f600".encode(), b"\n", b"\r", b"\r\n", b"\x0b", b"\x0c", b"\x1c",
+               b"\x1d", b"\x1e", "\x85".encode(), "\u2028".encode(), "\u2029".encode(),
+               b"\n\n", b"\xff", b"\x80", b"\xc3", b"\xe2\x82", b"\xf0\x9f\x98"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(LINE_PIECES) | st.sampled_from([b"x" * 5000, b"y" * 4095]),
+                max_size=40).map(b"".join),
+       st.sampled_from([1, 2, 3, 5, 8, records._Body.chunk]))
+@example(b"x" * 4095 + "\u20ac".encode() + b"\n\xff\n", records._Body.chunk)
+@example(b"a\n" + b"x" * 4093 + b"\xe2\x82\n", records._Body.chunk)
+@example(b"a\nb\nc\nd\n\xff\ne\n", records._Body.chunk)  # a fault read ahead of pieces
+def test_chunked_reader_matches_a_per_line_reader(data, chunk):
+    lines, fault = _per_line_reader(data)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(records._Body, "chunk", chunk)
+        assert _chunked_reader(data, "all") == (lines, fault)
+        assert _chunked_reader(data, "pieces") == (lines, fault)
+        assert _chunked_reader(data, "non-blank") == (
+            [(n, text) for n, text in lines if text.strip()], fault)
 
 
 class TestAtomicWrite:
