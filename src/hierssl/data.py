@@ -22,8 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, OutOfRange, ParseError, UnknownClass
-from .records import (float64_bytes, float64_bytes_joined, float64_texts, read_record,
-                      value_parser, write_record)
+from .records import float64_bytes, float64_texts, read_record, value_parser, write_record
 from .taxonomy import (
     Taxonomy,
     build_taxonomy,
@@ -48,8 +47,9 @@ class Samples:
     ``label`` the provided label (a class index at that taxonomy level).
     ``true_species`` is the hidden ground-truth leaf index, -1 when the
     sample's species is not part of the modeled label space; so a sample
-    is in-class exactly when ``true_species >= 0``. It is for generation
-    and evaluation only; training never reads it.
+    is in-class exactly when ``true_species >= 0``. Generation and
+    evaluation read it, and training reads it only to relabel a pool row
+    at a ``supervision_level`` finer than its label (``labels_at_level``).
     """
 
     X: np.ndarray
@@ -398,16 +398,19 @@ def _off_tree(tag: str, s: Samples, taxonomy: Taxonomy) -> np.ndarray:
 def save_dataset(split: DataSplit, taxonomy: Taxonomy, path) -> None:
     """One sample per line: split tag, level name, class name, species name
     or '-', then the features as one field, the base64 of the row's
-    little-endian float64 bytes (``records.float64_text``), which reads back
-    bit for bit. A non-finite feature or a row against ``_off_tree``'s rules
-    is an error before anything is written; then rows stream a block at a time."""
+    little-endian float64 bytes (``records.float64_texts``), which reads back
+    bit for bit. A non-finite feature, splits with rows of two widths or a row
+    against ``_off_tree``'s rules is an error before anything is written; then
+    rows stream a block at a time."""
     _check_finite(split)
     parts = [(tag, getattr(split, tag)) for tag in SPLIT_TAGS]
+    dim = next((s.X.shape[1] for _, s in parts if len(s)), 0)
     for tag, s in parts:
+        if len(s) and (d := s.X.shape[1]) != dim:
+            raise DataError(f"the {tag} split has {d} features per row, an earlier split {dim}")
         if (off := _off_tree(tag, s, taxonomy)).any():
             raise DataError(f"the {tag} split's row {off.argmax()}: "
                             "its species is not under its class")
-    dim = next((s.X.shape[1] for _, s in parts if len(s)), 0)
     names = [taxonomy.class_names(level) for level in range(1, taxonomy.num_levels + 1)]
     species_names = names[-1] + ("-",)  # species -1 is the last
     step = max(1, _BLOCK_BYTES // (8 * dim + 1))
@@ -426,16 +429,16 @@ def save_dataset(split: DataSplit, taxonomy: Taxonomy, path) -> None:
     write_record(path, f"{_DATASET_FORMAT} v2", lines())
 
 
-def _v1_features(text: str, dim: int) -> bytes:
-    """The features of a v1 row, ``dim`` floats in text, as ``float64_bytes``
-    returns a v2 row's."""
-    # one check per row, not per value: float() also reads "٣" and "1_0"
+def _v1_features(texts: list[str], dim: int) -> bytes:
+    """The features of v1 rows, ``dim`` floats in text each, as
+    ``float64_bytes`` returns v2 rows'."""
+    text = "\n".join(texts)
+    # one check per block, not per value: float() also reads "٣" and "1_0"
     if not text.isascii() or "_" in text:
         raise ValueError("feature values must be ASCII without '_'")
-    feats = text.split()
-    if len(feats) != dim:
-        raise ValueError(f"expected {4 + dim} fields, got {4 + len(feats)}")
-    return struct.pack(f"<{dim}d", *map(float, feats))
+    if (got := next((len(t.split()) for t in texts if len(t.split()) != dim), dim)) != dim:
+        raise ValueError(f"expected {4 + dim} fields, got {4 + got}")
+    return struct.pack(f"<{dim * len(texts)}d", *map(float, text.split()))
 
 
 def load_dataset(path, taxonomy: Taxonomy) -> DataSplit:
@@ -444,8 +447,6 @@ def load_dataset(path, taxonomy: Taxonomy) -> DataSplit:
     is read again row by row, so the file's first fault is raised at its line."""
     with read_record(path, _DATASET_FORMAT, (1, 2)) as body:
         features = {1: _v1_features, 2: float64_bytes}[body.version]
-        joined = float64_bytes_joined if body.version == 2 else (
-            lambda texts, dim: b"".join(features(text, dim) for text in texts))
         ln, line = next(body, (2, ""))
         key, _, dim = line.partition(" ")
         if key != "d" or (dim := value_parser(int)(dim)) < 0:
@@ -487,7 +488,7 @@ def load_dataset(path, taxonomy: Taxonomy) -> DataSplit:
                     raise UnknownClass(f"no {kind} named {name!r} at level {where}", line=ln)
             X, labels = rows[tag]
             try:
-                X += features(parts[4] if len(parts) == 5 else "", dim)
+                X += features([parts[4] if len(parts) == 5 else ""], dim)
             except ValueError as exc:
                 raise ParseError(str(exc), line=ln) from None
             labels.extend((level, index[label_name], species_index[species_name], ln))
@@ -501,7 +502,7 @@ def load_dataset(path, taxonomy: Taxonomy) -> DataSplit:
                     level, index = classes[level_name]
                     labels.extend((level, index[label_name], species_index[species_name], ln))
                     texts.append(field[0] if field else "")
-                done = [(rows[tag], joined(texts, dim), labels)
+                done = [(rows[tag], features(texts, dim), labels)
                         for tag, (texts, labels) in got.items() if labels]
             except (KeyError, ValueError):
                 for ln, line in block:

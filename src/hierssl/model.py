@@ -29,7 +29,7 @@ from .errors import (
     ParseError,
 )
 from .losses import _batches, _softmax_inplace
-from .records import float64_bytes, float64_text, read_record, value_parser, write_record
+from .records import float64_bytes, float64_texts, read_record, value_parser, write_record
 
 _CKPT_FORMAT = "hierssl-checkpoint"
 # rows scored at once, so scoring never holds a whole probability matrix. A
@@ -293,7 +293,7 @@ def save_checkpoint(model, path, seed: int, step: int,
     for name, arr in model.params.items():
         shape = " ".join(str(s) for s in arr.shape)
         lines.append(f"param {name} {shape}")
-        lines.append(float64_text(arr))
+        lines.append(float64_texts(arr.reshape(1, -1))[0])
     write_record(path, f"{_CKPT_FORMAT} v1", lines)
 
 
@@ -350,7 +350,7 @@ def load_checkpoint(path):
             ln, line = next(body, (ln, None))
             if line is None:
                 raise ValueError(f"missing data for parameter {name}")
-            data = np.frombuffer(float64_bytes(line, math.prod(shape)), dtype="<f8")
+            data = np.frombuffer(float64_bytes([line], math.prod(shape)), dtype="<f8")
             if not np.isfinite(data).all():
                 raise ValueError(f"parameter {name}: non-finite value")
             for size, key in zip(shape, fields[name]):

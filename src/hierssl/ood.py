@@ -41,7 +41,7 @@ class FilterStats:
     """Keep counts plus hidden-origin diagnostics.
 
     Precision and recall use the hidden origin (``true_species >= 0``),
-    which training never sees; they exist to report how well the filter
+    which the keep rule never reads; they exist to report how well the filter
     separated in-class from out-of-class, not to influence what is kept.
     """
 

@@ -19,12 +19,12 @@ other ASCII form without underscores that Python reads, such as "2" or
 
 Float64 arrays (a checkpoint's parameters, a dataset row's features) are
 one field each: the base64 of their little-endian float64 bytes, which
-round-trips every value bit for bit; a block of rows codes in one call.
+round-trips every value bit for bit. One encoder and one decoder code a
+block of fields in one call, a parameter or a lone row being a block of one.
 """
 
 from __future__ import annotations
 
-import base64
 import binascii
 import math
 import os
@@ -124,33 +124,10 @@ def read_record(path, name: str, versions: tuple[int, ...]):
             raise ParseError(why, line=body.line) from None
 
 
-def float64_text(values) -> str:
-    """The base64 of ``values`` as little-endian float64 bytes: the one
-    spelling of a float64 array."""
-    return float64_texts(np.reshape(values, (1, -1)))[0]
-
-
-def float64_bytes(text: str, count: int) -> bytes:
-    """The little-endian bytes of the ``count`` float64 values that
-    ``float64_text`` spells as ``text``. Any other text is a ValueError:
-    bad padding, a wrong byte count, or an encoding of the bytes that the
-    writer would not produce, a stray character included. The caller
-    checks that the values are finite, a whole array at once."""
-    try:
-        raw = base64.b64decode(text)
-    except binascii.Error as exc:
-        raise ValueError(f"not base64: {exc}") from None
-    if len(raw) != 8 * count:
-        raise ValueError(f"expected {count} float64 values ({8 * count} bytes), "
-                         f"got {len(raw)} bytes")
-    if base64.b64encode(raw).decode() != text:
-        raise ValueError("not the canonical base64 of its bytes")
-    return raw
-
-
 def float64_texts(rows) -> list[str]:
-    """The ``float64_text`` of each row of a 2-D array, in one call: each row
-    is zero-padded to whole 3-byte groups, whose pad digits become '='."""
+    """The one spelling of a float64 array: the base64 of each row of a 2-D
+    array as little-endian float64 bytes, in one call. Each row is
+    zero-padded to whole 3-byte groups, whose pad digits become '='."""
     rows = np.ascontiguousarray(rows, dtype="<f8")
     n, size = len(rows), 8 * rows.shape[1]
     pad = -size % 3
@@ -161,23 +138,34 @@ def float64_texts(rows) -> list[str]:
     return [text[i * width:(i + 1) * width - pad] + "=" * pad for i in range(n)]
 
 
-def float64_bytes_joined(texts: list[str], count: int) -> bytes:
-    """``float64_bytes`` of each of ``texts``, joined, in one call: a ValueError,
-    which ``float64_bytes`` explains, unless each has the writer's width, is
-    ASCII, has '=' at its pad digits alone and decodes with zero pad bits."""
+def _stray(texts: list[str]) -> str | None:
+    """The fault of the first character of ``texts`` outside base64 and '=', or None."""
+    char = next((c for c in "".join(texts) if not (c.isascii() and c.isalnum() or c in "+/=")),
+                None)
+    return char and f"{char!r} is not a base64 character"
+
+
+def float64_bytes(texts: list[str], count: int) -> bytes:
+    """The little-endian bytes of the ``count`` float64 values that each of
+    ``texts`` spells, joined, in one call: the inverse of ``float64_texts``.
+    Any other text is a ValueError naming its fault. The caller checks that
+    the values are finite, a whole array at once."""
     size, pad = 8 * count, -8 * count % 3
     width = 4 * (size + pad) // 3
-    if any(len(text) != width for text in texts):
-        raise ValueError(f"a field is not {width} characters long")
-    chars = bytearray("".join(texts), "ascii")
+    if (got := next((len(t) for t in texts if len(t) != width), width)) != width:
+        raise ValueError(f"expected {width} base64 characters for {count} float64 values, "
+                         f"got {got}")
+    chars = bytearray("".join(texts), "ascii", "replace")  # a non-ASCII character becomes '?'
     digits = np.frombuffer(chars, np.uint8).reshape(len(texts), width)
     if chars.count(b"=") != pad * len(texts) or (digits[:, width - pad:] != ord("=")).any():
-        raise ValueError("'=' is not the padding of a field")
+        raise ValueError(_stray(texts) or "'=' must be exactly the field's padding")
     digits[:, width - pad:] = ord("A")  # zero digits: the pad bytes
-    # a skipped character shortens the bytes, and the reshape is a ValueError
-    raw = np.frombuffer(binascii.a2b_base64(chars), np.uint8).reshape(len(texts), size + pad)
+    try:  # a skipped character leaves a ragged group, or too few bytes to reshape
+        raw = np.frombuffer(binascii.a2b_base64(chars), np.uint8).reshape(len(texts), size + pad)
+    except ValueError:
+        raise ValueError(_stray(texts)) from None
     if raw[:, size:].any():
-        raise ValueError("a field's pad bits are set")
+        raise ValueError("the pad bits of the field's last digit are set")
     return raw[:, :size].tobytes()
 
 

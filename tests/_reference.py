@@ -1,7 +1,8 @@
 """Slow, literal reference implementations that the acceptance criteria
-and the loss tests check the fast paths against, and the content digest
-that pins what a dataset file holds."""
+and the loss and codec tests check the fast paths against, and the content
+digest that pins what a dataset file holds."""
 
+import base64
 import hashlib
 
 import numpy as np
@@ -59,6 +60,22 @@ def evaluate(model, samples, taxonomy) -> EvalReport:
         acc = float((pred == labels_at_level(samples, taxonomy, level)).mean())
         rows.append((level, taxonomy.level_names[level - 1], acc))
     return EvalReport(n_samples=len(samples), top1=rows[-1][2], levels=tuple(rows))
+
+
+def float64_bytes(texts, count: int) -> bytes | None:
+    """The literal float64-field rule, one field at a time: each text is the
+    strict base64 of exactly ``8 * count`` bytes whose re-encoding is the
+    text. The joined bytes, or None if any text breaks the rule."""
+    out = []
+    for text in texts:
+        try:
+            raw = base64.b64decode(text, validate=True)
+        except ValueError:  # binascii.Error, or a non-ASCII text
+            return None
+        if len(raw) != 8 * count or base64.b64encode(raw).decode() != text:
+            return None
+        out.append(raw)
+    return b"".join(out)
 
 
 def content_digest(split) -> str:

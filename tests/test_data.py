@@ -452,6 +452,19 @@ class TestPersistence:
         assert p.read_bytes() == before
         assert list(tmp_path.iterdir()) == [p]
 
+    def test_splits_of_two_widths_are_refused_before_the_file_opens(self, tmp_path):
+        # each row writes its own width, but a load reads every row at the first's
+        g = generate(TOY)
+        p = tmp_path / "dataset.txt"
+        save_dataset(g.split, g.in_taxonomy, p)
+        before = p.read_bytes()
+        narrow = replace(g.split.test, X=g.split.test.X[:, :4])
+        with pytest.raises(DataError, match="^the test split has 4 features per row, "
+                                            "an earlier split 8$"):
+            save_dataset(replace(g.split, test=narrow), g.in_taxonomy, p)
+        assert p.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [p]
+
     def test_non_finite_feature_rejected(self, tmp_path):
         g = generate(TOY)
         p = tmp_path / "bad.txt"

@@ -40,6 +40,8 @@ from hierssl.records import write_record
 from hierssl.taxonomy import load_taxonomy, save_taxonomy
 from hierssl.trainers import PretrainStats, StepStats, read_metrics, write_metrics
 
+import _reference
+
 TINY = GenConfig(level_counts=(1, 2, 4), dim=3, labeled_per_species=1,
                  coarse_in_per_species=1, coarse_out_per_species=1,
                  test_per_species=1, seed=0)
@@ -327,24 +329,28 @@ def test_writers_refuse_nonfinite_floats(tmp_path, fmt, value):
 @example([-0.0, 5e-324, -1e-310, 1.7976931348623157e308, -1.7976931348623157e308])
 def test_float64_codec_round_trips_bit_for_bit(values):
     x = np.array(values, dtype=np.float64)
-    text = records.float64_text(x)
-    raw = records.float64_bytes(text, len(x))
+    [text] = records.float64_texts(x.reshape(1, -1))
+    raw = records.float64_bytes([text], len(x))
     assert raw == x.astype("<f8").tobytes()
-    assert records.float64_text(np.frombuffer(raw, "<f8")) == text
+    assert records.float64_texts(np.frombuffer(raw, "<f8").reshape(1, -1)) == [text]
 
 
 BASE64 = string.ascii_uppercase + string.ascii_lowercase + string.digits + "+/"
 NOT_BASE64 = [c for c in map(chr, range(128)) if c not in BASE64 + "="]
+# the start of each fault's message: a wrong width, a character outside the
+# alphabet, '=' other than the padding, set pad bits
+FIELD_FAULT = (r"^(expected \d+ base64 characters for \d+ float64 values, got \d+$"
+               r"|.+ is not a base64 character$|'=' must be exactly|the pad bits)")
 
 
 @st.composite
 def corrupted_float64_fields(draw):
-    """The ``float64_text`` of a random row with one corruption: a character
-    replaced by, or one inserted that is, an ASCII character outside the
-    base64 alphabet, or a padding bit set. Returns it with the row length."""
+    """The field of a random row with one corruption: a character replaced
+    by, or one inserted that is, an ASCII character outside the base64
+    alphabet, or a padding bit set. Returns it with the row length."""
     count = draw(st.integers(1, 40))
     values = draw(st.lists(st.floats(), min_size=count, max_size=count))
-    text = records.float64_text(values)
+    [text] = records.float64_texts([values])
     pad = text.count("=")  # 2 padding bits per "="
     how = draw(st.sampled_from(["replace", "insert", "padding"][:3 if pad else 2]))
     if how == "padding":
@@ -361,8 +367,8 @@ def corrupted_float64_fields(draw):
 @given(corrupted_float64_fields())
 def test_float64_codec_refuses_a_corrupted_field(case):
     text, count = case
-    with pytest.raises(ValueError):
-        records.float64_bytes(text, count)
+    with pytest.raises(ValueError, match=FIELD_FAULT):
+        records.float64_bytes([text], count)
 
 
 WIDTHS = [0, 1, 2, 3, 8, 32]  # 8 * d % 3 is 0, 2, 1, 0, 1 and 1
@@ -370,13 +376,13 @@ WIDTHS = [0, 1, 2, 3, 8, 32]  # 8 * d % 3 is 0, 2, 1, 0, 1 and 1
 
 @st.composite
 def float64_blocks(draw):
-    """A row width and the ``float64_text`` of a few rows of it, each but the
-    first perhaps with one corruption, so a block is often all valid."""
+    """A row width and the fields of a few rows of it, each but the first
+    perhaps with one corruption, so a block is often all valid."""
     count = draw(st.sampled_from(WIDTHS))
     n = draw(st.integers(1, 4))
     rows = draw(st.lists(st.lists(st.floats(), min_size=count, max_size=count),
                          min_size=n, max_size=n))
-    texts = [records.float64_text(row) for row in rows]
+    texts = records.float64_texts(np.reshape(rows, (n, count)))
     for i in range(1, n):
         text = texts[i]
         how = draw(st.sampled_from(["none", "stray", "insert", "move-pad", "non-ascii",
@@ -403,27 +409,22 @@ def float64_blocks(draw):
         elif how == "short" and text:
             text = text[:at]
         elif how == "extra":
-            text = text + records.float64_text([1.0])
+            text = text + records.float64_texts([[1.0]])[0]
         texts[i] = text
     return texts, count
-
-
-def _one_at_a_time(texts, count):
-    try:
-        return b"".join(records.float64_bytes(text, count) for text in texts)
-    except ValueError:
-        return None
 
 
 @settings(max_examples=400, deadline=None)
 @given(float64_blocks())
 def test_block_decoder_accepts_what_the_row_decoder_accepts(case):
+    # the row decoder is the literal rule of tests/_reference.py
     texts, count = case
     try:
-        joined = records.float64_bytes_joined(texts, count)
-    except ValueError:
+        joined = records.float64_bytes(texts, count)
+    except ValueError as exc:
+        assert re.match(FIELD_FAULT, str(exc)), exc
         joined = None
-    assert joined == _one_at_a_time(texts, count)
+    assert joined == _reference.float64_bytes(texts, count)
 
 
 @settings(max_examples=200, deadline=None)
@@ -433,6 +434,40 @@ def test_block_decoder_accepts_what_the_row_decoder_accepts(case):
 def test_block_encoder_is_base64_row_by_row(rows):
     assert records.float64_texts(rows) == [base64.b64encode(row.astype("<f8").tobytes()).decode()
                                            for row in rows]
+
+
+# fault -> (an edit that puts it in a field of 8 values, 88 characters
+# ending in '==', and the message that names it)
+FIELD_FAULTS = {
+    "short": (lambda f: f[:-4],
+              "expected 88 base64 characters for 8 float64 values, got 84"),
+    "long": (lambda f: f + "AAAA",
+             "expected 88 base64 characters for 8 float64 values, got 92"),
+    "stray-ascii": (lambda f: f[:5] + "*" + f[6:], "'*' is not a base64 character"),
+    "non-ascii": (lambda f: f[:5] + "\u00e9" + f[6:], "'\u00e9' is not a base64 character"),
+    "moved-pad": (lambda f: f[:5] + "=" + f[5:-1], "'=' must be exactly the field's padding"),
+    "pad-bit": (lambda f: f[:-3] + BASE64[BASE64.index(f[-3]) ^ 1] + f[-2:],
+                "the pad bits of the field's last digit are set"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FIELD_FAULTS))
+@pytest.mark.parametrize("fmt", ["dataset", "checkpoint"])
+def test_a_bad_float64_field_fails_at_its_line_naming_its_fault(tiny, tmp_path, fmt, fault):
+    edit, message = FIELD_FAULTS[fault]
+    p = tmp_path / f"{fmt}.txt"
+    if fmt == "dataset":  # the second row, 8 features wide
+        wide = generate(GenConfig(level_counts=(1, 2, 4), dim=8, seed=0))
+        save_dataset(wide.split, wide.in_taxonomy, p)
+        read, line = (lambda p: load_dataset(p, wide.in_taxonomy)), 5
+    else:  # the data of W2, 4 classes x 2 hidden
+        _strict_writers(tiny)["checkpoint"](p)
+        read, line = load_checkpoint, 14
+    parts = p.read_text(encoding="utf-8").splitlines()[line - 1].split(" ")
+    parts[-1] = edit(parts[-1])
+    _edit(p, line, " ".join(parts), insert=False)
+    with pytest.raises(ParseError, match=f"^line {line}: {re.escape(message)}$"):
+        read(p)
 
 
 def _per_line_reader(data: bytes):
@@ -537,6 +572,22 @@ def test_only_records_opens_files_or_checks_magic():
             continue
         assert not re.search(r"\bopen\(", text), source.name
         assert "expected header" not in text, source.name
+
+
+def test_only_records_imports_a_base64_codec():
+    # the float64 codec has one home: a second decoder could accept what
+    # the writer never writes
+    package = Path(hierssl.__file__).parent
+    for source in sorted(package.glob("*.py")):
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                   for alias in node.names}
+        modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        codecs = modules & {"base64", "binascii"}
+        if source.name == "records.py":
+            assert codecs, "the codec moved out of records.py"
+        else:
+            assert codecs == set(), source.name
 
 
 def _spells_typed_values(node) -> bool:
