@@ -28,7 +28,7 @@ from .model import load_checkpoint, save_checkpoint
 from .ood import filter_split, write_filter_report
 from .records import value_parser, value_text
 from .taxonomy import Taxonomy, load_taxonomy, save_taxonomy
-from .trainers import TrainConfig, TrainResult, train_seeds, write_metrics
+from .trainers import TrainConfig, TrainResult, check_seeds, train_seeds, write_metrics
 
 
 def _resolve_out(arg: str | None, default_name: str) -> str:
@@ -113,7 +113,8 @@ def _train_cell(split: DataSplit, taxonomy: Taxonomy, cfg: TrainConfig,
 
 def _train_cells(args, cells: list[TrainConfig], default_out: str) -> tuple[str, list]:
     """The output directory, and ``_train_cell``'s rows for every cell over
-    --seeds, sorted by level (none first), then seed. The chunks run in
+    --seeds, sorted by level (none first), then seed. Every cell's seeds,
+    config and inputs are checked before any cell trains. The chunks run in
     --jobs processes; a failure in any chunk fails before any row returns
     and before the output directory is made."""
     seeds = ([cells[0].seed] if args.seeds is None
@@ -122,6 +123,8 @@ def _train_cells(args, cells: list[TrainConfig], default_out: str) -> tuple[str,
     split, taxonomy = _load_inputs(args)
     if not split.test:
         raise EmptySplit("the test split is empty: no trained model could be scored")
+    for cfg in cells:
+        check_seeds(split, taxonomy, cfg, seeds)
     tasks = [(split, taxonomy, cfg, chunk)
              for cfg in cells for chunk in _chunks(seeds, jobs, len(cells))]
     if jobs > 1 and len(tasks) > 1:

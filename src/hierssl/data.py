@@ -357,8 +357,7 @@ def augment_strong(x: np.ndarray, sigma_strong: float, p_drop: float,
     keep = rng.random(x.shape) >= p_drop
     out = x * keep / (1.0 - p_drop)
     lo, hi = jitter
-    scale_shape = x.shape[:-1] + (1,) if x.ndim > 1 else ()
-    out = out * rng.uniform(lo, hi, size=scale_shape)
+    out = out * rng.uniform(lo, hi, size=x.shape[:-1] + (1,))
     return out + sigma_strong * rng.standard_normal(x.shape)
 
 

@@ -12,9 +12,10 @@ teacher: a baseline trained first, on the same encoder.
 Randomness is split into independent streams per phase: model init,
 batch sampling, and augmentation never share a generator, so methods
 that differ only in augmentation draw identical batch sequences. Reruns
-with the same config are bitwise identical. ``train_seeds`` runs seeds in
-lockstep: arrays carry a leading seed axis, and each seed draws from its
-own generators, so each result is bitwise the one ``train`` gives alone.
+with the same config are bitwise identical. Every run trains its seeds in
+lockstep, a lone seed as a lockstep of one: arrays carry a leading seed
+axis, and each seed draws from its own generators, so each result of
+``train_seeds`` is bitwise the one ``train`` gives for that seed alone.
 """
 
 from __future__ import annotations
@@ -271,21 +272,16 @@ def _phase_rngs(seed: int, phase: str):
     return tuple(np.random.default_rng(ss) for ss in root.spawn(3))
 
 
-def _stack(arrays: list) -> np.ndarray:
-    """Per-seed arrays on a leading seed axis; a lone seed gets no axis."""
-    return arrays[0] if len(arrays) == 1 else np.stack(arrays)
-
-
 def _stacked(models: list):
     """Per-seed models as one model with stacked parameters."""
-    models[0].params = {k: _stack([m.params[k] for m in models]) for k in models[0].params}
+    models[0].params = {k: np.array([m.params[k] for m in models]) for k in models[0].params}
     return models[0]
 
 
 def _unstacked(model, n_seeds: int) -> list:
     """Each seed's model, with contiguous parameters of its own."""
-    if model is None or n_seeds == 1:
-        return [model] * n_seeds
+    if model is None:
+        return [None] * n_seeds
     out = [copy.copy(model) for _ in range(n_seeds)]
     for i, one in enumerate(out):
         one.params = {k: v[i].copy() for k, v in model.params.items()}
@@ -294,14 +290,12 @@ def _unstacked(model, n_seeds: int) -> list:
 
 def _per_seed(fn, X: np.ndarray, rngs: tuple, *args) -> np.ndarray:
     """``fn(x, *args, rng)`` on each seed's slice of ``X`` with its generator."""
-    slices = X if len(rngs) > 1 else [X]
-    return _stack([fn(x, *args, rng) for x, rng in zip(slices, rngs)])
+    return np.array([fn(x, *args, rng) for x, rng in zip(X, rngs)])
 
 
-def _by_seed(rows: list, n_seeds: int) -> list:
-    """Per-step values, each a float or one per seed, as per-seed lists."""
-    rows = np.array(rows)
-    return (rows[None] if n_seeds == 1 else np.moveaxis(rows, -1, 0)).tolist()
+def _by_seed(rows: list) -> list:
+    """Per-step values, each one per seed, as per-seed lists."""
+    return np.moveaxis(np.array(rows), -1, 0).tolist()
 
 
 def _pack(split: DataSplit, taxonomy: Taxonomy, cfg: TrainConfig,
@@ -335,23 +329,31 @@ def _pack(split: DataSplit, taxonomy: Taxonomy, cfg: TrainConfig,
     return Xl, yl, Xu, yu, w
 
 
+def check_seeds(split: DataSplit, taxonomy: Taxonomy, cfg: TrainConfig, seeds):
+    """``train_seeds``' packed inputs: checks the seed list, each seed's config
+    and the inputs, so every fault in them raises before any training."""
+    if not seeds:
+        raise ConfigError("seeds: need at least one seed")
+    for seed in seeds:
+        replace(cfg, seed=seed).validate()
+    return _pack(split, taxonomy, cfg, need_pool=PLANS[cfg.method].term is not None)
+
+
 def train(split: DataSplit, taxonomy: Taxonomy, cfg: TrainConfig) -> TrainResult:
-    """Runs the method's stages in order: pretraining, teacher, classifier."""
+    """Runs the method's stages in order: pretraining, teacher, classifier;
+    ``cfg.seed`` trains as a lockstep of one."""
     return train_seeds(split, taxonomy, cfg, (cfg.seed,))[0]
 
 
 def train_seeds(split: DataSplit, taxonomy: Taxonomy, cfg: TrainConfig,
                 seeds) -> list[TrainResult]:
-    """``train`` of ``replace(cfg, seed=s)`` for each seed, in lockstep; entry
-    i is bitwise ``seeds[i]`` trained alone. The inputs are packed, and so
-    checked, once before any stage runs; a non-finite value fails all seeds."""
+    """``train`` of ``replace(cfg, seed=s)`` for each seed, in one lockstep loop
+    for any seed count; entry i is bitwise ``seeds[i]`` trained alone. The inputs
+    are checked by ``check_seeds`` before any stage runs; a non-finite value
+    fails all seeds."""
     seeds = tuple(seeds)
-    if not seeds:
-        raise ConfigError("seeds: need at least one seed")
-    for seed in seeds:
-        replace(cfg, seed=seed).validate()
+    packed = check_seeds(split, taxonomy, cfg, seeds)
     plan = PLANS[cfg.method]
-    packed = _pack(split, taxonomy, cfg, need_pool=plan.term is not None)
     encoder = pretraces = teacher = None
     if plan.pretrain:
         encoder, pretraces = _pretrain_contrastive(packed, taxonomy, cfg, seeds)
@@ -386,14 +388,14 @@ def _train_classifier(packed, taxonomy: Taxonomy, cfg: TrainConfig, seeds: tuple
     opt = SgdMomentum(cfg.lr, cfg.momentum, cfg.weight_decay)
 
     use_pool = yu is not None or plan.term is not None
-    zero = np.zeros(len(seeds)) if len(seeds) > 1 else 0.0
+    zero = np.zeros(len(seeds))
     rows = []  # per step: total, fine, coarse, extra and mask rate
 
     for step in range(cfg.steps):
-        il = _stack([r.integers(0, len(Xl), size=cfg.batch_labeled) for r in rng_batch])
+        il = np.array([r.integers(0, len(Xl), size=cfg.batch_labeled) for r in rng_batch])
         Xl_b, yl_b = Xl[il], yl[il]
         if use_pool:
-            iu = _stack([r.integers(0, len(Xu), size=cfg.batch_coarse) for r in rng_batch])
+            iu = np.array([r.integers(0, len(Xu), size=cfg.batch_coarse) for r in rng_batch])
             Xu_b = Xu_weak = Xu[iu]
 
         if plan.strong or cfg.augment_inputs:
@@ -431,7 +433,7 @@ def _train_classifier(packed, taxonomy: Taxonomy, cfg: TrainConfig, seeds: tuple
         rows.append((total, fine, coarse, extra, mask_rate))
 
     return model, [[StepStats(step, *row) for step, row in enumerate(seed_rows)]
-                   for seed_rows in _by_seed(rows, len(seeds))]
+                   for seed_rows in _by_seed(rows)]
 
 
 def _pretrain_contrastive(packed, taxonomy: Taxonomy, cfg: TrainConfig,
@@ -455,18 +457,21 @@ def _pretrain_contrastive(packed, taxonomy: Taxonomy, cfg: TrainConfig,
     query = ContrastiveModel(encoder, _stacked(heads))
     key = copy.deepcopy(query)
 
-    # one queue per seed, on the stacked parameters' leading axis
-    queue = NegativeQueue(cfg.queue_size, cfg.emb_dim, query.params["head.bp"].shape[:-1])
+    # one queue per seed, on the seed axis that every array carries
+    queue = NegativeQueue(cfg.queue_size, cfg.emb_dim, (len(seeds),))
     opt = SgdMomentum(cfg.lr, cfg.momentum, cfg.weight_decay)
     losses, sizes = [], []  # per step: loss (one per seed) and queue size
 
     for step in range(cfg.pretrain_steps):
-        Xb = X[_stack([r.integers(0, len(X), size=cfg.batch_pretrain) for r in rng_batch])]
+        Xb = X[np.array([r.integers(0, len(X), size=cfg.batch_pretrain) for r in rng_batch])]
         v_q = _per_seed(augment_strong, Xb, rng_aug, cfg.sigma_strong, cfg.p_drop, cfg.jitter)
         v_k = _per_seed(augment_strong, Xb, rng_aug, cfg.sigma_strong, cfg.p_drop, cfg.jitter)
         q, cache = query.embed_cached(v_q)
         k = key.embed(v_k)
-        loss, g_q = info_nce_loss(q, k, queue.array, cfg.nce_temperature)
+        # one call per seed, on its own queue: the benchmark's tracer counts
+        # InfoNCE flops from a 2-D query
+        nce = [info_nce_loss(*qkm, cfg.nce_temperature) for qkm in zip(q, k, queue.array)]
+        loss, g_q = (np.array(a) for a in zip(*nce))
         grads = query.backward(cache, g_q)
         opt.step(query.params, grads)
         momentum_update(key.params, query.params, cfg.key_momentum)
@@ -475,4 +480,4 @@ def _pretrain_contrastive(packed, taxonomy: Taxonomy, cfg: TrainConfig,
         sizes.append(len(queue))
 
     return encoder, [[PretrainStats(step, *row) for step, row in enumerate(zip(own, sizes))]
-                     for own in _by_seed(losses, len(seeds))]
+                     for own in _by_seed(losses)]

@@ -43,6 +43,14 @@ def data_dir(tmp_path_factory) -> Path:
     return d
 
 
+@pytest.fixture(scope="module")
+def default_data_dir(tmp_path_factory) -> Path:
+    """The default 7-level dataset."""
+    d = tmp_path_factory.mktemp("default_data")
+    assert main(["gen-data", "--out", str(d)]) == 0
+    return d
+
+
 class TestGenData:
     def test_writes_the_four_artifacts(self, data_dir):
         names = {f.name for f in data_dir.iterdir()}
@@ -502,6 +510,29 @@ class TestExitCodes:
         assert main(["train", "--data", str(bad), "--set", "steps=3",
                      "--out", str(tmp_path / "x")]) == 3
         assert "line 4: no species named" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra,code,err", [
+        (["--levels", "none,1,2,0"], 2,
+         "config error: supervision_level: must be >= 1 or None\n"),
+        (["--levels", "none,1,2,9"], 2,
+         "config error: supervision_level: 9 exceeds the 7-level taxonomy\n"),
+        (["--levels", "none,1,2,7", "--set", "coarse_source=union"], 3,
+         "data error: sample labeled at level 2 cannot be relabeled at finer "
+         "level 7 without its ground-truth species\n"),
+    ], ids=["level-0", "level-9", "union-level-7"])
+    def test_a_bad_late_cell_fails_before_any_cell_trains(self, default_data_dir,
+                                                          tmp_path, capsys, monkeypatch,
+                                                          extra, code, err):
+        import hierssl.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, "_train_cell", lambda *task: calls.append(task))
+        out = tmp_path / "x"
+        assert main(["sweep", "--data", str(default_data_dir), *extra, "--seeds", "0,1,2",
+                     "--jobs", "1", "--out", str(out)]) == code
+        assert capsys.readouterr().err == err
+        assert calls == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "sweep"])
     def test_empty_test_split_is_3_before_training(self, tmp_path, capsys,

@@ -316,6 +316,14 @@ class TestAugment:
         assert np.all(np.isin(out, (0.0, 2.0)))  # kept coords rescaled by 1/(1-p)
         assert 0.0 < (out == 0.0).mean() < 1.0
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_strong_row_is_a_block_of_one(self, seed):
+        x = np.random.default_rng(7).standard_normal(6)
+        row = augment_strong(x, 0.6, 0.1, (0.9, 1.1), np.random.default_rng(seed))
+        block = augment_strong(x[None], 0.6, 0.1, (0.9, 1.1), np.random.default_rng(seed))
+        assert row.shape == x.shape
+        assert row.tobytes() == block[0].tobytes()
+
     @pytest.mark.parametrize("bad", [
         dict(sigma_weak=-0.1),
         dict(sigma_weak=0.5, sigma_strong=0.1),
