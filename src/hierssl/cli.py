@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 from .config import PipelineConfig, config_values, read_config, write_config
@@ -128,6 +127,7 @@ def _train_cells(args, cells: list[TrainConfig], default_out: str) -> tuple[str,
     tasks = [(split, taxonomy, cfg, chunk)
              for cfg in cells for chunk in _chunks(seeds, jobs, len(cells))]
     if jobs > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool pays for the import
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunks = list(pool.map(_train_cell, *zip(*tasks)))
     else:

@@ -3,13 +3,15 @@
 One config file drives a whole pipeline: generator, trainer, and filter
 keys live in a single flat namespace, and every command parses every key
 and validates every section, so a value that any command would reject
-fails the first command it reaches. Each key is one field of one
-section, GenConfig, TrainConfig or FilterConfig, named as the field is,
-except that FilterConfig's ``tau`` is the key ``filter_tau``; each value
-is parsed by its field's type, spelled as ``hierssl.records`` spells
-every typed value. A file line and a --set override share one form,
-``key=value`` with no spaces around the key or the value. Resolution
-order is built-in defaults, then the config file, then --set overrides.
+fails the first command it reaches. Each key is a field of a section,
+GenConfig, TrainConfig or FilterConfig, named as the field is, except
+that FilterConfig's ``tau`` is the key ``filter_tau``. One key, ``seed``,
+is a field of both GenConfig and TrainConfig, so ``seed=N`` sets both.
+Each value is parsed by its field's type, spelled as ``hierssl.records``
+spells every typed value. A file line and a --set override share one
+form, ``key=value`` with no spaces around the key or the value.
+Resolution order is built-in defaults, then the config file, then --set
+overrides.
 """
 
 from __future__ import annotations

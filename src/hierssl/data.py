@@ -22,7 +22,15 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, OutOfRange, ParseError, UnknownClass
-from .records import float64_bytes, float64_texts, read_record, value_parser, write_record
+from .records import (
+    bounded,
+    float64_bytes,
+    float64_texts,
+    parse_lines,
+    read_record,
+    value_parser,
+    write_record,
+)
 from .taxonomy import (
     Taxonomy,
     build_taxonomy,
@@ -373,6 +381,8 @@ def _check_finite(split: DataSplit) -> None:
 
 # a save codes this many bytes of features in one base64 call, a load this much text
 _BLOCK_BYTES = 24 << 10
+# the header lines in file order, each with its parser
+_HEADER = {"d": ("dim", bounded(int, 0)), "levels": ("level_names", value_parser(tuple[str, ...]))}
 
 
 def _off_tree(tag: str, s: Samples, taxonomy: Taxonomy) -> np.ndarray:
@@ -446,22 +456,10 @@ def load_dataset(path, taxonomy: Taxonomy) -> DataSplit:
     is read again row by row, so the file's first fault is raised at its line."""
     with read_record(path, _DATASET_FORMAT, (1, 2)) as body:
         features = {1: _v1_features, 2: float64_bytes}[body.version]
-        ln, line = next(body, (2, ""))
-        key, _, dim = line.partition(" ")
-        if key != "d" or (dim := value_parser(int)(dim)) < 0:
-            raise ParseError(
-                f"expected 'd <dim>' with dim >= 0, got {line!r}", line=ln
-            )
-        ln, line = next(body, (ln + 1, ""))
-        key, _, names = line.partition(" ")
-        if key != "levels":
-            raise ParseError(f"expected a 'levels' line, got {line!r}", line=ln)
-        level_names = tuple(names.split(","))
+        dim, level_names = parse_lines(_HEADER, body)
         if level_names != taxonomy.level_names:
-            raise ParseError(
-                f"level names {level_names} do not match taxonomy "
-                f"{taxonomy.level_names}", line=ln,
-            )
+            raise ValueError(f"level names {level_names} do not match taxonomy "
+                             f"{taxonomy.level_names}")
         # level name -> (level, class name -> index at that level)
         classes = {name: (level, {c: i for i, c in enumerate(taxonomy.class_names(level))})
                    for level, name in enumerate(level_names, 1)}

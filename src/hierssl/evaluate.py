@@ -18,11 +18,11 @@ from .data import Samples, features_of, labels_at_level
 from .errors import EmptySplit
 from .model import _prob_blocks
 from .records import (
-    field_keys,
+    bounded,
     field_texts,
     parse_fields,
+    parse_lines,
     read_record,
-    value_parser,
     value_text,
     write_record,
 )
@@ -65,9 +65,9 @@ def top1(model, samples: Samples, taxonomy: Taxonomy) -> float:
     return evaluate(model, samples, taxonomy).top1
 
 
+_ACCURACY = bounded(float, 0, 1)
 # n_samples and top1 are one line each; every level is a "level L name acc" row
-_REPORT_KEYS = {k: v for k, v in field_keys(EvalReport).items() if k != "levels"}
-_ACCURACY = value_parser(float)
+_REPORT_KEYS = {"n_samples": ("n_samples", bounded(int, 1)), "top1": ("top1", _ACCURACY)}
 
 
 def write_report(report: EvalReport, path) -> None:
@@ -78,27 +78,27 @@ def write_report(report: EvalReport, path) -> None:
 
 
 def read_report(path) -> EvalReport:
+    """The report as ``write_report`` writes it: n_samples, top1, then
+    ``level L name accuracy`` for L = 1, 2, ... to the end, top1 being the
+    last level's accuracy."""
     levels = []
-
-    def key_tokens(body):
+    with read_record(path, _EVAL_FORMAT, (1,)) as body:
+        n_samples, top = parse_lines(_REPORT_KEYS, body)
         for _, line in body:
             parts = line.split()
-            if parts[0] == "level" and len(parts) == 4:
-                if value_parser(int)(parts[1]) != len(levels) + 1:  # levels 1, 2, ... in order
-                    raise ValueError(f"expected level {len(levels) + 1}, got {parts[1]}")
-                levels.append((len(levels) + 1, parts[2], _ACCURACY(parts[3])))
-            else:
-                yield from parts
-
-    with read_record(path, _EVAL_FORMAT, (1,)) as body:
-        n_samples, top = parse_fields(_REPORT_KEYS, key_tokens(body))
+            if len(parts) != 4 or parts[:2] != ["level", str(len(levels) + 1)]:
+                raise ValueError(f"expected 'level {len(levels) + 1} NAME ACCURACY', "
+                                 f"got {line!r}")
+            levels.append((len(levels) + 1, parts[2], _ACCURACY(parts[3])))
         if not levels:
             raise ValueError("no level lines")
+        if top != levels[-1][2]:
+            raise ValueError(f"top1 {value_text(top)} is not the leaf level's accuracy")
     return EvalReport(n_samples=n_samples, top1=top, levels=tuple(levels))
 
 
-_SWEEP_KEYS = {key: (key, value_parser(hint)) for key, hint in
-               (("level", int | None), ("seed", int), ("top1", float))}
+_SWEEP_KEYS = {key: (key, parse) for key, parse in (
+    ("level", bounded(int | None, 1)), ("seed", bounded(int, 0)), ("top1", _ACCURACY))}
 
 
 def write_sweep(rows: Sequence[tuple[int | None, int, float]], path) -> None:

@@ -29,7 +29,15 @@ from .errors import (
     ParseError,
 )
 from .losses import _batches, _softmax_inplace
-from .records import float64_bytes, float64_texts, read_record, value_parser, write_record
+from .records import (
+    bounded,
+    float64_bytes,
+    float64_texts,
+    parse_lines,
+    read_record,
+    value_parser,
+    write_record,
+)
 
 _CKPT_FORMAT = "hierssl-checkpoint"
 # rows scored at once, so scoring never holds a whole probability matrix. A
@@ -268,9 +276,11 @@ def _prob_blocks(model, X: np.ndarray, taxonomy):
 # -- checkpoints -----------------------------------------------------------------
 
 
+_SIZE = bounded(int, 0)
 # the header keys in file order, each with its parser
-_HEADER = {"arch": str,
-           **dict.fromkeys(("dim", "hidden", "classes", "seed", "step"), value_parser(int))}
+_HEADER = {key: (key, parse) for key, parse in (
+    ("arch", str), ("dim", _SIZE), ("hidden", _SIZE), ("classes", _SIZE),
+    ("seed", value_parser(int)), ("step", value_parser(int)))}
 
 
 def save_checkpoint(model, path, seed: int, step: int,
@@ -307,27 +317,9 @@ def load_checkpoint(path):
     meta: dict[str, str] = {}
     params: dict[str, np.ndarray] = {}
     with read_record(path, _CKPT_FORMAT, (1,)) as body:
-        for ln, line in body:
-            if line.startswith("param "):
-                break
-            key, value = line.split(maxsplit=1)
-            if key == "meta":
-                k, _, v = value.partition(" ")
-                if k in meta:
-                    raise ValueError(f"repeated meta key {k!r}")
-                meta[k] = v
-            elif key not in _HEADER or key in header:
-                raise ValueError(
-                    f"{'repeated' if key in header else 'unknown'} key {key!r}")
-            else:
-                header[key] = _HEADER[key](value)
-                at[key] = ln
-        else:
-            line = None
-        arch, dim, hidden, classes, seed, step = (header[k] for k in _HEADER)
-        for key in ("dim", "hidden", "classes"):
-            if header[key] < 0:
-                raise ParseError(f"{key}: must be >= 0", line=at[key])
+        for key, value in zip(_HEADER, parse_lines(_HEADER, body)):
+            header[key], at[key] = value, body.line
+        arch, dim, hidden, classes, seed, step = header.values()
         cls = ARCHS.get(arch)
         if cls is None:
             raise ParseError(f"arch: unknown architecture {arch!r}",
@@ -336,8 +328,14 @@ def load_checkpoint(path):
         if (hidden > 0) != _uses_hidden(cls):  # no size is negative here
             raise ParseError(f"hidden: must be {'0' if hidden else '>= 1'} for arch {arch}",
                              line=at["hidden"])
-        while line is not None:
+        for _, line in body:
             parts = line.split()
+            if parts[0] == "meta" and not params:  # before the params, keys sorted
+                k, _, v = line.split(maxsplit=1)[1].partition(" ")
+                if meta and k <= max(meta):
+                    raise ValueError(f"meta key {k!r} is not after {max(meta)!r}")
+                meta[k] = v
+                continue
             if parts[0] != "param" or len(parts) < 3:
                 raise ValueError(f"expected a param line, got {line!r}")
             name = parts[1]
@@ -347,7 +345,7 @@ def load_checkpoint(path):
             if len(shape) != len(fields[name]):
                 raise ValueError(f"parameter {name} has shape {shape}, expected "
                                  f"{len(fields[name])} dimensions")
-            ln, line = next(body, (ln, None))
+            _, line = next(body, (None, None))
             if line is None:
                 raise ValueError(f"missing data for parameter {name}")
             data = np.frombuffer(float64_bytes([line], math.prod(shape)), dtype="<f8")
@@ -359,7 +357,6 @@ def load_checkpoint(path):
                         f"{key} {header[key]} does not match parameter {name} "
                         f"of shape {shape}", line=at[key])
             params[name] = data.reshape(shape).copy()
-            ln, line = next(body, (ln, None))
         missing = set(fields) - set(params)
         if missing:
             raise ValueError(f"missing parameters: {sorted(missing)}")

@@ -17,7 +17,7 @@ import numpy as np
 from .data import DataSplit, Samples, features_of, labels_at_level
 from .errors import ConfigError
 from .model import _prob_blocks
-from .records import field_keys, field_texts, parse_fields, read_record, write_record
+from .records import bounded, field_keys, field_texts, parse_lines, read_record, write_record
 from .taxonomy import Taxonomy
 
 _FILTER_FORMAT = "hierssl-filter"
@@ -117,7 +117,14 @@ def filter_split(model, taxonomy: Taxonomy, split: DataSplit,
 
 
 _CONFIG_KEYS = field_keys(FilterConfig)
-_STATS_KEYS = field_keys(FilterStats)
+_STATS_KEYS = {key: (key, bounded(int, 0)) for key in field_keys(FilterStats)}
+# filter_stats' sums and pools, each checked once the last count it reads is read
+_COUNT_RULES = {
+    "n_out": lambda c: c["n_in"] + c["n_out"] == c["n_total"],
+    "kept_in": lambda c: c["kept_in"] <= c["n_in"],
+    "kept_out": lambda c: (c["kept_in"] + c["kept_out"] == c["n_kept"]
+                           and c["kept_out"] <= c["n_out"]),
+}
 
 
 def write_filter_report(stats: FilterStats, cfg: FilterConfig, path) -> None:
@@ -127,8 +134,17 @@ def write_filter_report(stats: FilterStats, cfg: FilterConfig, path) -> None:
 
 
 def read_filter_report(path) -> tuple[FilterStats, FilterConfig]:
+    """The report as ``write_filter_report`` writes it, one key per line: the
+    config, validated once its last line is read, then the counts, each
+    checked as it is read against the counts before it."""
+    counts = {}
     with read_record(path, _FILTER_FORMAT, (1,)) as body:
-        values = parse_fields({**_CONFIG_KEYS, **_STATS_KEYS},
-                              (tok for _, line in body for tok in line.split()))
-    n = len(_CONFIG_KEYS)
-    return FilterStats(*values[n:]), FilterConfig(*values[:n])
+        cfg = FilterConfig(*parse_lines(_CONFIG_KEYS, body))
+        cfg.validate()
+        for key, count in zip(_STATS_KEYS, parse_lines(_STATS_KEYS, body)):
+            counts[key] = count
+            if key in _COUNT_RULES and not _COUNT_RULES[key](counts):
+                raise ValueError(f"{key} {count} does not fit the counts before it")
+        if (extra := next(body, None)) is not None:
+            raise ValueError(f"unexpected line {extra[1]!r}")
+    return FilterStats(**counts), cfg

@@ -15,7 +15,10 @@ of the dataclass field that holds it: "none" is None, booleans are
 decimal form, and floats are finite, in shortest-exact form. A reader
 accepts only these spellings, except that a float may also take any
 other ASCII form without underscores that Python reads, such as "2" or
-"1e160". A writer refuses a non-finite float.
+"1e160". A writer refuses a non-finite float. A report, or the header of
+a checkpoint or a dataset, names each key once, in its writer's order,
+and its reader takes the keys in that order (``parse_fields``,
+``parse_lines``); config files alone are user-written, in any order.
 
 Float64 arrays (a checkpoint's parameters, a dataset row's features) are
 one field each: the base64 of their little-endian float64 bytes, which
@@ -36,7 +39,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .errors import DataError, EmptyInput, ParseError
+from .errors import ConfigError, DataError, EmptyInput, ParseError
 
 
 def write_record(path, magic: str, lines) -> None:
@@ -104,8 +107,9 @@ def read_record(path, name: str, versions: tuple[int, ...]):
     magic line is ``"{name} v{version}"`` for one of ``versions``; the
     body's ``version`` is the one it names.
 
-    A ValueError, IndexError or KeyError raised while the body is parsed
-    becomes a ParseError at the line read last.
+    A ValueError or IndexError raised while the body is parsed becomes a
+    ParseError at the line read last, and so does a ConfigError: a config
+    rule broken by an artifact's value is a fault of the artifact.
     """
     with open(path, "rb") as fh:
         body = _Body(fh)
@@ -119,9 +123,8 @@ def read_record(path, name: str, versions: tuple[int, ...]):
                              line=1)
         try:
             yield body
-        except (ValueError, IndexError, KeyError) as exc:
-            why = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
-            raise ParseError(why, line=body.line) from None
+        except (ValueError, IndexError, ConfigError) as exc:
+            raise ParseError(str(exc), line=body.line) from None
 
 
 def float64_texts(rows) -> list[str]:
@@ -235,18 +238,30 @@ def field_texts(keys: dict, obj) -> dict[str, str]:
     return {key: value_text(getattr(obj, name)) for key, (name, _) in keys.items()}
 
 
-def parse_fields(keys: dict, tokens) -> list:
-    """The typed values, in the order of ``keys``, of ``key value key value
-    ...`` tokens that name every key of ``keys`` exactly once."""
-    values = {}
-    tokens = iter(tokens)
-    for key in tokens:
-        if key not in keys or key in values:
-            raise ValueError(f"{'repeated' if key in values else 'unknown'} key {key!r}")
-        text = next(tokens, None)
-        if text is None:
-            raise ValueError(f"no value for key {key!r}")
-        values[key] = keys[key][1](text)
-    if missing := [key for key in keys if key not in values]:
-        raise ValueError(f"missing keys: {', '.join(missing)}")
-    return [values[key] for key in keys]
+def bounded(hint, lo, hi=math.inf):
+    """``value_parser(hint)``, refusing a value outside [lo, hi]; None passes."""
+    parse = value_parser(hint)
+
+    def parse_bounded(s: str):
+        if (value := parse(s)) is not None and not lo <= value <= hi:
+            raise ValueError(f"not in [{lo}, {hi}]: {s!r}")
+        return value
+    return parse_bounded
+
+
+def parse_fields(keys: dict, tokens: list[str]) -> list:
+    """The typed values of one line's tokens, ``key value key value ...``,
+    which name each key of ``keys`` once, in its order, and nothing more."""
+    if tokens[::2] != list(keys) or len(tokens) != 2 * len(keys):
+        expected = " ".join(f"{key} VALUE" for key in keys)
+        raise ValueError(f"expected {expected!r}, got {' '.join(tokens)!r}")
+    return [parse(text) for (_, parse), text in zip(keys.values(), tokens[1::2])]
+
+
+def parse_lines(keys: dict, body):
+    """The typed value of each key of ``keys``, in its order, from one
+    ``key value`` line of ``body`` each. A value is yielded once its line is
+    read, so ``body.line`` is then that value's line."""
+    for key, spec in keys.items():
+        _, line = next(body, (None, ""))
+        yield parse_fields({key: spec}, line.split())[0]

@@ -213,8 +213,12 @@ def marginalize(probs: np.ndarray, w: MarginalizationMatrix) -> np.ndarray:
     """Sum fine-class mass onto coarse classes: out[c] = sum of probs under c.
 
     Accepts a single distribution or a batch (last axis = fine classes).
-    Total mass is preserved exactly; summation order is fixed (ascending
-    fine index within each coarse class), so results are deterministic.
+    The sum is ``np.add.reduceat``'s: a coarse class gets the entry of its
+    lowest fine index plus numpy's pairwise sum of its other entries, taken
+    in ascending fine index, so ``[1.0, 1e-16, 1e-16]`` sums to
+    ``1 + (1e-16 + 1e-16)``, which is 1.0000000000000002. That order is
+    fixed, so results are deterministic, but the marginals' total need not
+    equal the leaves' total bitwise.
     A sorted ancestor map (every ``shaped_taxonomy`` level, Semi-iNat
     levels 2 and finer) is summed in place; an unsorted one (Semi-iNat
     level 1) is first gathered into coarse-class order.

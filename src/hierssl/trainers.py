@@ -51,7 +51,7 @@ from .model import (
     _uses_hidden,
     momentum_update,
 )
-from .records import field_keys, field_texts, parse_fields, read_record, write_record
+from .records import bounded, field_keys, field_texts, parse_fields, read_record, write_record
 from .taxonomy import MarginalizationMatrix, Taxonomy
 
 
@@ -214,7 +214,7 @@ class TrainResult:
     pretrain_trace: list[PretrainStats] | None = None
 
 
-_STEP_KEYS = field_keys(StepStats)
+_STEP_KEYS = {**field_keys(StepStats), "mask_rate": ("mask_rate", bounded(float, 0, 1))}
 _PRETRAIN_KEYS = field_keys(PretrainStats, step="pretrain", queue_len="queue")
 
 
@@ -229,7 +229,8 @@ def write_metrics(trace: list[StepStats], path,
 
 
 def read_metrics(path):
-    """Returns (trace, pretrain_trace); both round-trip exactly."""
+    """Returns (trace, pretrain_trace); both round-trip exactly. Each holds
+    its steps 0, 1, 2, ... in order, the pretraining steps first."""
     trace, pretrain = [], []
     kinds = {"step": (StepStats, _STEP_KEYS, trace),
              "pretrain": (PretrainStats, _PRETRAIN_KEYS, pretrain)}
@@ -238,7 +239,11 @@ def read_metrics(path):
             tokens = line.split()
             if tokens[0] not in kinds:
                 raise ValueError(f"unknown line kind {tokens[0]!r}")
+            if tokens[0] == "pretrain" and trace:
+                raise ValueError("a pretrain line after a step line")
             cls, keys, out = kinds[tokens[0]]
+            if tokens[1:2] != [str(len(out))]:
+                raise ValueError(f"expected {tokens[0]} {len(out)}, got {line!r}")
             out.append(cls(*parse_fields(keys, tokens)))
     return trace, pretrain or None
 

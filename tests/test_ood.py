@@ -205,6 +205,14 @@ class TestReport:
         with pytest.raises(ParseError):
             read_filter_report(p)
 
+    def test_invalid_config_fails_at_its_last_line(self, tmp_path):
+        # FilterConfig.validate runs once both config lines are read
+        p = tmp_path / "f.txt"
+        write_filter_report(FilterStats(10, 5, 6, 4, 4, 1), FilterConfig(tau=0.5), p)
+        p.write_text(p.read_text().replace("tau 0.5", "tau -1.0"))
+        with pytest.raises(ParseError, match="line 3: filter_tau: must be > 0"):
+            read_filter_report(p)
+
     def test_missing_field(self, tmp_path):
         p = tmp_path / "f.txt"
         p.write_text("hierssl-filter v1\ntau 0.5\n")

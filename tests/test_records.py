@@ -197,7 +197,7 @@ _READERS = {"metrics": read_metrics, "eval": read_report, "sweep": read_sweep,
             "filter": read_filter_report, "checkpoint": load_checkpoint}
 
 # (format, line number, that line's new text, whether it is inserted there
-# instead of replacing the line)
+# instead of replacing the line); a text of n lines replaces n lines
 STRICT_CASES = {
     "metrics-step-unknown":
         ("metrics", 3, "step 0 foo 1.0 bar 2.0 coarse 0.25 extra 0.25 mask_rate 0.5", False),
@@ -228,12 +228,39 @@ STRICT_CASES = {
     "checkpoint-meta-repeated": ("checkpoint", 9, "meta method other", True),
     "checkpoint-param-nonfinite": ("checkpoint", 10, NAN_W1, False),
     "checkpoint-param-not-base64": ("checkpoint", 10, SPLICED_W1, False),
+    # the writer's lines out of its order
+    "metrics-step-keys-swapped":
+        ("metrics", 3, "step 0 fine 1.0 total 1.5 coarse 0.25 extra 0.25 mask_rate 0.5", False),
+    "eval-header-swapped": ("eval", 2, "top1 0.25\nn_samples 4", False),
+    "filter-counts-swapped": ("filter", 6, "n_out 4\nn_in 6", False),
+    "checkpoint-sizes-swapped": ("checkpoint", 3, "hidden 2\ndim 3", False),
+    "checkpoint-meta-unsorted": ("checkpoint", 9, "meta a x", True),
+    # values that no writer writes
+    "metrics-step-misnumbered":
+        ("metrics", 3, "step 5 total 1.5 fine 1.0 coarse 0.25 extra 0.25 mask_rate 0.5", False),
+    "metrics-pretrain-misnumbered": ("metrics", 2, "pretrain 1 loss 2.5 queue 4", False),
+    "metrics-pretrain-after-step": ("metrics", 4, "pretrain 1 loss 2.5 queue 4", True),
+    "metrics-mask-rate-above-1":
+        ("metrics", 3, "step 0 total 1.5 fine 1.0 coarse 0.25 extra 0.25 mask_rate 1.5", False),
+    "eval-n-samples-0": ("eval", 2, "n_samples 0", False),
+    "eval-top1-negative": ("eval", 3, "top1 -0.25", False),
+    "eval-level-above-1": ("eval", 4, "level 1 L1 1.5", False),
+    "eval-top1-not-leaf": ("eval", 5, "level 2 L2 0.5", False),
+    "sweep-top1-above-1": ("sweep", 2, "level none seed 0 top1 1.5", False),
+    "sweep-level-0": ("sweep", 3, "level 0 seed 0 top1 0.75", False),
+    "sweep-seed-negative": ("sweep", 3, "level 2 seed -1 top1 0.75", False),
+    "filter-config-invalid": ("filter", 3, "match_level 0", False),
+    "filter-count-negative": ("filter", 4, "n_total -1", False),
+    "filter-in-out-not-total": ("filter", 7, "n_out 5", False),
+    "filter-kept-above-pool": ("filter", 8, "kept_in 9", False),
+    "filter-kept-not-n-kept": ("filter", 9, "kept_out 2", False),
 }
 
 
 def _edit(path, line: int, text: str, insert: bool) -> None:
     lines = path.read_text(encoding="utf-8").splitlines()
-    lines[line - 1:line - 1 + (not insert)] = [text]
+    new = text.split("\n")
+    lines[line - 1:line - 1 + (0 if insert else len(new))] = new
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

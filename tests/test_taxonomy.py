@@ -48,8 +48,8 @@ def toy() -> Taxonomy:
 
 
 def brute_force_marginal(taxonomy, probs, fine, coarse):
-    """Independent formulation: per-leaf Python loop into coarse bins,
-    ascending fine index, matching the documented summation order."""
+    """Independent formulation: per-leaf Python loop into coarse bins, in
+    ascending fine index; within rounding of marginalize's pairwise sums."""
     amap = taxonomy.ancestor_map(fine, coarse)
     out = np.zeros(probs.shape[:-1] + (taxonomy.class_counts[coarse - 1],))
     for j in range(probs.shape[-1]):
@@ -483,6 +483,15 @@ def test_marginalize_matches_gathered_bytes(tax):
             ref = _gathered_marginalize(probs, w)
             assert got.shape == ref.shape
             assert got.tobytes() == ref.tobytes()
+
+
+def test_marginalize_adds_the_pairwise_sum_of_the_rest_to_the_first_entry():
+    # ascending-index order would give (1 + 1e-16) + 1e-16 == 1.0
+    probs = np.array([1.0, 1e-16, 1e-16])
+    w = MarginalizationMatrix(np.zeros(3, dtype=np.int64), 1)
+    for batch in (probs, probs[None]):  # one distribution, and a batch of one
+        assert marginalize(batch, w).ravel().tolist() == [1.0000000000000002]
+    assert (1.0 + 1e-16) + 1e-16 == 1.0 != 1.0 + (1e-16 + 1e-16)
 
 
 def test_sorted_levels_skip_the_gather():
